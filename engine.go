@@ -2,16 +2,48 @@ package lpmem
 
 import (
 	"context"
+	"crypto/sha256"
+	"embed"
+	"encoding/hex"
+	"fmt"
+	"io/fs"
 	"time"
 
 	"lpmem/internal/runner"
+	"lpmem/internal/stats"
 )
 
+//go:embed testdata/golden/*.json
+var goldens embed.FS
+
 // RegistryVersion participates in every runner cache key, coupling cached
-// tables to the code that produced them. Bump it whenever an experiment
-// harness or one of its substrates changes behaviour, so a long-lived
-// lpmemd process can never serve stale results after a redeploy.
-const RegistryVersion = "2026-08-07.1"
+// tables to the code that produced them. It is a digest of the golden
+// tables in testdata/golden, which the regression tests force to change
+// whenever an experiment's output does, so a redeployed lpmemd or a
+// shared result store can never serve a stale table under a current key.
+var RegistryVersion = registryVersion(goldens)
+
+// registryVersion digests the name and content of every file in fsys,
+// walked in lexical order, into 16 hex digits.
+func registryVersion(fsys fs.FS) string {
+	h := sha256.New()
+	err := fs.WalkDir(fsys, ".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := fs.ReadFile(fsys, path)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(h, "%s\x00%d\x00%s", path, len(b), b)
+		return nil
+	})
+	if err != nil {
+		// Only the embedded goldens reach here outside tests.
+		panic(fmt.Sprintf("lpmem: digest goldens: %v", err))
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
 
 // Engine is the experiment-typed instantiation of the generic concurrent
 // runner: bounded worker pool, per-experiment timeouts and cancellation,
@@ -27,7 +59,8 @@ func NewEngine(opts runner.Options) *Engine {
 	return runner.New[*Result](opts)
 }
 
-// CacheKey is the engine cache key for one experiment.
+// CacheKey is the content key of one experiment's result, in the
+// engine's memory cache and in lpmemd's shared result store alike.
 func CacheKey(id string) string { return id + "@" + RegistryVersion }
 
 // Jobs adapts registry experiments to runner jobs. The experiments
@@ -81,6 +114,21 @@ type ResultJSON struct {
 	DurationMS float64    `json:"duration_ms"`
 	Cached     bool       `json:"cached"`
 	Error      string     `json:"error,omitempty"`
+}
+
+// Result rebuilds the result an envelope carries. AddRow formats a
+// string as itself, so the rebuilt result flattens back to the same
+// envelope.
+func (j ResultJSON) Result() *Result {
+	t := stats.NewTable(j.Header...)
+	for _, row := range j.Rows {
+		cells := make([]interface{}, len(row))
+		for i, c := range row {
+			cells[i] = c
+		}
+		t.AddRow(cells...)
+	}
+	return &Result{Table: t, Summary: j.Summary}
 }
 
 // JSON flattens a report into its wire envelope.

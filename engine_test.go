@@ -3,8 +3,12 @@ package lpmem
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"io/fs"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/fstest"
 
 	"lpmem/internal/runner"
 )
@@ -19,6 +23,64 @@ func TestJobsCacheKeys(t *testing.T) {
 	for _, j := range jobs {
 		if j.Key != CacheKey(j.ID) || !strings.Contains(j.Key, RegistryVersion) {
 			t.Fatalf("job %s has key %q", j.ID, j.Key)
+		}
+	}
+}
+
+// TestRegistryVersionDigest: the version tracks every byte of the
+// goldens and nothing about the order their files were written in.
+func TestRegistryVersionDigest(t *testing.T) {
+	files := []string{"testdata/golden/E1.json", "testdata/golden/E2.json", "testdata/golden/E10.json"}
+	build := func(order []int, edit func(name string, b []byte) []byte) fstest.MapFS {
+		fsys := fstest.MapFS{}
+		for _, i := range order {
+			b := []byte(fmt.Sprintf(`{"id":"E%d","rows":[["a","1.00"]]}`, i))
+			fsys[files[i]] = &fstest.MapFile{Data: edit(files[i], b)}
+		}
+		return fsys
+	}
+	same := func(_ string, b []byte) []byte { return b }
+	base := registryVersion(build([]int{0, 1, 2}, same))
+	if len(base) != 16 {
+		t.Fatalf("version %q is not 16 hex digits", base)
+	}
+	if v := registryVersion(build([]int{2, 0, 1}, same)); v != base {
+		t.Fatalf("file order moved the version: %s vs %s", v, base)
+	}
+	flip := func(name string, b []byte) []byte {
+		if name == files[1] {
+			b[len(b)-3] ^= 1
+		}
+		return b
+	}
+	if v := registryVersion(build([]int{0, 1, 2}, flip)); v == base {
+		t.Fatal("a changed golden byte left the version unchanged")
+	}
+	if RegistryVersion == registryVersion(fstest.MapFS{}) {
+		t.Fatal("RegistryVersion digests no goldens")
+	}
+}
+
+// TestResultJSONRoundTrip: every golden table, rebuilt from its
+// envelope into a result, flattens back to the same envelope.
+func TestResultJSONRoundTrip(t *testing.T) {
+	names, err := fs.Glob(goldens, "testdata/golden/*.json")
+	if err != nil || len(names) != len(Experiments()) {
+		t.Fatalf("%d goldens (%v) for %d experiments", len(names), err, len(Experiments()))
+	}
+	for _, name := range names {
+		b, err := fs.ReadFile(goldens, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env ResultJSON
+		if err := json.Unmarshal(b, &env); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		exp := Experiment{ID: env.ID, Title: env.Title, PaperClaim: env.PaperClaim}
+		back := Report{Experiment: exp, Outcome: runner.Outcome[*Result]{Value: env.Result()}}.JSON()
+		if !reflect.DeepEqual(back, env) {
+			t.Fatalf("%s: round trip changed the envelope:\n%+v\n%+v", name, env, back)
 		}
 	}
 }

@@ -125,37 +125,61 @@ func New(eng *lpmem.Engine, opts ...Option) *Server {
 	return s
 }
 
-// storeGet serves one experiment envelope from the shared result store,
-// marking it cached. False when no store is configured or the key is
-// unknown everywhere.
-func (s *Server) storeGet(key string) (lpmem.ResultJSON, bool) {
+// jobs adapts exps to engine jobs. With a result store configured, the
+// store is the engine's second tier behind its memory cache: Load serves
+// a result any replica stored, and Run appends what it computes before
+// the engine releases the key's in-flight slot, so a replica with a
+// caching engine appends each key at most once. An attempt whose context
+// ended — one the engine abandons at its deadline — appends nothing, as
+// the engine discards its result too. stored counts the appends these
+// jobs make.
+func (s *Server) jobs(exps []lpmem.Experiment, stored *atomic.Int64) []runner.Job[*lpmem.Result] {
+	jobs := lpmem.Jobs(exps)
 	if s.store == nil {
-		return lpmem.ResultJSON{}, false
+		return jobs
 	}
-	raw, ok := s.store.Get(key)
-	if !ok {
-		return lpmem.ResultJSON{}, false
+	for i := range jobs {
+		exp, key, run := exps[i], jobs[i].Key, jobs[i].Run
+		jobs[i].Load = func() (*lpmem.Result, bool) {
+			raw, ok := s.store.Get(key)
+			if !ok {
+				return nil, false
+			}
+			var env lpmem.ResultJSON
+			if err := json.Unmarshal(raw, &env); err != nil {
+				return nil, false
+			}
+			return env.Result(), true
+		}
+		jobs[i].Run = func(ctx context.Context) (*lpmem.Result, error) {
+			res, err := run(ctx)
+			if err != nil || ctx.Err() != nil {
+				return res, err
+			}
+			env := lpmem.Report{Experiment: exp, Outcome: runner.Outcome[*lpmem.Result]{Value: res}}.JSON()
+			if s.store.Put(key, env) == nil {
+				stored.Add(1)
+			}
+			return res, nil
+		}
 	}
-	var env lpmem.ResultJSON
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return lpmem.ResultJSON{}, false
-	}
-	env.Cached = true
-	return env, true
+	return jobs
 }
 
-// storePut persists one successful envelope to the shared store (other
-// replicas see it at their next miss). Reports whether a write happened.
-func (s *Server) storePut(key string, env lpmem.ResultJSON) bool {
-	if s.store == nil || env.Error != "" {
-		return false
-	}
-	// The stored form is the computed result, not this request's view.
-	env.Cached = false
-	if err := s.store.Put(key, "experiment", env); err != nil {
-		return false
-	}
-	return true
+// run executes exps through the engine's tiers and returns one envelope
+// per experiment, in input order, plus how many results it appended to
+// the store. emit, when non-nil, receives each envelope as its job
+// settles, concurrently from pool workers.
+func (s *Server) run(ctx context.Context, exps []lpmem.Experiment, emit func(lpmem.ResultJSON)) ([]lpmem.ResultJSON, int) {
+	var stored atomic.Int64
+	envs := make([]lpmem.ResultJSON, len(exps))
+	s.eng.RunFunc(ctx, s.jobs(exps, &stored), func(i int, o runner.Outcome[*lpmem.Result]) {
+		envs[i] = lpmem.Report{Experiment: exps[i], Outcome: o}.JSON()
+		if emit != nil {
+			emit(envs[i])
+		}
+	})
+	return envs, int(stored.Load())
 }
 
 // delay applies the configured synthetic service delay, honouring
@@ -275,22 +299,14 @@ func (s *Server) handleOne(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.delay(r.Context())
-	key := lpmem.CacheKey(exp.ID)
-	if env, ok := s.storeGet(key); ok {
-		writeJSON(w, http.StatusOK, env)
-		return
-	}
 	ctx, cancel := s.runCtx(r)
 	defer cancel()
-	reports := lpmem.RunBatch(ctx, s.eng, []lpmem.Experiment{exp})
-	env := reports[0].JSON()
+	envs, _ := s.run(ctx, []lpmem.Experiment{exp}, nil)
 	status := http.StatusOK
-	if env.Error != "" {
+	if envs[0].Error != "" {
 		status = http.StatusInternalServerError
-	} else {
-		s.storePut(key, env)
 	}
-	writeJSON(w, status, env)
+	writeJSON(w, status, envs[0])
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -310,37 +326,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.delay(r.Context())
+	// The stream arm differs only in emitting each result as it settles
+	// and a summary event in place of the JSON body.
+	var sse *sseWriter
+	var emit func(lpmem.ResultJSON)
 	if wantsStream(r) {
-		s.handleBatchStream(w, r, exps)
-		return
+		if sse, ok = startSSE(w); !ok {
+			return
+		}
+		ids := make([]string, len(exps))
+		for i, e := range exps {
+			ids[i] = e.ID
+		}
+		_ = sse.event("start", map[string]interface{}{"count": len(exps), "ids": ids})
+		// Events race only against each other; sseWriter serialises.
+		emit = func(env lpmem.ResultJSON) { _ = sse.event("result", env) }
 	}
 	ctx, cancel := s.runCtx(r)
 	defer cancel()
 	start := time.Now()
-
-	// Serve whatever any replica already computed; run the rest.
-	envs := make([]lpmem.ResultJSON, len(exps))
-	var pending []int
-	for i, e := range exps {
-		if env, ok := s.storeGet(lpmem.CacheKey(e.ID)); ok {
-			envs[i] = env
-			continue
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) > 0 {
-		pendingExps := make([]lpmem.Experiment, len(pending))
-		for j, i := range pending {
-			pendingExps[j] = exps[i]
-		}
-		reports := lpmem.RunBatch(ctx, s.eng, pendingExps)
-		for j, i := range pending {
-			envs[i] = reports[j].JSON()
-			if envs[i].Error == "" {
-				s.storePut(lpmem.CacheKey(exps[i].ID), envs[i])
-			}
-		}
-	}
+	envs, stored := s.run(ctx, exps, emit)
 	failed := 0
 	for i := range envs {
 		if envs[i].Error != "" {
@@ -357,11 +362,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	case failed > 0:
 		status = "partial"
 	}
+	elapsedMS := float64(time.Since(start)) / float64(time.Millisecond)
+	if sse != nil {
+		_ = sse.event("done", map[string]interface{}{
+			"status":     status,
+			"count":      len(envs),
+			"failed":     failed,
+			"stored":     stored,
+			"elapsed_ms": elapsedMS,
+		})
+		return
+	}
 	writeJSON(w, httpStatus, map[string]interface{}{
 		"status":     status,
 		"count":      len(envs),
 		"failed":     failed,
-		"elapsed_ms": float64(time.Since(start)) / float64(time.Millisecond),
+		"elapsed_ms": elapsedMS,
 		"results":    envs,
 	})
 }

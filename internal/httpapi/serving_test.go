@@ -8,10 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -493,17 +496,17 @@ func TestResultStoreSharedAcrossServers(t *testing.T) {
 	if code := get(t, tsB.URL+"/experiments/E17", &envB); code != http.StatusOK {
 		t.Fatalf("replica B status %d", code)
 	}
-	if !envB.Cached {
-		t.Fatal("replica B did not serve from the shared store")
+	if !envB.Cached || envB.DurationMS != 0 {
+		t.Fatalf("replica B did not serve from the shared store: %+v", envB)
 	}
-	if engB.CacheLen() != 0 {
+	if engB.Metrics().Executed != 0 {
 		t.Fatal("replica B ran the experiment despite a store hit")
 	}
-	if envB.Summary != env.Summary || len(envB.Rows) != len(env.Rows) {
+	if envB.Summary != env.Summary || !reflect.DeepEqual(envB.Header, env.Header) || !reflect.DeepEqual(envB.Rows, env.Rows) {
 		t.Fatal("store round-trip altered the envelope")
 	}
 
-	// Batch runs partition into store hits and genuine work.
+	// A batch mixes a cached result with genuine work.
 	resp, err := http.Post(tsB.URL+"/run?ids=E17,E22", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +522,7 @@ func TestResultStoreSharedAcrossServers(t *testing.T) {
 		t.Fatalf("batch results: %+v", batch)
 	}
 	if !batch.Results[0].Cached {
-		t.Fatal("E17 not served from store in batch")
+		t.Fatal("E17 not served from cache in batch")
 	}
 	if batch.Results[1].Error != "" {
 		t.Fatalf("E22 failed: %s", batch.Results[1].Error)
@@ -530,8 +533,156 @@ func TestResultStoreSharedAcrossServers(t *testing.T) {
 	if m.Store == nil {
 		t.Fatal("metrics missing store block")
 	}
-	if m.Store.Hits < 2 || m.Store.Keys < 2 {
+	if m.Store.Hits < 1 || m.Store.Keys < 2 {
 		t.Fatalf("store metrics: %+v", m.Store)
+	}
+}
+
+// storeLines counts the lines in a result store file.
+func storeLines(t *testing.T, path string) int {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(b, []byte("\n"))
+}
+
+// TestBatchStreamWarmStoresNothing: a warm streamed batch is served from
+// the tiers and appends nothing to the store, and its done event says so.
+func TestBatchStreamWarmStoresNothing(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	store, err := resultstore.Open(path, resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	eng := lpmem.NewEngine(runner.Options{Workers: 2})
+	ts := httptest.NewServer(New(eng, WithResultStore(store)).Handler())
+	defer ts.Close()
+
+	stream := func() (stored int) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/run?ids=E16,E17&stream=1", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		events := readSSE(t, resp.Body)
+		last := events[len(events)-1]
+		var done struct {
+			Status string `json:"status"`
+			Stored int    `json:"stored"`
+		}
+		if err := json.Unmarshal(last.data, &done); err != nil || last.name != "done" || done.Status != "ok" {
+			t.Fatalf("last event %q %s: %v", last.name, last.data, err)
+		}
+		return done.Stored
+	}
+	if stored := stream(); stored != 2 || store.Stats().Appends != 2 {
+		t.Fatalf("cold batch: stored %d, appends %d, want 2 and 2", stored, store.Stats().Appends)
+	}
+	if stored := stream(); stored != 0 || store.Stats().Appends != 2 {
+		t.Fatalf("warm batch: stored %d, appends %d, want 0 and 2", stored, store.Stats().Appends)
+	}
+	if n := storeLines(t, path); n != 2 {
+		t.Fatalf("store file has %d lines, want 2", n)
+	}
+}
+
+// TestAbandonedRunStoresNothing: a result that arrives after its job's
+// context ended is discarded, not appended, so a retry or a later request
+// that recomputes the key does not append it a second time.
+func TestAbandonedRunStoresNothing(t *testing.T) {
+	store, err := resultstore.Open(filepath.Join(t.TempDir(), "results.jsonl"), resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	late := fakeExp("E1", func() (*lpmem.Result, error) {
+		cancel() // the deadline passes while the experiment runs
+		return okResult()
+	})
+	srv := New(lpmem.NewEngine(runner.Options{Workers: 1}), WithResultStore(store))
+	var stored atomic.Int64
+	if _, err := srv.jobs([]lpmem.Experiment{late}, &stored)[0].Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if stored.Load() != 0 || store.Stats().Appends != 0 {
+		t.Fatalf("abandoned result stored: stored %d, %+v", stored.Load(), store.Stats())
+	}
+}
+
+// TestConcurrentColdRunsAppendOnce: concurrent cold requests for one
+// experiment share a single run and a single store line.
+func TestConcurrentColdRunsAppendOnce(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	store, err := resultstore.Open(path, resultstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	exp, err := lpmem.ByID("E16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first run holds until every request has reached the engine, so
+	// all of them are cold when they arrive.
+	const n = 4
+	var runs atomic.Int64
+	gate := make(chan struct{})
+	run := exp.Run
+	exp.Run = func() (*lpmem.Result, error) {
+		runs.Add(1)
+		<-gate
+		return run()
+	}
+	eng := lpmem.NewEngine(runner.Options{Workers: 2})
+	ts := httptest.NewServer(New(eng, WithResultStore(store), WithExperiments([]lpmem.Experiment{exp})).Handler())
+	defer ts.Close()
+
+	envs := make([]lpmem.ResultJSON, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + "/experiments/E16")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if err := json.NewDecoder(resp.Body).Decode(&envs[i]); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	waitFor(t, func() bool { return eng.Metrics().Submitted == n })
+	close(gate)
+	wg.Wait()
+
+	if runs.Load() != 1 {
+		t.Fatalf("%d concurrent requests ran the experiment %d times", n, runs.Load())
+	}
+	fresh := 0
+	for _, env := range envs {
+		if env.ID != "E16" || env.Error != "" || len(env.Rows) == 0 {
+			t.Fatalf("envelope %+v", env)
+		}
+		if !env.Cached {
+			fresh++
+		}
+	}
+	if fresh != 1 {
+		t.Fatalf("%d of %d envelopes report a fresh compute, want 1", fresh, n)
+	}
+	if lines := storeLines(t, path); lines != 1 {
+		t.Fatalf("store file has %d lines, want 1", lines)
 	}
 }
 

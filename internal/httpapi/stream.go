@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
-
-	"lpmem"
-	"lpmem/internal/runner"
 )
 
 // The streaming surface: `POST /run?stream=1` and the sweep endpoints
@@ -23,6 +19,8 @@ import (
 //	  event: result   one lpmem.ResultJSON envelope, in completion order
 //	  event: done     {"status":"ok|partial|failed","count":N,"failed":F,
 //	                   "stored":S,"elapsed_ms":...}
+//	                  S counts the results this batch computed and
+//	                  appended to the result store; hits append nothing.
 //
 //	POST /sweeps?stream=1, GET /sweeps/{id}?stream=1
 //	  event: accepted the sweepStatus snapshot at acceptance (POST only)
@@ -79,79 +77,6 @@ func (s *sseWriter) event(name string, v interface{}) error {
 	}
 	s.fl.Flush()
 	return nil
-}
-
-// handleBatchStream is the stream=1 arm of POST /run: per-experiment
-// result events in completion order, then a summary. Store hits are
-// emitted first — they are already settled — and misses stream as the
-// pool finishes them.
-func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request, exps []lpmem.Experiment) {
-	sse, ok := startSSE(w)
-	if !ok {
-		return
-	}
-	ids := make([]string, len(exps))
-	for i, e := range exps {
-		ids[i] = e.ID
-	}
-	_ = sse.event("start", map[string]interface{}{"count": len(exps), "ids": ids})
-
-	ctx, cancel := s.runCtx(r)
-	defer cancel()
-	start := time.Now()
-
-	// Serve what the shared store already has; run the rest.
-	envs := make([]lpmem.ResultJSON, len(exps))
-	var pending []int
-	for i, e := range exps {
-		if env, ok := s.storeGet(lpmem.CacheKey(e.ID)); ok {
-			envs[i] = env
-			_ = sse.event("result", env)
-			continue
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) > 0 {
-		pendingExps := make([]lpmem.Experiment, len(pending))
-		for j, i := range pending {
-			pendingExps[j] = exps[i]
-		}
-		jobs := lpmem.Jobs(pendingExps)
-		outs := s.eng.RunFunc(ctx, jobs, func(j int, o runner.Outcome[*lpmem.Result]) {
-			i := pending[j]
-			env := lpmem.Report{Experiment: exps[i], Outcome: o}.JSON()
-			// Events race only against each other; sseWriter serialises.
-			_ = sse.event("result", env)
-		})
-		for j, i := range pending {
-			envs[i] = lpmem.Report{Experiment: exps[i], Outcome: outs[j]}.JSON()
-		}
-	}
-
-	failed, stored := 0, 0
-	for i := range envs {
-		if envs[i].Error != "" {
-			failed++
-			continue
-		}
-		if s.storePut(lpmem.CacheKey(exps[i].ID), envs[i]) {
-			stored++
-		}
-	}
-	status := "ok"
-	switch {
-	case failed == len(envs) && failed > 0:
-		status = "failed"
-	case failed > 0:
-		status = "partial"
-	}
-	_ = sse.event("done", map[string]interface{}{
-		"status":     status,
-		"count":      len(envs),
-		"failed":     failed,
-		"stored":     stored,
-		"elapsed_ms": float64(time.Since(start)) / float64(time.Millisecond),
-	})
 }
 
 // streamSweep follows one accepted sweep over SSE until it settles or

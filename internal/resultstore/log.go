@@ -9,15 +9,17 @@
 //
 // The package has two layers:
 //
-//   - Log: the multi-writer append-only line file. It owns offsets,
-//     fsync policy, torn-tail repair and the incremental Scan used to
-//     pick up lines other replicas appended.
-//   - Store: a key -> payload view over a Log with a size-bounded
-//     in-memory LRU in front, so a hot replica serves popular results
-//     without touching the file while cold keys are re-read by offset.
+//   - Log: the multi-writer append-only line file. It owns the read
+//     frontier, fsync policy, torn-tail repair and the incremental Scan
+//     used to pick up lines other replicas appended.
+//   - Store: a key -> payload map over a Log, filled by scanning. A Get
+//     of an unknown key re-scans once, so keys a peer appended since the
+//     last look are found without coordination.
 //
-// internal/sweep's Store is a thin typed wrapper over Log (same line
-// format as before); lpmemd's experiment-result cache uses Store.
+// lpmemd's store is the second tier behind the experiment engine's
+// memory cache: the engine consults it only after its in-flight dedup,
+// so a replica reads and appends each key at most once. internal/sweep's
+// Store is a typed map of the same shape over the same Log.
 package resultstore
 
 import (
@@ -39,7 +41,7 @@ type Log struct {
 
 	mu sync.Mutex
 	f  *os.File // O_APPEND write handle
-	rf *os.File // independent read handle (Scan / ReadAt)
+	rf *os.File // independent read handle for Scan
 	// off is the read frontier: bytes of complete lines consumed by Scan.
 	off int64
 	// needSep is set when the file ends without '\n' (a writer died
@@ -104,17 +106,12 @@ func (l *Log) Append(line []byte) error {
 }
 
 // Scan reads every complete line appended since the previous Scan (by
-// this handle or any other writer) and hands each to fn along with the
-// line's offset and length in the file (offset covers the line only, not
-// its trailing newline). A final partial line — some writer is mid-append
-// or died — is left for a future Scan. fn errors abort the scan.
-func (l *Log) Scan(fn func(off int64, line []byte) error) error {
+// this handle or any other writer) and hands each to fn. A final partial
+// line — some writer is mid-append or died — is left for a future Scan.
+// fn errors abort the scan.
+func (l *Log) Scan(fn func(line []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.scanLocked(fn)
-}
-
-func (l *Log) scanLocked(fn func(off int64, line []byte) error) error {
 	if l.rf == nil {
 		return fmt.Errorf("resultstore: scan of closed log")
 	}
@@ -135,10 +132,9 @@ func (l *Log) scanLocked(fn func(off int64, line []byte) error) error {
 			continue
 		}
 		line := data[start:i]
-		lineOff := l.off + int64(start)
 		start = i + 1
 		if len(line) > 0 {
-			if err := fn(lineOff, line); err != nil {
+			if err := fn(line); err != nil {
 				return err
 			}
 		}
@@ -147,20 +143,6 @@ func (l *Log) scanLocked(fn func(off int64, line []byte) error) error {
 	// once its writer finishes (or repairs) it.
 	l.off += int64(start)
 	return nil
-}
-
-// ReadAt re-reads one line previously reported by Scan.
-func (l *Log) ReadAt(off int64, length int) ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.rf == nil {
-		return nil, fmt.Errorf("resultstore: read of closed log")
-	}
-	buf := make([]byte, length)
-	if _, err := l.rf.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("resultstore: read line at %d: %w", off, err)
-	}
-	return buf, nil
 }
 
 // Close closes both handles. Reads and appends fail afterwards.

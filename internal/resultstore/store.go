@@ -1,26 +1,21 @@
 package resultstore
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"sync"
 )
 
-// Entry is the persisted form of one result: the content-address key, an
-// optional kind tag (lpmemd stores experiment envelopes as "experiment"),
-// and the opaque payload the caller wants back.
+// Entry is the persisted form of one result: the content-address key and
+// the opaque payload the caller wants back. Lines written with a "kind"
+// field by older versions still decode; the field is ignored.
 type Entry struct {
 	Key     string          `json:"key"`
-	Kind    string          `json:"kind,omitempty"`
 	Payload json.RawMessage `json:"payload"`
 }
 
 // Options tune a Store.
 type Options struct {
-	// MaxCached bounds the in-memory LRU payload cache. <= 0 means 4096
-	// entries. The key index is not bounded — it holds only offsets.
-	MaxCached int
 	// Sync fsyncs every append; see OpenLog.
 	Sync bool
 }
@@ -28,75 +23,42 @@ type Options struct {
 // Stats is a point-in-time snapshot of store counters, shaped for
 // lpmemd's /metrics endpoint.
 type Stats struct {
-	// Keys is the number of distinct keys known (index size).
+	// Keys is the number of distinct keys held.
 	Keys int `json:"keys"`
-	// Cached is the number of payloads currently held by the LRU.
-	Cached int `json:"cached"`
-	// MaxCached is the LRU bound.
-	MaxCached int `json:"max_cached"`
-	// Hits/Misses count Get outcomes; a hit served from the file rather
-	// than the LRU still counts as a hit.
+	// Hits/Misses count Get outcomes.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// FileReads counts LRU misses satisfied by re-reading the log.
+	// FileReads counts Get hits that needed a re-scan of the file: keys
+	// another handle appended since this one last looked.
 	FileReads uint64 `json:"file_reads"`
 	// Refreshes counts incremental scans that picked up appended lines
 	// (from this replica or its peers).
 	Refreshes uint64 `json:"refreshes"`
 	// Appends counts Put calls that reached the log.
 	Appends uint64 `json:"appends"`
-	// Evictions counts LRU payload evictions.
-	Evictions uint64 `json:"evictions"`
 	// SkippedLines counts unparseable lines dropped during scans (at most
 	// the torn tail of a killed writer on a healthy file).
 	SkippedLines uint64 `json:"skipped_lines"`
 }
 
-// span locates one entry's line in the log. off < 0 means the line was
-// appended by this handle but its offset is not yet known — the next
-// scan resolves it (our own append is always at or past the scan
-// frontier, so a future scan is guaranteed to reach it).
-type span struct {
-	off int64
-	len int
-}
-
-type lruEntry struct {
-	key     string
-	payload json.RawMessage
-}
-
-// Store is a content-addressed result cache shared across replicas: a
-// key -> payload view over an append-only Log with a size-bounded LRU in
-// front. Get serves hot keys from memory, cold keys by a single ReadAt,
-// and unknown keys after an incremental refresh that merges whatever
-// other replicas appended since the last look. An empty path makes the
-// store memory-only (no sharing, used by tests and storeless lpmemd).
+// Store is a content-addressed result map shared across replicas: a
+// key -> payload map over an append-only Log. Get serves known keys from
+// the map and unknown keys after one incremental refresh that merges
+// whatever other replicas appended since the last look. An empty path
+// makes the store memory-only (no sharing, used by tests).
 type Store struct {
-	opts Options
-	log  *Log // nil when memory-only
+	log *Log // nil when memory-only
 
-	mu    sync.Mutex
-	index map[string]span
-	lru   *list.List // front = most recently used *lruEntry
-	byKey map[string]*list.Element
+	mu       sync.Mutex
+	payloads map[string]json.RawMessage
 
-	hits, misses, fileReads, refreshes uint64
-	appends, evictions, skipped        uint64
+	hits, misses, fileReads, refreshes, appends, skipped uint64
 }
 
-// Open opens (creating if needed) the store at path, loading the index
-// from every intact line. An empty path yields a memory-only store.
+// Open opens (creating if needed) the store at path, loading every intact
+// line. An empty path yields a memory-only store.
 func Open(path string, opts Options) (*Store, error) {
-	if opts.MaxCached <= 0 {
-		opts.MaxCached = 4096
-	}
-	s := &Store{
-		opts:  opts,
-		index: make(map[string]span),
-		lru:   list.New(),
-		byKey: make(map[string]*list.Element),
-	}
+	s := &Store{payloads: make(map[string]json.RawMessage)}
 	if path == "" {
 		return s, nil
 	}
@@ -120,11 +82,11 @@ func (s *Store) Path() string {
 	return s.log.Path()
 }
 
-// Len returns the number of distinct keys known.
+// Len returns the number of distinct keys held.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return len(s.payloads)
 }
 
 // Stats snapshots the counters.
@@ -132,22 +94,18 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Keys:         len(s.index),
-		Cached:       s.lru.Len(),
-		MaxCached:    s.opts.MaxCached,
+		Keys:         len(s.payloads),
 		Hits:         s.hits,
 		Misses:       s.misses,
 		FileReads:    s.fileReads,
 		Refreshes:    s.refreshes,
 		Appends:      s.appends,
-		Evictions:    s.evictions,
 		SkippedLines: s.skipped,
 	}
 }
 
-// Refresh scans lines appended since the last look — by this replica or
-// any peer sharing the file — into the index. Payloads are not decoded
-// eagerly; the LRU fills on demand.
+// Refresh merges lines appended since the last look — by this replica or
+// any peer sharing the file — into the map.
 func (s *Store) Refresh() error {
 	if s.log == nil {
 		return nil
@@ -159,13 +117,13 @@ func (s *Store) Refresh() error {
 
 func (s *Store) refreshLocked() error {
 	grew := false
-	err := s.log.Scan(func(off int64, line []byte) error {
+	err := s.log.Scan(func(line []byte) error {
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
 			s.skipped++
 			return nil
 		}
-		s.index[e.Key] = span{off: off, len: len(line)}
+		s.payloads[e.Key] = e.Payload
 		grew = true
 		return nil
 	})
@@ -176,69 +134,32 @@ func (s *Store) refreshLocked() error {
 }
 
 // Get returns the payload stored under key, if any replica has put it.
-// The lookup order is LRU, then log by indexed offset, then one
-// incremental refresh to pick up peers' recent appends.
+// A key unknown here triggers one incremental refresh to pick up peers'
+// recent appends; that costs one fstat when nothing was appended.
 func (s *Store) Get(key string) (json.RawMessage, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byKey[key]; ok {
-		s.lru.MoveToFront(el)
-		s.hits++
-		return el.Value.(*lruEntry).payload, true
-	}
-	if p, ok := s.readThroughLocked(key); ok {
+	if p, ok := s.payloads[key]; ok {
 		s.hits++
 		return p, true
 	}
-	// Unknown here — but a peer replica may have computed it since our
-	// last scan. Refresh is cheap when nothing was appended (one fstat).
-	if s.log != nil {
-		if err := s.refreshLocked(); err == nil {
-			if p, ok := s.readThroughLocked(key); ok {
-				s.hits++
-				return p, true
-			}
+	if s.log != nil && s.refreshLocked() == nil {
+		if p, ok := s.payloads[key]; ok {
+			s.hits++
+			s.fileReads++
+			return p, true
 		}
 	}
 	s.misses++
 	return nil, false
 }
 
-// readThroughLocked serves key from the log via the index, refilling the
-// LRU. Spans still awaiting their offset (our own un-scanned appends)
-// are resolved by a refresh first.
-func (s *Store) readThroughLocked(key string) (json.RawMessage, bool) {
-	sp, ok := s.index[key]
-	if !ok || s.log == nil {
-		return nil, false
-	}
-	if sp.off < 0 {
-		if err := s.refreshLocked(); err != nil {
-			return nil, false
-		}
-		if sp = s.index[key]; sp.off < 0 {
-			return nil, false
-		}
-	}
-	line, err := s.log.ReadAt(sp.off, sp.len)
-	if err != nil {
-		return nil, false
-	}
-	var e Entry
-	if err := json.Unmarshal(line, &e); err != nil || e.Key != key {
-		return nil, false
-	}
-	s.fileReads++
-	s.insertLocked(key, e.Payload)
-	return e.Payload, true
-}
-
 // Put stores payload under key: append to the shared log (fsync'd per
-// Options) and refill the LRU. Peers observe the entry at their next
-// refresh. Re-putting a key is allowed — results are content-addressed,
-// so a duplicate line carries the same value and load-time merging by
-// key keeps one.
-func (s *Store) Put(key, kind string, payload interface{}) error {
+// Options) and insert into the map. Peers observe the entry at their
+// next refresh. Re-putting a key is allowed — results are
+// content-addressed, so a duplicate line carries the same value and
+// merging by key keeps one.
+func (s *Store) Put(key string, payload interface{}) error {
 	if key == "" {
 		return fmt.Errorf("resultstore: put with empty key")
 	}
@@ -246,7 +167,7 @@ func (s *Store) Put(key, kind string, payload interface{}) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: encode payload: %w", err)
 	}
-	line, err := json.Marshal(Entry{Key: key, Kind: kind, Payload: raw})
+	line, err := json.Marshal(Entry{Key: key, Payload: raw})
 	if err != nil {
 		return fmt.Errorf("resultstore: encode entry: %w", err)
 	}
@@ -257,39 +178,13 @@ func (s *Store) Put(key, kind string, payload interface{}) error {
 			return err
 		}
 		s.appends++
-		if _, known := s.index[key]; !known {
-			// Offset unknown until a scan reaches our line; see span.
-			s.index[key] = span{off: -1}
-		}
-	} else {
-		s.index[key] = span{off: -1}
 	}
-	s.insertLocked(key, raw)
+	s.payloads[key] = raw
 	return nil
 }
 
-// insertLocked adds (or touches) a payload in the LRU, evicting from the
-// back past the bound.
-func (s *Store) insertLocked(key string, payload json.RawMessage) {
-	if el, ok := s.byKey[key]; ok {
-		el.Value.(*lruEntry).payload = payload
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.byKey[key] = s.lru.PushFront(&lruEntry{key: key, payload: payload})
-	for s.lru.Len() > s.opts.MaxCached {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		s.lru.Remove(back)
-		delete(s.byKey, back.Value.(*lruEntry).key)
-		s.evictions++
-	}
-}
-
-// Close closes the backing log; the in-memory LRU stays readable but
-// file read-through and appends fail.
+// Close closes the backing log. The store then behaves as memory-only:
+// the map stays readable and later Puts reach only memory.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

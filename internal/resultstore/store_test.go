@@ -35,7 +35,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), "test", payload{N: i, S: "v"}); err != nil {
+		if err := s.Put(fmt.Sprintf("k%d", i), payload{N: i, S: "v"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,6 +45,17 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Older versions wrote a "kind" field; such lines stay readable.
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"legacy","kind":"experiment","payload":{"n":11,"s":"old"}}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// A fresh handle (a restarted or sibling replica) sees everything.
 	s2, err := Open(path, Options{})
@@ -52,11 +63,14 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 10 {
-		t.Fatalf("reloaded store has %d keys, want 10", s2.Len())
+	if s2.Len() != 11 {
+		t.Fatalf("reloaded store has %d keys, want 11", s2.Len())
 	}
 	if got := mustGet(t, s2, "k7"); got.N != 7 {
 		t.Fatalf("k7 = %+v", got)
+	}
+	if got := mustGet(t, s2, "legacy"); got.N != 11 || got.S != "old" {
+		t.Fatalf("legacy = %+v", got)
 	}
 	if st := s2.Stats(); st.SkippedLines != 0 {
 		t.Fatalf("healthy store skipped %d lines", st.SkippedLines)
@@ -68,7 +82,7 @@ func TestStoreMemoryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("a", "", payload{N: 1}); err != nil {
+	if err := s.Put("a", payload{N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mustGet(t, s, "a"); got.N != 1 {
@@ -79,38 +93,6 @@ func TestStoreMemoryOnly(t *testing.T) {
 	}
 	if s.Path() != "" {
 		t.Fatalf("memory-only path = %q", s.Path())
-	}
-}
-
-func TestStoreLRUBoundAndFileReadThrough(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.jsonl")
-	s, err := Open(path, Options{MaxCached: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 16; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), "", payload{N: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Cached > 4 {
-		t.Fatalf("LRU holds %d > bound 4", st.Cached)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("no evictions despite exceeding the bound")
-	}
-	if st.Keys != 16 {
-		t.Fatalf("index has %d keys, want 16", st.Keys)
-	}
-	// k0 was evicted from memory long ago; it must come back from the
-	// file, not vanish.
-	if got := mustGet(t, s, "k0"); got.N != 0 {
-		t.Fatalf("k0 = %+v", got)
-	}
-	if after := s.Stats(); after.FileReads == 0 {
-		t.Fatal("evicted key served without a file read")
 	}
 }
 
@@ -127,14 +109,17 @@ func TestStoreCrossReplicaVisibility(t *testing.T) {
 	}
 	defer b.Close()
 
-	if err := a.Put("from-a", "", payload{N: 1}); err != nil {
+	if err := a.Put("from-a", payload{N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// b has never seen the key; Get must pick it up via auto-refresh.
 	if got := mustGet(t, b, "from-a"); got.N != 1 {
 		t.Fatalf("from-a via b = %+v", got)
 	}
-	if err := b.Put("from-b", "", payload{N: 2}); err != nil {
+	if st := b.Stats(); st.Hits != 1 || st.FileReads != 1 {
+		t.Fatalf("peer key not counted as a re-scan hit: %+v", st)
+	}
+	if err := b.Put("from-b", payload{N: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mustGet(t, a, "from-b"); got.N != 2 {
@@ -162,7 +147,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 				// Overlapping key ranges: same key gets the same payload
 				// from every writer, the content-addressed contract.
 				k := fmt.Sprintf("k%d", (w*per+i)%(writers*per/2))
-				if err := s.Put(k, "", payload{N: (w*per + i) % (writers * per / 2)}); err != nil {
+				if err := s.Put(k, payload{N: (w*per + i) % (writers * per / 2)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -199,7 +184,7 @@ func TestStoreToleratesAndRepairsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("whole", "", payload{N: 1}); err != nil {
+	if err := s.Put("whole", payload{N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -226,7 +211,7 @@ func TestStoreToleratesAndRepairsTornTail(t *testing.T) {
 	}
 	// The next append must start a fresh line, burying the torn tail as
 	// one skipped junk line rather than corrupting itself.
-	if err := s2.Put("after", "", payload{N: 2}); err != nil {
+	if err := s2.Put("after", payload{N: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Close(); err != nil {
@@ -253,7 +238,7 @@ func TestStoreRejectsEmptyKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("", "", payload{}); err == nil || !strings.Contains(err.Error(), "empty key") {
+	if err := s.Put("", payload{}); err == nil || !strings.Contains(err.Error(), "empty key") {
 		t.Fatalf("empty key accepted: %v", err)
 	}
 }

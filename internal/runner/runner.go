@@ -27,10 +27,17 @@ import (
 // Key are assumed to produce the same value (the lpmem adapter couples
 // the experiment ID with the registry version). An empty Key opts the job
 // out of caching entirely.
+//
+// Load, when set, is the tier behind the engine's memory cache. The
+// engine consults it only on the cached path, after the job has taken
+// its key's in-flight slot and the memory cache missed, so identical
+// concurrent jobs call it once. A hit settles the job as cached, fills
+// the memory cache and skips Run.
 type Job[T any] struct {
-	ID  string
-	Key string
-	Run func(ctx context.Context) (T, error)
+	ID   string
+	Key  string
+	Run  func(ctx context.Context) (T, error)
+	Load func() (T, bool)
 }
 
 // Outcome is the result of one job: either a value or an error, plus how
@@ -71,8 +78,9 @@ type Options struct {
 	// goroutine finishes in the background and the late result is
 	// discarded) so one stuck experiment cannot wedge the batch.
 	Timeout time.Duration
-	// NoCache disables the result cache and in-flight deduplication;
-	// benchmarks and determinism tests use it to force re-execution.
+	// NoCache disables the result cache, in-flight deduplication and
+	// Job.Load; benchmarks and determinism tests use it to force
+	// re-execution.
 	NoCache bool
 
 	// Retries is the number of re-attempts after a failed execution.
@@ -205,13 +213,6 @@ func (e *Engine[T]) Cached(key string) bool {
 	defer e.mu.Unlock()
 	_, ok := e.cache[key]
 	return ok
-}
-
-// InvalidateCache drops every cached result.
-func (e *Engine[T]) InvalidateCache() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cache = make(map[string]T)
 }
 
 // Metrics returns a snapshot of the counters.
@@ -419,6 +420,14 @@ func (e *Engine[T]) runOne(ctx context.Context, j Job[T]) Outcome[T] {
 		fl = &flight[T]{done: make(chan struct{})}
 		e.inflight[j.Key] = fl
 		e.mu.Unlock()
+		if j.Load != nil {
+			if v, ok := j.Load(); ok {
+				e.hits.Add(1)
+				e.successes.Add(1)
+				e.settle(j.Key, fl, v, nil)
+				return Outcome[T]{ID: j.ID, Value: v, Cached: true}
+			}
+		}
 		e.misses.Add(1)
 	}
 
@@ -462,16 +471,22 @@ func (e *Engine[T]) runOne(ctx context.Context, j Job[T]) Outcome[T] {
 	}
 
 	if fl != nil {
-		fl.val, fl.err = v, err
-		e.mu.Lock()
-		if err == nil {
-			e.cache[j.Key] = v
-		}
-		delete(e.inflight, j.Key)
-		e.mu.Unlock()
-		close(fl.done)
+		e.settle(j.Key, fl, v, err)
 	}
 	return Outcome[T]{ID: j.ID, Value: v, Err: err, Duration: d}
+}
+
+// settle publishes a flight's result to its joiners and releases the
+// key's in-flight slot; a success also enters the cache.
+func (e *Engine[T]) settle(key string, fl *flight[T], v T, err error) {
+	fl.val, fl.err = v, err
+	e.mu.Lock()
+	if err == nil {
+		e.cache[key] = v
+	}
+	delete(e.inflight, key)
+	e.mu.Unlock()
+	close(fl.done)
 }
 
 // sleepCtx waits for d or until ctx is done.

@@ -156,10 +156,6 @@ func TestCacheDeterminism(t *testing.T) {
 	if e.CacheLen() != 8 {
 		t.Fatalf("cache holds %d entries", e.CacheLen())
 	}
-	e.InvalidateCache()
-	if e.CacheLen() != 0 {
-		t.Fatal("InvalidateCache left entries behind")
-	}
 }
 
 // TestPanicContainment: a panicking job becomes a structured error and
@@ -278,6 +274,91 @@ func TestInflightDedup(t *testing.T) {
 	}
 	if !results[0][0].Cached && !results[1][0].Cached {
 		t.Fatal("one of the two outcomes must be a dedup hit")
+	}
+}
+
+// TestLoadTier: a Load hit settles the job as a cached success without
+// running it and fills the memory cache; identical concurrent jobs share
+// one Load and at most one Run; NoCache engines and keyless jobs never
+// consult Load.
+func TestLoadTier(t *testing.T) {
+	e := New[int](Options{Workers: 2})
+	var loads atomic.Int64
+	hit := job("stored", func(context.Context) (int, error) {
+		t.Error("Run called despite a Load hit")
+		return 0, nil
+	})
+	hit.Load = func() (int, bool) {
+		loads.Add(1)
+		return 7, true
+	}
+	for i := 0; i < 2; i++ {
+		out := e.Run(context.Background(), []Job[int]{hit})
+		if out[0].Err != nil || out[0].Value != 7 || !out[0].Cached || out[0].Duration != 0 {
+			t.Fatalf("run %d: %+v", i, out[0])
+		}
+	}
+	if loads.Load() != 1 {
+		t.Fatalf("Load called %d times; the second run must be a memory hit", loads.Load())
+	}
+	if m := e.Metrics(); m.CacheHits != 2 || m.CacheMisses != 0 || m.Executed != 0 || m.Successes != 2 {
+		t.Fatalf("metrics = %+v", m)
+	}
+
+	// Concurrent identical jobs: Load blocks until every job has been
+	// submitted, so all but the slot holder must join its flight.
+	const n = 4
+	e = New[int](Options{Workers: 1})
+	loads.Store(0)
+	var runs atomic.Int64
+	gate := make(chan struct{})
+	shared := job("shared", func(context.Context) (int, error) {
+		runs.Add(1)
+		return 42, nil
+	})
+	shared.Load = func() (int, bool) {
+		loads.Add(1)
+		<-gate
+		return 0, false
+	}
+	outs := make([]Outcome[int], n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i] = e.Run(context.Background(), []Job[int]{shared})[0]
+		}(i)
+	}
+	for e.Metrics().Submitted < n {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+	if loads.Load() != 1 || runs.Load() != 1 {
+		t.Fatalf("%d concurrent jobs made %d loads and %d runs, want 1 and 1", n, loads.Load(), runs.Load())
+	}
+	cached := 0
+	for _, o := range outs {
+		if o.Err != nil || o.Value != 42 {
+			t.Fatalf("outcome %+v", o)
+		}
+		if o.Cached {
+			cached++
+		}
+	}
+	if cached != n-1 {
+		t.Fatalf("%d of %d outcomes cached, want %d", cached, n, n-1)
+	}
+
+	// Load is a cache tier: engines and jobs outside the cache skip it.
+	loads.Store(0)
+	hit.Run = func(context.Context) (int, error) { return 1, nil }
+	New[int](Options{Workers: 1, NoCache: true}).Run(context.Background(), []Job[int]{hit})
+	hit.Key = ""
+	New[int](Options{Workers: 1}).Run(context.Background(), []Job[int]{hit})
+	if loads.Load() != 0 {
+		t.Fatalf("Load consulted %d times outside the cached path", loads.Load())
 	}
 }
 

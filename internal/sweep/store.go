@@ -42,7 +42,6 @@ type Store struct {
 
 	mu      sync.Mutex
 	recs    map[string]Record
-	order   []string // insertion order, for deterministic dumps
 	log     *resultstore.Log
 	skipped int
 }
@@ -110,14 +109,11 @@ func (s *Store) Refresh() error {
 
 // refreshLocked scans new complete lines into the record map.
 func (s *Store) refreshLocked() error {
-	return s.log.Scan(func(_ int64, line []byte) error {
+	return s.log.Scan(func(line []byte) error {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
 			s.skipped++
 			return nil
-		}
-		if _, dup := s.recs[rec.Key]; !dup {
-			s.order = append(s.order, rec.Key)
 		}
 		s.recs[rec.Key] = rec
 		return nil
@@ -133,9 +129,6 @@ func (s *Store) Put(rec Record) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.recs[rec.Key]; !dup {
-		s.order = append(s.order, rec.Key)
-	}
 	s.recs[rec.Key] = rec
 	if s.log == nil {
 		return nil

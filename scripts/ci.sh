@@ -34,7 +34,8 @@
 # `serve` boots a real lpmemd (shared result store, admission control,
 # access log), drives a short `lpmem loadgen` burst against it with
 # -verify, and requires zero failed requests, shed accounting that
-# matches the server's own counters, and a clean SIGINT shutdown.
+# matches the server's own counters, a clean SIGINT shutdown, and a
+# result store holding exactly one line per requested experiment.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -181,8 +182,9 @@ stage_serve() {
     echo "== serve smoke (lpmemd + loadgen + graceful shutdown)"
     go build -o "$BIN/lpmemd" ./cmd/lpmemd
     go build -o "$BIN/lpmem" ./cmd/lpmem
-    local dir port pid
+    local dir port pid ids lines keys
     dir=$(mktemp -d)
+    ids=E17,E22,E4
     port="${LPMEMD_SMOKE_PORT:-18903}"
     "$BIN/lpmemd" -addr "127.0.0.1:$port" \
         -store "$dir/results.jsonl" \
@@ -196,7 +198,7 @@ stage_serve() {
     # ISSUE's "zero failed, consistent sheds" gate from its exit code.
     if ! "$BIN/lpmem" loadgen -addr "http://127.0.0.1:$port" \
         -clients 4 -requests 300 -duration 30s \
-        -mix one=8,batch=1,list=1 -ids E17,E22,E4 \
+        -mix one=8,batch=1,list=1 -ids "$ids" \
         -probe 10s -verify; then
         echo "serve smoke: loadgen failed" >&2
         kill "$pid" 2>/dev/null || true
@@ -225,9 +227,13 @@ stage_serve() {
         rm -rf "$dir"
         exit 1
     fi
-    # The shared store must have real content for the warm-replica path.
-    if [ ! -s "$dir/results.jsonl" ]; then
-        echo "serve smoke: result store is empty after the burst" >&2
+    # The shared store holds exactly one line per distinct key: every
+    # requested experiment was computed and appended once, however many
+    # concurrent requests asked for it.
+    lines=$(wc -l <"$dir/results.jsonl")
+    keys=$(grep -o '"key":"[^"]*"' "$dir/results.jsonl" | sort -u | wc -l || true)
+    if [ "$lines" -ne "$keys" ] || [ "$keys" -ne "$(echo "$ids" | tr ',' '\n' | wc -l)" ]; then
+        echo "serve smoke: result store has $lines lines for $keys keys, want one line per id in $ids" >&2
         rm -rf "$dir"
         exit 1
     fi

@@ -2,13 +2,119 @@ package lpmem
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"lpmem/internal/trace"
-	"lpmem/internal/workloads"
 )
+
+// TestExperimentsBinaryRoundTripEquivalence is the registry-wide proof
+// that the columnar binary format is invisible to every experiment. The
+// proof is made at the trace sources rather than by re-running the
+// experiments over decoded copies: the 18 kernels at the registry's
+// seed, the composite and profile applications, and the multi-core
+// streams E24–E26 request each go through WriteBinary/ReadBinary once
+// and must come back deep-equal — every access plus the MultiCore flag.
+// Each registered experiment then gets a subtest over the sources it
+// reads, so a codec defect fails exactly the experiments whose tables it
+// would perturb. Equal inputs and TestExperimentsAreDeterministic
+// together imply equal tables.
+func TestExperimentsBinaryRoundTripEquivalence(t *testing.T) {
+	kernels, err := kernelTraces(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps, err := compositeApps(kernels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string][]appTrace{
+		"kernels":    kernels,
+		"composites": comps,
+		"profiles":   profileApps(),
+	}
+	// The core counts runE24, runE25 and runE26 pass to nucaTrace, each
+	// seeded with its experiment number.
+	for _, req := range []struct {
+		seed  int64
+		cores []int
+	}{{24, []int{2, 4, 8}}, {25, []int{4}}, {26, []int{4}}} {
+		group := fmt.Sprintf("nuca-%d", req.seed)
+		for _, cores := range req.cores {
+			for _, pattern := range trace.SharingPatterns() {
+				tr, err := nucaTrace(req.seed, cores, pattern)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sources[group] = append(sources[group],
+					appTrace{name: fmt.Sprintf("%s-%s-%dc", group, pattern, cores), trace: tr})
+			}
+		}
+	}
+	verdicts := make(map[string]error)
+	for _, group := range sources {
+		for _, src := range group {
+			verdicts[src.name] = binaryRoundTrip(src.trace)
+		}
+	}
+	t.Logf("%d traces round-tripped", len(verdicts))
+
+	// The source groups each experiment reads. E2 (on its mips platform)
+	// runs every kernel through workloads.Run and E8, E19, E21 and E23 run
+	// a subset; the experiments with no groups read no trace at all.
+	reads := map[string][]string{
+		"E1": {"kernels", "composites", "profiles"},
+		"E2": {"kernels"}, "E3": {"kernels"}, "E5": {"kernels"},
+		"E7": {"kernels"}, "E8": {"kernels"},
+		"E9":  {"kernels", "composites"},
+		"E19": {"kernels"}, "E21": {"kernels"}, "E23": {"kernels"},
+		"E24": {"nuca-24"}, "E25": {"nuca-25"}, "E26": {"nuca-26"},
+		"E4": nil, "E6": nil, "E10": nil, "E11": nil, "E12": nil, "E13": nil, "E14": nil,
+		"E15": nil, "E16": nil, "E17": nil, "E18": nil, "E20": nil, "E22": nil,
+	}
+	for _, exp := range Experiments() {
+		groups, listed := reads[exp.ID]
+		delete(reads, exp.ID)
+		t.Run(exp.ID, func(t *testing.T) {
+			if !listed {
+				t.Fatalf("%s is missing from the table of the trace sources experiments read", exp.ID)
+			}
+			for _, g := range groups {
+				srcs, ok := sources[g]
+				if !ok {
+					t.Fatalf("%s reads unknown source group %q", exp.ID, g)
+				}
+				for _, src := range srcs {
+					if err := verdicts[src.name]; err != nil {
+						t.Errorf("%s reads %s: %v", exp.ID, src.name, err)
+					}
+				}
+			}
+		})
+	}
+	if len(reads) != 0 {
+		t.Errorf("the table of trace sources lists unregistered experiments: %v", reads)
+	}
+}
+
+// binaryRoundTrip writes tr in the columnar binary format, reads it back
+// and reports any difference from the original.
+func binaryRoundTrip(tr *trace.Trace) error {
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		return fmt.Errorf("WriteBinary: %w", err)
+	}
+	back, err := trace.ReadBinary(&buf)
+	if err != nil {
+		return fmt.Errorf("ReadBinary: %w", err)
+	}
+	if !reflect.DeepEqual(back, tr) {
+		return fmt.Errorf("binary round-trip changed the trace (%d accesses, multi-core %v)",
+			tr.Len(), tr.MultiCore)
+	}
+	return nil
+}
 
 // TestExperimentsAreDeterministic runs every registered experiment twice
 // and requires bit-identical output: same table header, same rendered
@@ -16,85 +122,6 @@ import (
 // lpmemlint determinism analyzer — the analyzer proves no experiment
 // reads an unseeded entropy source, and this test proves the composed
 // pipelines actually reproduce the paper tables run-over-run.
-// TestExperimentsBinaryRoundTripEquivalence runs the full registry
-// twice — once clean, once with every workload and synthetic trace
-// serialised to the columnar binary format and re-read before the
-// experiment consumes it — and requires bit-identical tables and
-// summaries. This is the registry-wide proof that the binary format is
-// lossless in practice, not just on hand-picked fixtures: any encoder
-// or decoder defect that perturbs a single access shows up as a table
-// diff in whichever experiment touched it.
-func TestExperimentsBinaryRoundTripEquivalence(t *testing.T) {
-	// Clean pass first, hooks unset.
-	clean := make(map[string]*Result)
-	for _, exp := range Experiments() {
-		res, err := exp.Run()
-		if err != nil {
-			t.Fatalf("%s clean run: %v", exp.ID, err)
-		}
-		clean[exp.ID] = res
-	}
-
-	// Second pass with both trace seams pointed at the binary codec.
-	// Top-level tests run sequentially, so the package-level hooks are
-	// safe to set here; subtests below stay serial for the same reason.
-	var roundTrips atomic.Int64
-	roundTrip := func(tr *trace.Trace) *trace.Trace {
-		var buf bytes.Buffer
-		if err := tr.WriteBinary(&buf); err != nil {
-			t.Errorf("WriteBinary during experiment: %v", err)
-			return tr
-		}
-		back, err := trace.ReadBinary(&buf)
-		if err != nil {
-			t.Errorf("ReadBinary during experiment: %v", err)
-			return tr
-		}
-		roundTrips.Add(1)
-		return back
-	}
-	workloads.TraceTransform = roundTrip
-	traceTransform = roundTrip
-	defer func() {
-		workloads.TraceTransform = nil
-		traceTransform = nil
-	}()
-
-	for _, exp := range Experiments() {
-		exp := exp
-		t.Run(exp.ID, func(t *testing.T) {
-			res, err := exp.Run()
-			if err != nil {
-				t.Fatalf("%s round-trip run: %v", exp.ID, err)
-			}
-			want := clean[exp.ID]
-			if res.Summary != want.Summary {
-				t.Errorf("%s summary changed under binary round-trip:\n clean: %s\n bin:   %s",
-					exp.ID, want.Summary, res.Summary)
-			}
-			if !reflect.DeepEqual(res.Table.Header(), want.Table.Header()) {
-				t.Errorf("%s table header changed under binary round-trip:\n clean: %v\n bin:   %v",
-					exp.ID, want.Table.Header(), res.Table.Header())
-			}
-			r1, r2 := want.Table.ToRows(), res.Table.ToRows()
-			if len(r1) != len(r2) {
-				t.Fatalf("%s row count changed under binary round-trip: %d vs %d", exp.ID, len(r1), len(r2))
-			}
-			for i := range r1 {
-				if !reflect.DeepEqual(r1[i], r2[i]) {
-					t.Errorf("%s row %d changed under binary round-trip:\n clean: %v\n bin:   %v",
-						exp.ID, i, r1[i], r2[i])
-				}
-			}
-		})
-	}
-	if n := roundTrips.Load(); n == 0 {
-		t.Fatal("binary round-trip hook never fired: the equivalence pass tested nothing")
-	} else {
-		t.Logf("binary round-trip applied to %d traces", n)
-	}
-}
-
 func TestExperimentsAreDeterministic(t *testing.T) {
 	for _, exp := range Experiments() {
 		exp := exp

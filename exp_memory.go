@@ -23,7 +23,7 @@ func runE1() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	comps, err := compositeApps(1)
+	comps, err := compositeApps(apps)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func runE9() (*Result, error) {
 	// Whole applications mix call-heavy control code with flat kernels,
 	// which is the workload class of the paper's SPEC/MediaBench numbers;
 	// the flat kernels alone have (realistically) no stack traffic.
-	comps, err := compositeApps(1)
+	comps, err := compositeApps(apps)
 	if err != nil {
 		return nil, err
 	}

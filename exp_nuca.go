@@ -17,10 +17,9 @@ import (
 // DRAM/flash survey (arXiv 1805.09127) motivates.
 
 // nucaTrace synthesizes one interleaved multi-core stream for the CMP
-// experiments, routed through transformedTrace so the cross-format
-// equivalence test exercises the multi-core binary encoding too.
+// experiments.
 func nucaTrace(seed int64, cores int, pattern trace.SharingPattern) (*trace.Trace, error) {
-	tr, err := trace.SynthesizeMultiCore(trace.MultiCoreConfig{
+	return trace.SynthesizeMultiCore(trace.MultiCoreConfig{
 		Seed:            seed,
 		Cores:           cores,
 		AccessesPerCore: 6000,
@@ -28,10 +27,6 @@ func nucaTrace(seed int64, cores int, pattern trace.SharingPattern) (*trace.Trac
 		PrivateBytes:    16 << 10,
 		SharedBytes:     32 << 10,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return transformedTrace(tr), nil
 }
 
 // nucaBaseConfig is the shared-LLC geometry E24–E26 start from: a 32 KiB

@@ -211,23 +211,6 @@ type appTrace struct {
 	cycles uint64
 }
 
-// traceTransform mirrors workloads.TraceTransform for the traces this
-// package assembles itself (synthetic address profiles, merged
-// composite applications), which never pass through workloads.Run. The
-// cross-format equivalence test sets both hooks to the same binary
-// round-trip so every trace an experiment consumes has been through
-// the columnar encoder and decoder. Set only with no experiments in
-// flight.
-var traceTransform func(*trace.Trace) *trace.Trace
-
-// transformedTrace applies traceTransform when set.
-func transformedTrace(t *trace.Trace) *trace.Trace {
-	if traceTransform == nil {
-		return t
-	}
-	return traceTransform(t)
-}
-
 // kernelTraces runs every kernel once and returns the traces.
 func kernelTraces(seed int64) ([]appTrace, error) {
 	var out []appTrace
@@ -243,8 +226,9 @@ func kernelTraces(seed int64) ([]appTrace, error) {
 
 // compositeApps merges kernels into multi-phase applications, the setting
 // of the 1B.1 evaluation (full embedded programs with many data
-// structures of diverse heat).
-func compositeApps(seed int64) ([]appTrace, error) {
+// structures of diverse heat). The parts are picked by name from the
+// kernel traces the caller already ran, so no kernel is interpreted twice.
+func compositeApps(kernels []appTrace) ([]appTrace, error) {
 	combos := []struct {
 		name  string
 		parts []string
@@ -255,25 +239,23 @@ func compositeApps(seed int64) ([]appTrace, error) {
 		{"app-rtos", []string{"fibcall", "qsort", "listchase", "histogram"}},
 		{"app-dsp", []string{"fft", "autocorr", "huffman", "bitcount"}},
 	}
+	byName := make(map[string]appTrace, len(kernels))
+	for _, k := range kernels {
+		byName[k.name] = k
+	}
 	var out []appTrace
 	for _, c := range combos {
 		merged := trace.New(1 << 16)
 		var cycles uint64
 		for _, p := range c.parts {
-			k, err := workloads.ByName(p)
-			if err != nil {
-				return nil, err
+			k, ok := byName[p]
+			if !ok {
+				return nil, fmt.Errorf("lpmem: composite %s: no kernel trace %q", c.name, p)
 			}
-			res, err := workloads.Run(k.Build(seed))
-			if err != nil {
-				return nil, err
-			}
-			for _, a := range res.Trace.Accesses {
-				merged.Append(a)
-			}
-			cycles += res.Cycles
+			merged.Accesses = append(merged.Accesses, k.trace.Accesses...)
+			cycles += k.cycles
 		}
-		out = append(out, appTrace{name: c.name, trace: transformedTrace(merged), cycles: cycles})
+		out = append(out, appTrace{name: c.name, trace: merged, cycles: cycles})
 	}
 	return out, nil
 }
@@ -301,7 +283,7 @@ func profileApps() []appTrace {
 			}
 		}
 		tr := trace.Synthesize(trace.SynthConfig{Seed: seed, N: n, Regions: regions, WriteFraction: 0.3})
-		return appTrace{name: name, trace: transformedTrace(tr), cycles: uint64(n) * 3}
+		return appTrace{name: name, trace: tr, cycles: uint64(n) * 3}
 	}
 	return []appTrace{
 		mk("prof-sparse", 11, 128<<10, 16, 150, 100_000),

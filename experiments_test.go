@@ -28,12 +28,26 @@ func TestKernelTracesCoverSuite(t *testing.T) {
 	}
 }
 
-// TestCompositeAppsMergeCleanly: composite apps must be longer than any of
-// their parts and contain both data reads and writes.
+// TestCompositeAppsMergeCleanly: composite apps built from the kernel
+// traces must contain both data reads and writes, and a part missing
+// from the kernel traces must be an error, not a shorter composite.
 func TestCompositeAppsMergeCleanly(t *testing.T) {
-	comps, err := compositeApps(1)
+	kernels, err := kernelTraces(1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	comps, err := compositeApps(kernels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var noFir []appTrace
+	for _, k := range kernels {
+		if k.name != "fir" {
+			noFir = append(noFir, k)
+		}
+	}
+	if _, err := compositeApps(noFir); err == nil {
+		t.Error("composite with a missing part did not error")
 	}
 	if len(comps) < 4 {
 		t.Fatalf("want >= 4 composite apps, got %d", len(comps))

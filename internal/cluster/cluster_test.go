@@ -135,20 +135,23 @@ func TestClusteredProfileMassPreserved(t *testing.T) {
 	if out.Len() != tr.Len() {
 		t.Fatal("length changed")
 	}
-	before := trace.ProfileOf(tr.Data(), c.BlockSize)
-	after := trace.ProfileOf(out.Data(), c.BlockSize)
-	if before.Total != after.Total {
-		t.Fatal("total mass changed")
-	}
-	// The multiset of counts must be identical.
-	counts := func(p *trace.Profile) map[uint64]int {
+	// Per-block data-access counts, then the multiset of those counts:
+	// remapping moves blocks but must not merge, split or drop any.
+	counts := func(data *trace.Trace) map[uint64]int {
+		perBlock := make(map[uint32]uint64)
+		for _, a := range data.Accesses {
+			perBlock[a.Addr&^(c.BlockSize-1)]++
+		}
 		m := make(map[uint64]int)
-		for _, c := range p.Counts {
-			m[c]++
+		for _, n := range perBlock {
+			m[n]++
 		}
 		return m
 	}
-	cb, ca := counts(before), counts(after)
+	cb, ca := counts(tr.Data()), counts(out.Data())
+	if len(cb) != len(ca) {
+		t.Fatalf("count multiset changed shape: %v vs %v", cb, ca)
+	}
 	for k, v := range cb {
 		if ca[k] != v {
 			t.Fatalf("count multiset changed at %d: %d vs %d", k, v, ca[k])

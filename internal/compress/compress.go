@@ -12,6 +12,8 @@
 // which is exactly what the original differential technique exploits.
 // The codec is a real encoder/decoder pair, not a size estimator; a
 // property test verifies lossless round-trips.
+//
+//lint:hotpath
 package compress
 
 import (

@@ -1,8 +1,6 @@
 package compress
 
 import (
-	"fmt"
-
 	"lpmem/internal/cache"
 	"lpmem/internal/trace"
 )
@@ -33,14 +31,6 @@ func (t Traffic) Saving() float64 {
 // cache and measures boundary traffic under the codec. The cache is
 // flushed at the end so all dirty lines are accounted.
 func MeasureTraffic(tr *trace.Trace, cfg cache.Config, codec Codec) (Traffic, cache.Stats, error) {
-	return MeasureTrafficCursor(tr.Cursor(), cfg, codec)
-}
-
-// MeasureTrafficCursor is MeasureTraffic over an access stream: the
-// differential-compression traffic of an on-disk binary trace is
-// measured straight off the streaming reader, holding only the cache
-// image in memory.
-func MeasureTrafficCursor(cur trace.Cursor, cfg cache.Config, codec Codec) (Traffic, cache.Stats, error) {
 	backing := cache.NewMapBacking()
 	c, err := cache.New(cfg, backing)
 	if err != nil {
@@ -54,10 +44,7 @@ func MeasureTrafficCursor(cur trace.Cursor, cfg cache.Config, codec Codec) (Traf
 	}
 	c.OnWriteBack = count
 	c.OnRefill = count
-	stats, err := c.ReplayCursor(cur)
-	if err != nil {
-		return Traffic{}, cache.Stats{}, fmt.Errorf("compress: replaying access stream: %w", err)
-	}
+	stats := c.Replay(tr)
 	c.Flush()
 	return t, stats, nil
 }

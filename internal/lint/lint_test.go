@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -182,6 +183,44 @@ func TestLoaderPatterns(t *testing.T) {
 		if strings.Contains(p.RelPath, "testdata") {
 			t.Fatalf("testdata package leaked into load: %s", p.RelPath)
 		}
+	}
+}
+
+// TestLoaderSkipsNestedModules: ./... stops at a subdirectory holding its
+// own go.mod, as the go command does, so a nested module's packages are
+// neither loaded nor linted as part of the outer module.
+func TestLoaderSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":              "module example.com/outer\n",
+		"a/a.go":              "package a\n",
+		"nested/go.mod":       "module example.com/nested\n",
+		"nested/n.go":         "package nested\n",
+		"nested/deep/deep.go": "package deep\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.RelPath)
+	}
+	if want := []string{"a"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("./... loaded %v, want %v (nested module must be skipped)", got, want)
 	}
 }
 

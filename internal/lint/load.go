@@ -106,7 +106,9 @@ func NewLoader(dir string) (*Loader, error) {
 // Load resolves the given package patterns. Supported forms: "./...",
 // "dir/...", plain directories ("./internal/energy", "."), and
 // module-qualified import paths. Directories named testdata, hidden
-// directories, and directories without non-test Go files are skipped.
+// directories, directories without non-test Go files, and nested
+// modules (a directory below the walk root with its own go.mod) are
+// skipped.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	dirs, err := l.expand(patterns)
 	if err != nil {
@@ -177,9 +179,16 @@ func (l *Loader) walk(root string, add func(string)) error {
 		if !d.IsDir() {
 			return nil
 		}
-		name := d.Name()
-		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
+		if path != root {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			// A directory holding its own go.mod is another module; like
+			// the go command, ./... does not descend into it.
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		add(path)
 		return nil

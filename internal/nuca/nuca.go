@@ -11,14 +11,15 @@
 // compressed line occupies only its segments, enlarging effective
 // capacity the way the compression-based NUCA proposals do (arXiv
 // 2201.00774). Multi-core interleaved traces from internal/trace drive
-// the replay through the same Cursor seam the single-core caches use,
-// with per-core and per-bank accounting throughout.
+// the replay, with per-core and per-bank accounting throughout.
 //
 // Capacity is segmented: each set owns Ways×LineSize data bytes divided
 // into SegmentBytes segments plus TagFactor×Ways tags, so compression can
 // at most multiply residency by TagFactor, and a line that compresses
 // badly is stored raw (capacity is never worse than the uncompressed
 // cache).
+//
+//lint:hotpath
 package nuca
 
 import (
@@ -331,8 +332,11 @@ func New(cfg Config) (*LLC, error) {
 		backing: cache.NewMapBacking(),
 		pageMap: make(map[uint32]int),
 	}
+	// Per-bank rows (sets here, occupancy below) are slices of one
+	// allocation each: a make per bank is a per-iteration allocation.
+	sets := make([]set, cfg.Banks*cfg.SetsPerBank)
 	for b := range l.banks {
-		l.banks[b] = make([]set, cfg.SetsPerBank)
+		l.banks[b] = sets[b*cfg.SetsPerBank : (b+1)*cfg.SetsPerBank]
 	}
 	tiles := cfg.Mesh.Tiles()
 	l.coreTiles = make([]int, cfg.Cores)
@@ -357,8 +361,9 @@ func New(cfg Config) (*LLC, error) {
 	}
 	l.stats.PerCore = make([]CoreStats, cfg.Cores)
 	l.stats.PerBank = make([]BankStats, cfg.Banks)
+	occupancy := make([]uint64, cfg.Banks*cfg.Cores)
 	for b := range l.stats.PerBank {
-		l.stats.PerBank[b].Occupancy = make([]uint64, cfg.Cores)
+		l.stats.PerBank[b].Occupancy = occupancy[b*cfg.Cores : (b+1)*cfg.Cores]
 	}
 	return l, nil
 }
@@ -549,6 +554,7 @@ func (l *LLC) Access(a trace.Access) int {
 	l.stats.MemEnergy += l.memReadE
 	l.stats.NoCEnergy += l.lineNoCE[hops]
 
+	//lint:allow hotalloc the buffer becomes the resident line's storage (cline.data), held until eviction, not a per-access temporary
 	data := make([]byte, l.cfg.LineSize)
 	l.backing.ReadLine(base, data)
 	if isWrite {
@@ -599,22 +605,11 @@ func (l *LLC) Stats() Stats {
 
 // Replay runs a whole data trace (fetches are skipped) through the LLC.
 func (l *LLC) Replay(t *trace.Trace) Stats {
-	// A SliceCursor cannot fail, so the error is structurally nil here.
-	st, _ := l.ReplayCursor(t.Cursor())
-	return st
-}
-
-// ReplayCursor streams an access cursor through the LLC: the
-// zero-materialisation path for binary on-disk multi-core traces. The
-// returned error is the cursor's; statistics accumulated so far are
-// returned either way.
-func (l *LLC) ReplayCursor(cur trace.Cursor) (Stats, error) {
-	for cur.Next() {
-		a := cur.Access()
+	for _, a := range t.Accesses {
 		if a.Kind == trace.Fetch {
 			continue
 		}
-		l.Access(*a)
+		l.Access(a)
 	}
-	return l.Stats(), cur.Err()
+	return l.Stats()
 }

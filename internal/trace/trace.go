@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -110,22 +109,6 @@ func (t *Trace) Filter(keep func(Access) bool) *Trace {
 	return out
 }
 
-// CoreCount returns the number of cores the trace was generated for:
-// max Core + 1 for a multi-core trace, 1 otherwise (including the empty
-// multi-core trace, which still has the implicit core 0).
-func (t *Trace) CoreCount() int {
-	if !t.MultiCore {
-		return 1
-	}
-	max := uint8(0)
-	for i := range t.Accesses {
-		if t.Accesses[i].Core > max {
-			max = t.Accesses[i].Core
-		}
-	}
-	return int(max) + 1
-}
-
 // Data returns the sub-trace of loads and stores (no fetches).
 func (t *Trace) Data() *Trace {
 	return t.Filter(func(a Access) bool { return a.Kind != Fetch })
@@ -142,98 +125,6 @@ func (t *Trace) Remap(f func(uint32) uint32) *Trace {
 		out.Append(a)
 	}
 	return out
-}
-
-// AddressRange reports the smallest and largest address referenced.
-// ok is false for an empty trace.
-func (t *Trace) AddressRange() (lo, hi uint32, ok bool) {
-	if len(t.Accesses) == 0 {
-		return 0, 0, false
-	}
-	lo, hi = t.Accesses[0].Addr, t.Accesses[0].Addr
-	for _, a := range t.Accesses[1:] {
-		if a.Addr < lo {
-			lo = a.Addr
-		}
-		if a.Addr > hi {
-			hi = a.Addr
-		}
-	}
-	return lo, hi, true
-}
-
-// Profile is a per-address access histogram: the "memory access profile"
-// that memory partitioning operates on (DATE'03 1B.1 terminology).
-type Profile struct {
-	// Counts maps a block-aligned address to the number of accesses
-	// falling in that block.
-	Counts map[uint32]uint64
-	// BlockSize is the granularity, in bytes, at which addresses were
-	// aggregated. It is always a power of two.
-	BlockSize uint32
-	// Total is the total number of accesses profiled.
-	Total uint64
-}
-
-// ProfileOf aggregates a trace into per-block access counts.
-// blockSize must be a power of two; ProfileOf panics otherwise, because a
-// non-power-of-two granularity is always a programming error.
-func ProfileOf(t *Trace, blockSize uint32) *Profile {
-	p, err := ProfileOfCursor(t.Cursor(), blockSize)
-	if err != nil {
-		// A SliceCursor cannot fail mid-stream, so the only error here is
-		// the geometry guard documented above.
-		//lint:allow panicfree documented programming-error guard, per the doc comment above
-		panic(err)
-	}
-	return p
-}
-
-// ProfileOfCursor aggregates an access stream into per-block counts
-// without materialising the trace; it is ProfileOf for streamed (e.g.
-// binary on-disk) traces. Bad geometry and stream decode failures are
-// reported as errors.
-func ProfileOfCursor(c Cursor, blockSize uint32) (*Profile, error) {
-	if blockSize == 0 || blockSize&(blockSize-1) != 0 {
-		return nil, fmt.Errorf("trace: block size %d is not a power of two", blockSize)
-	}
-	p := &Profile{Counts: make(map[uint32]uint64), BlockSize: blockSize}
-	mask := ^(blockSize - 1)
-	for c.Next() {
-		p.Counts[c.Access().Addr&mask]++
-		p.Total++
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Blocks returns the profiled block addresses in ascending order.
-func (p *Profile) Blocks() []uint32 {
-	blocks := make([]uint32, 0, len(p.Counts))
-	for b := range p.Counts {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	return blocks
-}
-
-// Hot returns the n most frequently accessed blocks, most frequent first.
-// Ties are broken by ascending address so the result is deterministic.
-func (p *Profile) Hot(n int) []uint32 {
-	blocks := p.Blocks()
-	sort.SliceStable(blocks, func(i, j int) bool {
-		ci, cj := p.Counts[blocks[i]], p.Counts[blocks[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		return blocks[i] < blocks[j]
-	})
-	if n > len(blocks) {
-		n = len(blocks)
-	}
-	return blocks[:n]
 }
 
 // WriteText serialises the trace in a line-oriented text format:

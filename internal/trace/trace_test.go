@@ -55,42 +55,6 @@ func TestRemap(t *testing.T) {
 	}
 }
 
-func TestAddressRange(t *testing.T) {
-	tr := sample()
-	lo, hi, ok := tr.AddressRange()
-	if !ok || lo != 0 || hi != 0x2000 {
-		t.Fatalf("range = (%#x,%#x,%v)", lo, hi, ok)
-	}
-	if _, _, ok := New(0).AddressRange(); ok {
-		t.Fatal("empty trace must report !ok")
-	}
-}
-
-func TestProfileOf(t *testing.T) {
-	tr := sample()
-	p := ProfileOf(tr, 0x1000)
-	if p.Total != 4 {
-		t.Fatalf("total = %d", p.Total)
-	}
-	if p.Counts[0x1000] != 2 || p.Counts[0x0000] != 1 || p.Counts[0x2000] != 1 {
-		t.Fatalf("counts = %v", p.Counts)
-	}
-	blocks := p.Blocks()
-	if len(blocks) != 3 || blocks[0] != 0 || blocks[2] != 0x2000 {
-		t.Fatalf("blocks = %v", blocks)
-	}
-	hot := p.Hot(1)
-	if len(hot) != 1 || hot[0] != 0x1000 {
-		t.Fatalf("hot = %v", hot)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-power-of-two block size must panic")
-		}
-	}()
-	ProfileOf(tr, 3)
-}
-
 // TestTextRoundTrip: WriteText then ReadText is the identity.
 func TestTextRoundTrip(t *testing.T) {
 	tr := sample()

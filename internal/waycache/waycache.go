@@ -11,6 +11,8 @@
 // WDU *determines* (rather than predicts) the way: it is kept coherent
 // with line movement, so a WDU hit can never enable the wrong way, and
 // there is no mis-prediction penalty or timing change.
+//
+//lint:hotpath
 package waycache
 
 import (
@@ -118,13 +120,6 @@ func (r Result) Saving() float64 {
 // Simulate replays the data accesses of tr through an N-way cache with a
 // WDU of wduEntries entries and accounts energy under cm.
 func Simulate(tr *trace.Trace, cfg cache.Config, wduEntries int, cm energy.CacheModel) (Result, error) {
-	return SimulateCursor(tr.Cursor(), cfg, wduEntries, cm)
-}
-
-// SimulateCursor is Simulate over an access stream: the WDU evaluation
-// of an on-disk binary trace runs directly off the streaming reader's
-// reused buffer, without materialising the trace.
-func SimulateCursor(cur trace.Cursor, cfg cache.Config, wduEntries int, cm energy.CacheModel) (Result, error) {
 	c, err := cache.New(cfg, nil)
 	if err != nil {
 		return Result{}, err
@@ -135,8 +130,7 @@ func SimulateCursor(cur trace.Cursor, cfg cache.Config, wduEntries int, cm energ
 	}
 	lineMask := ^(uint32(cfg.LineSize) - 1)
 	var base, directed energy.PJ
-	for cur.Next() {
-		a := cur.Access()
+	for _, a := range tr.Accesses {
 		if a.Kind == trace.Fetch {
 			continue
 		}
@@ -161,9 +155,6 @@ func SimulateCursor(cur trace.Cursor, cfg cache.Config, wduEntries int, cm energ
 		} else if !known {
 			wdu.Record(lineBase, res.Way)
 		}
-	}
-	if err := cur.Err(); err != nil {
-		return Result{}, fmt.Errorf("waycache: replaying access stream: %w", err)
 	}
 	st := c.Stats()
 	return Result{

@@ -79,14 +79,6 @@ type Result struct {
 	Retired uint64
 }
 
-// TraceTransform, when non-nil, is applied to every trace Run produces
-// before it reaches the caller. It exists for the cross-format
-// equivalence test, which points it at a binary serialise/re-read
-// round-trip to prove the columnar trace format is invisible to every
-// experiment that consumes kernel traces. It must only be set from a
-// single goroutine with no runs in flight (tests set it up front).
-var TraceTransform func(*trace.Trace) *trace.Trace
-
 // Run executes the instance on a fresh CPU with tracing enabled, verifies
 // the result and returns the trace and cycle count.
 func Run(inst *Instance) (*Result, error) {
@@ -102,9 +94,6 @@ func Run(inst *Instance) (*Result, error) {
 		if err := inst.Check(cpu); err != nil {
 			return nil, fmt.Errorf("workloads: %s: check failed: %w", inst.Name, err)
 		}
-	}
-	if TraceTransform != nil {
-		t = TraceTransform(t)
 	}
 	return &Result{Trace: t, Cycles: cpu.Cycles, Retired: cpu.Instructions}, nil
 }

@@ -36,7 +36,7 @@ import (
 // defaultBaseline is the committed perf file this PR records into;
 // future PRs re-record into a BENCH_PR<n>.json of their own and update
 // this default.
-const defaultBaseline = "BENCH_PR9.json"
+const defaultBaseline = "BENCH_PR15.json"
 
 const defaultGoldenDir = "testdata/golden"
 
@@ -134,7 +134,9 @@ func selectExperiments(filter string) ([]lpmem.Experiment, error) {
 
 // doRecord refreshes the golden snapshots and the perf baseline for the
 // selected experiments, preserving non-selected entries and the
-// optimization log of an existing baseline file.
+// optimization log of an existing baseline file. A baseline file that
+// does not exist yet starts from the default baseline's optimization
+// log, so recording into a new file carries the log forward.
 func doRecord(cfg config, exps []lpmem.Experiment, progress func(string), stdout, stderr io.Writer) int {
 	meas, err := regress.MeasureAll(exps, cfg.iterations, progress)
 	if err != nil {
@@ -146,6 +148,8 @@ func doRecord(cfg config, exps []lpmem.Experiment, progress func(string), stdout
 		base = prev
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		fmt.Fprintf(stderr, "lpmembench: ignoring existing baseline: %v\n", err)
+	} else if def, err := regress.ReadBaseline(defaultBaseline); err == nil {
+		base.Optimizations = def.Optimizations
 	}
 	base.GoVersion = runtime.Version()
 	base.Iterations = cfg.iterations

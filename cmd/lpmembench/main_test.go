@@ -46,6 +46,53 @@ func TestRecordThenCheck(t *testing.T) {
 	}
 }
 
+// TestRecordNewBaselineKeepsDefaultLog: recording into a baseline file
+// that does not exist yet starts from the optimization log of the
+// default baseline, so moving to a new BENCH file keeps the log.
+func TestRecordNewBaselineKeepsDefaultLog(t *testing.T) {
+	dir := t.TempDir()
+	entry := regress.Optimization{
+		Target:      "internal/example",
+		Description: "an earlier recorded win",
+		Before:      map[string]int64{"E4": 2_000_000},
+		After:       map[string]int64{"E4": 1_000_000},
+	}
+	def := &regress.Baseline{Optimizations: []regress.Optimization{entry}}
+	if err := regress.WriteBaseline(filepath.Join(dir, defaultBaseline), def); err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+
+	args := []string{"-record", "-filter", "E4,E17", "-iterations", "1",
+		"-baseline", "new.json", "-golden", "golden"}
+	var out, errOut bytes.Buffer
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("record exit %d, stderr: %s", code, errOut.String())
+	}
+	got, err := regress.ReadBaseline("new.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Optimizations) != 1 || got.Optimizations[0].Target != entry.Target ||
+		got.Optimizations[0].After["E4"] != entry.After["E4"] {
+		t.Fatalf("new baseline log = %+v, want the default baseline's %+v", got.Optimizations, def.Optimizations)
+	}
+	if len(got.Experiments) != 2 {
+		t.Fatalf("new baseline records %d experiments, want 2", len(got.Experiments))
+	}
+}
+
 // TestCheckDetectsTableDrift: corrupting a committed golden row makes
 // the check exit non-zero and name the drift.
 func TestCheckDetectsTableDrift(t *testing.T) {

@@ -24,6 +24,8 @@
 // The permutation is realized in hardware as a small block-index
 // translation table; its per-access energy cost is charged by the
 // experiment harness.
+//
+//lint:hotpath
 package cluster
 
 import (
@@ -112,41 +114,7 @@ func Cluster(t *trace.Trace, cfg Config) (*Clustering, error) {
 		return blocks[i] < blocks[j]
 	})
 
-	placed := make([]uint32, 0, len(blocks))
-	used := make(map[uint32]bool, len(blocks))
-	if len(blocks) > 0 {
-		placed = append(placed, blocks[0])
-		used[blocks[0]] = true
-	}
-	for len(placed) < len(blocks) {
-		// Score all unplaced blocks against the last Window placed.
-		var best uint32
-		bestScore := -1.0
-		for _, cand := range blocks {
-			if used[cand] {
-				continue
-			}
-			score := float64(freq[cand])
-			if cfg.AffinityWeight > 0 {
-				aff := uint64(0)
-				lo := len(placed) - cfg.Window
-				if lo < 0 {
-					lo = 0
-				}
-				for _, p := range placed[lo:] {
-					aff += affinity[pairKey(p, cand)]
-				}
-				score += cfg.AffinityWeight * float64(aff)
-			}
-			if score > bestScore {
-				bestScore = score
-				best = cand
-			}
-		}
-		placed = append(placed, best)
-		used[best] = true
-	}
-
+	placed := greedyOrder(blocks, freq, affinity, cfg)
 	c := &Clustering{
 		BlockSize: cfg.BlockSize,
 		NewIndex:  make(map[uint32]int, len(placed)),
@@ -156,6 +124,106 @@ func Cluster(t *trace.Trace, cfg Config) (*Clustering, error) {
 		c.NewIndex[b] = i
 	}
 	return c, nil
+}
+
+// greedyOrder runs the greedy placement on dense indices into blocks:
+// frequencies and the used set are flat slices, the affinity graph is a
+// CSR adjacency (one backing array of edges plus per-block row offsets),
+// and win[j] holds block j's affinity to the current window, kept up to
+// date by adding the row of each placed block and subtracting the row of
+// the block that slides out. Candidates are scanned in blocks order and
+// scored with the same expression as a per-candidate window sum, so ties
+// break the same way.
+func greedyOrder(blocks []uint32, freq map[uint32]uint64, affinity map[[2]uint32]uint64, cfg Config) []uint32 {
+	n := len(blocks)
+	placed := make([]uint32, n)
+	if n == 0 {
+		return placed
+	}
+	index := make(map[uint32]int, n)
+	f := make([]float64, n)
+	for i, b := range blocks {
+		index[b] = i
+		f[i] = float64(freq[b])
+	}
+	useAffinity := cfg.AffinityWeight > 0
+	var start []int
+	var edges []edge
+	if useAffinity {
+		start, edges = csr(n, index, affinity)
+	}
+	used := make([]bool, n)
+	win := make([]uint64, n)
+	order := make([]int, 0, n)
+	// Start from the hottest block; each round places one block, slides
+	// the window, then scores all unplaced blocks against it.
+	for next := 0; ; {
+		used[next] = true
+		order = append(order, next)
+		if useAffinity {
+			for _, e := range edges[start[next]:start[next+1]] {
+				win[e.to] += e.weight
+			}
+			if out := len(order) - 1 - cfg.Window; out >= 0 {
+				o := order[out]
+				for _, e := range edges[start[o]:start[o+1]] {
+					win[e.to] -= e.weight
+				}
+			}
+		}
+		if len(order) == n {
+			break
+		}
+		bestScore := -1.0
+		for j := range blocks {
+			if used[j] {
+				continue
+			}
+			score := f[j]
+			if useAffinity {
+				score += cfg.AffinityWeight * float64(win[j])
+			}
+			if score > bestScore {
+				bestScore = score
+				next = j
+			}
+		}
+	}
+	for i, j := range order {
+		placed[i] = blocks[j]
+	}
+	return placed
+}
+
+// edge is one entry of a CSR affinity row: the neighbour block's dense
+// index and the pair's affinity count.
+type edge struct {
+	to     int
+	weight uint64
+}
+
+// csr lays the symmetric affinity graph out as compressed sparse rows:
+// block i's neighbours are edges[start[i]:start[i+1]].
+func csr(n int, index map[uint32]int, affinity map[[2]uint32]uint64) ([]int, []edge) {
+	start := make([]int, n+1)
+	for k := range affinity {
+		start[index[k[0]]+1]++
+		start[index[k[1]]+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	edges := make([]edge, 2*len(affinity))
+	fill := make([]int, n)
+	copy(fill, start[:n])
+	for k, w := range affinity {
+		a, b := index[k[0]], index[k[1]]
+		edges[fill[a]] = edge{b, w}
+		fill[a]++
+		edges[fill[b]] = edge{a, w}
+		fill[b]++
+	}
+	return start, edges
 }
 
 func pairKey(a, b uint32) [2]uint32 {
@@ -203,16 +271,14 @@ func IdentityBaseline(t *trace.Trace, blockSize uint32) (*Clustering, error) {
 	}
 	mask := ^(blockSize - 1)
 	seen := make(map[uint32]bool)
-	var order []uint32
 	for _, a := range t.Accesses {
-		if a.Kind == trace.Fetch {
-			continue
+		if a.Kind != trace.Fetch {
+			seen[a.Addr&mask] = true
 		}
-		b := a.Addr & mask
-		if !seen[b] {
-			seen[b] = true
-			order = append(order, b)
-		}
+	}
+	order := make([]uint32, 0, len(seen))
+	for b := range seen {
+		order = append(order, b)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	c := &Clustering{BlockSize: blockSize, NewIndex: make(map[uint32]int, len(order)), Order: order}

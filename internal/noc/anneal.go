@@ -35,9 +35,10 @@ func MapAnneal(m Mesh, g *Graph, seed int64, iters int) (*MapResult, error) {
 		perm[tile] = ip
 	}
 
+	chk := newBWChecker(m, g)
 	cost := func(mp []int) float64 {
 		c := float64(m.CommEnergy(g, mp))
-		if _, ok := m.CheckBandwidth(g, mp); !ok {
+		if !chk.check(mp) {
 			c *= 10 // infeasibility penalty
 		}
 		return c
@@ -79,13 +80,12 @@ func MapAnneal(m Mesh, g *Graph, seed int64, iters int) (*MapResult, error) {
 			}
 		}
 	}
-	routing, ok := m.CheckBandwidth(g, bestMap)
-	if !ok {
+	if !chk.check(bestMap) {
 		return nil, fmt.Errorf("noc: annealing found no bandwidth-feasible mapping")
 	}
 	return &MapResult{
 		Mapping: bestMap,
-		Routing: routing,
+		Routing: chk.routing,
 		Energy:  m.CommEnergy(g, bestMap),
 		Visited: uint64(iters),
 	}, nil

@@ -16,6 +16,8 @@
 // deterministic routing (the "routing flexibility" of the title — it both
 // enlarges the feasible space and is deadlock-free for any mix, as XY and
 // YX flows use disjoint turn sets per virtual channel).
+//
+//lint:hotpath
 package noc
 
 import (
@@ -127,41 +129,92 @@ const (
 	YX
 )
 
-// linkID identifies a directed mesh link by its endpoints.
-type linkID struct{ from, to int }
+// bwChecker is the bandwidth feasibility test of one graph on one mesh,
+// built once per mapper run so that each check is a walk over flat
+// tables: the bandwidth-descending flow order does not depend on the
+// mapping, and neither do the links of any (src, dst, XY|YX) route.
+type bwChecker struct {
+	m Mesh
+	g *Graph
+	// order lists flow indices by bandwidth descending, index ascending
+	// on ties.
+	order []int
+	// load is the committed bandwidth per directed link, indexed
+	// from*Tiles+to.
+	load []float64
+	// links holds every route's link indices back to back; route r of
+	// tiles (src, dst) spans links[start[k]:start[k+1]] with
+	// k = (src*Tiles+dst)*2+r.
+	links []int
+	start []int
+	// routing is the per-flow routing chosen by the last successful check.
+	routing []Routing
+}
 
-// walk appends the links of a route to fn.
-func (m Mesh) walk(src, dst int, r Routing, fn func(linkID)) {
+func newBWChecker(m Mesh, g *Graph) *bwChecker {
+	c := &bwChecker{
+		m:       m,
+		g:       g,
+		order:   make([]int, len(g.Flows)),
+		load:    make([]float64, m.Tiles()*m.Tiles()),
+		start:   make([]int, 2*m.Tiles()*m.Tiles()+1),
+		routing: make([]Routing, len(g.Flows)),
+	}
+	for i := range c.order {
+		c.order[i] = i
+	}
+	sort.Slice(c.order, func(a, b int) bool {
+		fa, fb := g.Flows[c.order[a]], g.Flows[c.order[b]]
+		//lint:allow floatcompare exact tie-break keeps the sort order deterministic
+		if fa.BW != fb.BW {
+			return fa.BW > fb.BW
+		}
+		return c.order[a] < c.order[b]
+	})
+	// Every route has exactly dist(src, dst) links.
+	total := 0
+	for src := 0; src < m.Tiles(); src++ {
+		for dst := 0; dst < m.Tiles(); dst++ {
+			total += 2 * m.dist(src, dst)
+		}
+	}
+	c.links = make([]int, 0, total)
+	k := 0
+	for src := 0; src < m.Tiles(); src++ {
+		for dst := 0; dst < m.Tiles(); dst++ {
+			for r := XY; r <= YX; r++ {
+				c.start[k] = len(c.links)
+				c.links = m.appendRoute(c.links, src, dst, r)
+				k++
+			}
+		}
+	}
+	c.start[k] = len(c.links)
+	return c
+}
+
+// appendRoute appends the links of the deterministic route from src to
+// dst: XY corrects x first, then y; YX the reverse.
+func (m Mesh) appendRoute(links []int, src, dst int, r Routing) []int {
 	x, y := m.coord(src)
-	dx, dy := m.coord(dst)
+	tx, ty := m.coord(dst)
 	cur := src
-	stepX := func() {
-		nx := x + sign(dx-x)
-		next := y*m.W + nx
-		fn(linkID{cur, next})
-		x, cur = nx, next
-	}
-	stepY := func() {
-		ny := y + sign(dy-y)
-		next := ny*m.W + x
-		fn(linkID{cur, next})
-		y, cur = ny, next
-	}
-	if r == XY {
-		for x != dx {
-			stepX()
-		}
-		for y != dy {
-			stepY()
-		}
-	} else {
-		for y != dy {
-			stepY()
-		}
-		for x != dx {
-			stepX()
+	for leg := 0; leg < 2; leg++ {
+		if (leg == 0) == (r == XY) {
+			for ; x != tx; x += sign(tx - x) {
+				next := y*m.W + x + sign(tx-x)
+				links = append(links, cur*m.Tiles()+next)
+				cur = next
+			}
+		} else {
+			for ; y != ty; y += sign(ty - y) {
+				next := (y+sign(ty-y))*m.W + x
+				links = append(links, cur*m.Tiles()+next)
+				cur = next
+			}
 		}
 	}
+	return links
 }
 
 func sign(v int) int {
@@ -174,53 +227,58 @@ func sign(v int) int {
 	return 0
 }
 
+// route returns the link indices of one route.
+func (c *bwChecker) route(src, dst int, r Routing) []int {
+	k := (src*c.m.Tiles()+dst)*2 + int(r)
+	return c.links[c.start[k]:c.start[k+1]]
+}
+
+// fits reports whether every link of the route has room for bw more.
+func (c *bwChecker) fits(route []int, bw float64) bool {
+	for _, l := range route {
+		if c.load[l]+bw > c.m.LinkBW {
+			return false
+		}
+	}
+	return true
+}
+
+// check reports whether the flows can be routed within link capacities
+// under the mapping, leaving the chosen routing in c.routing. The
+// selection is greedy: flows in decreasing bandwidth order take XY if it
+// fits, else YX, else the mapping is infeasible.
+func (c *bwChecker) check(mapping []int) bool {
+	clear(c.load)
+	for _, i := range c.order {
+		f := c.g.Flows[i]
+		src, dst := mapping[f.Src], mapping[f.Dst]
+		route := c.route(src, dst, XY)
+		c.routing[i] = XY
+		if !c.fits(route, f.BW) {
+			route = c.route(src, dst, YX)
+			c.routing[i] = YX
+			if !c.fits(route, f.BW) {
+				return false
+			}
+		}
+		for _, l := range route {
+			c.load[l] += f.BW
+		}
+	}
+	return true
+}
+
 // CheckBandwidth reports whether the flows of g under the mapping can be
 // routed within link capacities using per-flow XY/YX selection. It returns
 // the chosen routing per flow when feasible. The selection is greedy:
 // flows in decreasing bandwidth order take XY if it fits, else YX, else
 // the mapping is infeasible.
 func (m Mesh) CheckBandwidth(g *Graph, mapping []int) ([]Routing, bool) {
-	load := make(map[linkID]float64)
-	idx := make([]int, len(g.Flows))
-	for i := range idx {
-		idx[i] = i
+	c := newBWChecker(m, g)
+	if !c.check(mapping) {
+		return nil, false
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		fa, fb := g.Flows[idx[a]], g.Flows[idx[b]]
-		//lint:allow floatcompare exact tie-break keeps the sort order deterministic
-		if fa.BW != fb.BW {
-			return fa.BW > fb.BW
-		}
-		return idx[a] < idx[b]
-	})
-	routing := make([]Routing, len(g.Flows))
-	fits := func(src, dst int, r Routing, bw float64) bool {
-		ok := true
-		m.walk(src, dst, r, func(l linkID) {
-			if load[l]+bw > m.LinkBW {
-				ok = false
-			}
-		})
-		return ok
-	}
-	commit := func(src, dst int, r Routing, bw float64) {
-		m.walk(src, dst, r, func(l linkID) { load[l] += bw })
-	}
-	for _, i := range idx {
-		f := g.Flows[i]
-		src, dst := mapping[f.Src], mapping[f.Dst]
-		switch {
-		case fits(src, dst, XY, f.BW):
-			routing[i] = XY
-			commit(src, dst, XY, f.BW)
-		case fits(src, dst, YX, f.BW):
-			routing[i] = YX
-			commit(src, dst, YX, f.BW)
-		default:
-			return nil, false
-		}
-	}
-	return routing, true
+	return c.routing, true
 }
 
 // MapResult is the outcome of the branch-and-bound mapper.
@@ -246,127 +304,180 @@ func MapBnB(m Mesh, g *Graph, maxNodes uint64) (*MapResult, error) {
 	if maxNodes == 0 {
 		maxNodes = 50_000_000
 	}
+	s := newBnBSearch(m, g, maxNodes)
 
-	// Order IPs by total communication volume, descending: placing the
-	// talkative cores first makes bounds tight early.
+	// Initial incumbent: greedy row-major if feasible, else +inf.
+	if rm := RowMajor(g.N); s.chk.check(rm) {
+		s.accept(rm, m.CommEnergy(g, rm))
+	}
+	s.dfs(0, 0)
+	if !s.found {
+		return nil, fmt.Errorf("noc: no bandwidth-feasible mapping found")
+	}
+	res := s.best
+	res.Visited = s.visited
+	return &res, nil
+}
+
+// partner is a flow seen from one of its endpoints: the other endpoint
+// and the flow's volume.
+type partner struct {
+	ip     int
+	volume float64
+}
+
+// bnbSearch is the state of one MapBnB run. Which flows are fully or
+// half placed at depth pos depends only on order[0..pos], so the search
+// reads them from per-depth tables built once, and a search node
+// allocates nothing.
+type bnbSearch struct {
+	m     Mesh
+	tiles int
+	// order places IPs by total communication volume, descending:
+	// placing the talkative cores first makes bounds tight early.
+	order []int
+	// placed[pos] lists the flows of order[pos] whose other endpoint was
+	// placed at a shallower depth, in adjacency order.
+	placed [][]partner
+	// open[pos] lists the volumes of the flows that stay unplaced or half
+	// placed once order[pos] is placed, in the order the bound sums them.
+	open [][]float64
+	// dist[a*tiles+b] is the hop count between tiles a and b.
+	dist     []int
+	chk      *bwChecker
+	mapping  []int
+	usedTile []bool
+	maxNodes uint64
+	visited  uint64
+	// best is the incumbent; its slices are filled by copy.
+	best  MapResult
+	found bool
+}
+
+func newBnBSearch(m Mesh, g *Graph, maxNodes uint64) *bnbSearch {
+	s := &bnbSearch{
+		m:        m,
+		tiles:    m.Tiles(),
+		order:    make([]int, g.N),
+		placed:   make([][]partner, g.N),
+		open:     make([][]float64, g.N),
+		dist:     make([]int, m.Tiles()*m.Tiles()),
+		chk:      newBWChecker(m, g),
+		mapping:  make([]int, g.N),
+		usedTile: make([]bool, m.Tiles()),
+		maxNodes: maxNodes,
+		best: MapResult{
+			Mapping: make([]int, g.N),
+			Routing: make([]Routing, len(g.Flows)),
+			Energy:  energy.PJ(1e30),
+		},
+	}
 	vol := make([]float64, g.N)
 	for _, f := range g.Flows {
 		vol[f.Src] += f.Volume
 		vol[f.Dst] += f.Volume
 	}
-	order := make([]int, g.N)
-	for i := range order {
-		order[i] = i
+	for i := range s.order {
+		s.order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
+	sort.Slice(s.order, func(a, b int) bool {
 		//lint:allow floatcompare exact tie-break keeps the sort order deterministic
-		if vol[order[a]] != vol[order[b]] {
-			return vol[order[a]] > vol[order[b]]
+		if vol[s.order[a]] != vol[s.order[b]] {
+			return vol[s.order[a]] > vol[s.order[b]]
 		}
-		return order[a] < order[b]
+		return s.order[a] < s.order[b]
 	})
 
-	// Per-IP flow adjacency for incremental cost.
-	adj := make([][]Flow, g.N)
+	// Per-IP flow adjacency, then the per-depth views of it.
+	adj := make([][]partner, g.N)
 	for _, f := range g.Flows {
-		adj[f.Src] = append(adj[f.Src], f)
-		adj[f.Dst] = append(adj[f.Dst], f)
+		adj[f.Src] = append(adj[f.Src], partner{f.Dst, f.Volume})
+		adj[f.Dst] = append(adj[f.Dst], partner{f.Src, f.Volume})
 	}
-
-	// Initial incumbent: greedy row-major if feasible, else +inf.
-	best := &MapResult{Energy: energy.PJ(1e30)}
-	if rm := RowMajor(g.N); true {
-		if routing, ok := m.CheckBandwidth(g, rm); ok {
-			best = &MapResult{Mapping: append([]int(nil), rm...), Routing: routing, Energy: m.CommEnergy(g, rm)}
-		}
+	depth := make([]int, g.N)
+	for pos, ip := range s.order {
+		depth[ip] = pos
 	}
-
-	mapping := make([]int, g.N)
-	for i := range mapping {
-		mapping[i] = -1
-	}
-	usedTile := make([]bool, m.Tiles())
-	var visited uint64
-
-	minBit := m.BitEnergy(1) // cheapest possible non-zero-hop cost
-
-	var dfs func(pos int, cost energy.PJ)
-	dfs = func(pos int, cost energy.PJ) {
-		if visited >= maxNodes {
-			return
+	for pos, ip := range s.order {
+		for _, p := range adj[ip] {
+			if depth[p.ip] < pos {
+				s.placed[pos] = append(s.placed[pos], p)
+			}
 		}
-		visited++
-		if cost >= best.Energy {
-			return
-		}
-		if pos == g.N {
-			if routing, ok := m.CheckBandwidth(g, mapping); ok {
-				best = &MapResult{
-					Mapping: append([]int(nil), mapping...),
-					Routing: routing,
-					Energy:  cost,
+		// Count half-placed flows once (from their unplaced endpoint)
+		// and unplaced-unplaced flows once (from the smaller-index
+		// endpoint).
+		for p2 := pos + 1; p2 < g.N; p2++ {
+			u := s.order[p2]
+			for _, p := range adj[u] {
+				if depth[p.ip] <= pos || u < p.ip {
+					s.open[pos] = append(s.open[pos], p.volume)
 				}
 			}
-			return
-		}
-		ip := order[pos]
-		for tile := 0; tile < m.Tiles(); tile++ {
-			if usedTile[tile] {
-				continue
-			}
-			// Symmetry breaking: the first IP only explores one
-			// octant representative set of the mesh.
-			if pos == 0 && !inOctant(m, tile) {
-				continue
-			}
-			mapping[ip] = tile
-			usedTile[tile] = true
-			// Incremental exact cost of flows now fully placed, plus an
-			// admissible 1-hop bound for half-placed flows.
-			inc := energy.PJ(0)
-			for _, f := range adj[ip] {
-				other := f.Src
-				if other == ip {
-					other = f.Dst
-				}
-				if mapping[other] >= 0 {
-					h := m.dist(tile, mapping[other])
-					inc += energy.PJ(f.Volume) * m.BitEnergy(h)
-				}
-			}
-			lb := cost + inc
-			// Lower-bound the flows with exactly one endpoint placed
-			// among remaining IPs: each costs at least volume*e_bit(1)
-			// unless endpoints could be adjacent... 0 hops impossible
-			// (distinct tiles), so 1 hop is admissible.
-			for p2 := pos + 1; p2 < g.N; p2++ {
-				u := order[p2]
-				for _, f := range adj[u] {
-					other := f.Src
-					if other == u {
-						other = f.Dst
-					}
-					// Count half-placed flows once (from their unplaced
-					// endpoint) and unplaced-unplaced flows once (from
-					// the smaller-index endpoint).
-					if mapping[other] >= 0 || u < other {
-						lb += energy.PJ(f.Volume) * minBit
-					}
-				}
-			}
-			if lb < best.Energy {
-				dfs(pos+1, cost+inc)
-			}
-			mapping[ip] = -1
-			usedTile[tile] = false
 		}
 	}
-	dfs(0, 0)
-	best.Visited = visited
-	if best.Mapping == nil {
-		return nil, fmt.Errorf("noc: no bandwidth-feasible mapping found")
+	for a := 0; a < s.tiles; a++ {
+		for b := 0; b < s.tiles; b++ {
+			s.dist[a*s.tiles+b] = m.dist(a, b)
+		}
 	}
-	return best, nil
+	return s
+}
+
+// accept makes a bandwidth-feasible mapping, whose routing the checker
+// just chose, the incumbent.
+func (s *bnbSearch) accept(mapping []int, e energy.PJ) {
+	copy(s.best.Mapping, mapping)
+	copy(s.best.Routing, s.chk.routing)
+	s.best.Energy = e
+	s.found = true
+}
+
+func (s *bnbSearch) dfs(pos int, cost energy.PJ) {
+	if s.visited >= s.maxNodes {
+		return
+	}
+	s.visited++
+	if cost >= s.best.Energy {
+		return
+	}
+	if pos == len(s.order) {
+		if s.chk.check(s.mapping) {
+			s.accept(s.mapping, cost)
+		}
+		return
+	}
+	ip := s.order[pos]
+	minBit := s.m.BitEnergy(1) // cheapest possible non-zero-hop cost
+	for tile := 0; tile < s.tiles; tile++ {
+		if s.usedTile[tile] {
+			continue
+		}
+		// Symmetry breaking: the first IP only explores one
+		// octant representative set of the mesh.
+		if pos == 0 && !inOctant(s.m, tile) {
+			continue
+		}
+		s.mapping[ip] = tile
+		s.usedTile[tile] = true
+		// Incremental exact cost of flows now fully placed, plus an
+		// admissible 1-hop bound for the rest.
+		inc := energy.PJ(0)
+		for _, p := range s.placed[pos] {
+			h := s.dist[tile*s.tiles+s.mapping[p.ip]]
+			inc += energy.PJ(p.volume) * s.m.BitEnergy(h)
+		}
+		lb := cost + inc
+		// Every flow not yet fully placed costs at least volume*e_bit(1):
+		// 0 hops is impossible (distinct tiles), so 1 hop is admissible.
+		for _, v := range s.open[pos] {
+			lb += energy.PJ(v) * minBit
+		}
+		if lb < s.best.Energy {
+			s.dfs(pos+1, cost+inc)
+		}
+		s.usedTile[tile] = false
+	}
 }
 
 // inOctant restricts the first placed IP to a canonical region:

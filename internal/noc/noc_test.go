@@ -36,16 +36,27 @@ func TestGraphValidate(t *testing.T) {
 }
 
 // TestWalkLengthsEqualManhattan: both XY and YX routes have exactly
-// dist() links.
+// dist() links, each between neighbouring tiles, from src to dst.
 func TestWalkLengthsEqualManhattan(t *testing.T) {
 	m := DefaultMesh()
+	c := newBWChecker(m, &Graph{})
 	f := func(a, b uint8) bool {
 		src := int(a) % m.Tiles()
 		dst := int(b) % m.Tiles()
 		for _, r := range []Routing{XY, YX} {
-			n := 0
-			m.walk(src, dst, r, func(linkID) { n++ })
-			if n != m.dist(src, dst) {
+			route := c.route(src, dst, r)
+			if len(route) != m.dist(src, dst) {
+				return false
+			}
+			cur := src
+			for _, l := range route {
+				from, to := l/m.Tiles(), l%m.Tiles()
+				if from != cur || m.dist(from, to) != 1 {
+					return false
+				}
+				cur = to
+			}
+			if cur != dst {
 				return false
 			}
 		}
@@ -79,11 +90,14 @@ func TestRoutingFlexibilityExpandsFeasibility(t *testing.T) {
 	}
 	// With XY-only (LinkBW too small for both), it must fail: emulate by
 	// checking that both XY routes share link 0->1.
-	shared := map[linkID]int{}
+	c := newBWChecker(m, g)
+	shared := map[int]int{}
 	for _, f := range g.Flows {
-		m.walk(mapping[f.Src], mapping[f.Dst], XY, func(l linkID) { shared[l]++ })
+		for _, l := range c.route(mapping[f.Src], mapping[f.Dst], XY) {
+			shared[l]++
+		}
 	}
-	if shared[linkID{0, 1}] != 2 {
+	if shared[0*m.Tiles()+1] != 2 {
 		t.Fatal("test premise broken: XY routes should share link 0->1")
 	}
 }

@@ -1,0 +1,332 @@
+package noc
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"lpmem/internal/energy"
+)
+
+// The reference implementations below are the direct forms of the
+// bandwidth check (a link-load map and closure route walks) and of the
+// branch-and-bound mapper (bound terms recomputed at every node). The
+// property tests hold the table-driven versions to the same answers, the
+// same routing and the same search tree on random inputs.
+
+type refLinkID struct{ from, to int }
+
+func refWalk(m Mesh, src, dst int, r Routing, fn func(refLinkID)) {
+	x, y := m.coord(src)
+	dx, dy := m.coord(dst)
+	cur := src
+	stepX := func() {
+		nx := x + sign(dx-x)
+		next := y*m.W + nx
+		fn(refLinkID{cur, next})
+		x, cur = nx, next
+	}
+	stepY := func() {
+		ny := y + sign(dy-y)
+		next := ny*m.W + x
+		fn(refLinkID{cur, next})
+		y, cur = ny, next
+	}
+	if r == XY {
+		for x != dx {
+			stepX()
+		}
+		for y != dy {
+			stepY()
+		}
+	} else {
+		for y != dy {
+			stepY()
+		}
+		for x != dx {
+			stepX()
+		}
+	}
+}
+
+func refCheckBandwidth(m Mesh, g *Graph, mapping []int) ([]Routing, bool) {
+	load := make(map[refLinkID]float64)
+	idx := make([]int, len(g.Flows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		fa, fb := g.Flows[idx[a]], g.Flows[idx[b]]
+		//lint:allow floatcompare exact tie-break keeps the sort order deterministic
+		if fa.BW != fb.BW {
+			return fa.BW > fb.BW
+		}
+		return idx[a] < idx[b]
+	})
+	routing := make([]Routing, len(g.Flows))
+	fits := func(src, dst int, r Routing, bw float64) bool {
+		ok := true
+		refWalk(m, src, dst, r, func(l refLinkID) {
+			if load[l]+bw > m.LinkBW {
+				ok = false
+			}
+		})
+		return ok
+	}
+	commit := func(src, dst int, r Routing, bw float64) {
+		refWalk(m, src, dst, r, func(l refLinkID) { load[l] += bw })
+	}
+	for _, i := range idx {
+		f := g.Flows[i]
+		src, dst := mapping[f.Src], mapping[f.Dst]
+		switch {
+		case fits(src, dst, XY, f.BW):
+			routing[i] = XY
+			commit(src, dst, XY, f.BW)
+		case fits(src, dst, YX, f.BW):
+			routing[i] = YX
+			commit(src, dst, YX, f.BW)
+		default:
+			return nil, false
+		}
+	}
+	return routing, true
+}
+
+func refMapBnB(m Mesh, g *Graph, maxNodes uint64) (*MapResult, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	if g.N > m.Tiles() {
+		return nil, fmt.Errorf("noc: %d cores exceed %d tiles", g.N, m.Tiles())
+	}
+	if maxNodes == 0 {
+		maxNodes = 50_000_000
+	}
+	vol := make([]float64, g.N)
+	for _, f := range g.Flows {
+		vol[f.Src] += f.Volume
+		vol[f.Dst] += f.Volume
+	}
+	order := make([]int, g.N)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		//lint:allow floatcompare exact tie-break keeps the sort order deterministic
+		if vol[order[a]] != vol[order[b]] {
+			return vol[order[a]] > vol[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	adj := make([][]Flow, g.N)
+	for _, f := range g.Flows {
+		adj[f.Src] = append(adj[f.Src], f)
+		adj[f.Dst] = append(adj[f.Dst], f)
+	}
+	best := &MapResult{Energy: energy.PJ(1e30)}
+	if rm := RowMajor(g.N); true {
+		if routing, ok := refCheckBandwidth(m, g, rm); ok {
+			best = &MapResult{Mapping: append([]int(nil), rm...), Routing: routing, Energy: m.CommEnergy(g, rm)}
+		}
+	}
+	mapping := make([]int, g.N)
+	for i := range mapping {
+		mapping[i] = -1
+	}
+	usedTile := make([]bool, m.Tiles())
+	var visited uint64
+	minBit := m.BitEnergy(1)
+	var dfs func(pos int, cost energy.PJ)
+	dfs = func(pos int, cost energy.PJ) {
+		if visited >= maxNodes {
+			return
+		}
+		visited++
+		if cost >= best.Energy {
+			return
+		}
+		if pos == g.N {
+			if routing, ok := refCheckBandwidth(m, g, mapping); ok {
+				best = &MapResult{
+					Mapping: append([]int(nil), mapping...),
+					Routing: routing,
+					Energy:  cost,
+				}
+			}
+			return
+		}
+		ip := order[pos]
+		for tile := 0; tile < m.Tiles(); tile++ {
+			if usedTile[tile] {
+				continue
+			}
+			if pos == 0 && !inOctant(m, tile) {
+				continue
+			}
+			mapping[ip] = tile
+			usedTile[tile] = true
+			inc := energy.PJ(0)
+			for _, f := range adj[ip] {
+				other := f.Src
+				if other == ip {
+					other = f.Dst
+				}
+				if mapping[other] >= 0 {
+					h := m.dist(tile, mapping[other])
+					inc += energy.PJ(f.Volume) * m.BitEnergy(h)
+				}
+			}
+			lb := cost + inc
+			for p2 := pos + 1; p2 < g.N; p2++ {
+				u := order[p2]
+				for _, f := range adj[u] {
+					other := f.Src
+					if other == u {
+						other = f.Dst
+					}
+					if mapping[other] >= 0 || u < other {
+						lb += energy.PJ(f.Volume) * minBit
+					}
+				}
+			}
+			if lb < best.Energy {
+				dfs(pos+1, cost+inc)
+			}
+			mapping[ip] = -1
+			usedTile[tile] = false
+		}
+	}
+	dfs(0, 0)
+	best.Visited = visited
+	if best.Mapping == nil {
+		return nil, fmt.Errorf("noc: no bandwidth-feasible mapping found")
+	}
+	return best, nil
+}
+
+// randomGraph draws n cores and up to flows flows whose bandwidths and
+// volumes come from small sets, so the flow order and the IP order both
+// meet ties. Volumes are thirds of bandwidth*1e3, whose energies do not
+// add exactly, so a reordered sum shows up in the bound.
+func randomGraph(r *rand.Rand, n, flows int) *Graph {
+	g := &Graph{N: n}
+	for i := 0; i < flows; i++ {
+		s, d := r.Intn(n), r.Intn(n)
+		if s == d {
+			continue
+		}
+		bw := float64(10 * (1 + r.Intn(6)))
+		g.Flows = append(g.Flows, Flow{Src: s, Dst: d, Volume: bw * 1e3 * float64(1+r.Intn(3)) / 3, BW: bw})
+	}
+	return g
+}
+
+// TestCheckerMatchesReference: on random graphs, mappings and link
+// capacities, the table-driven check agrees with the map-based one on
+// feasibility and on every flow's routing, both one-shot and through one
+// checker reused across mappings, as the mappers use it.
+func TestCheckerMatchesReference(t *testing.T) {
+	for _, shape := range []struct{ w, h int }{{4, 4}, {3, 5}} {
+		r := rand.New(rand.NewSource(int64(shape.w*10 + shape.h)))
+		feasible, infeasible := 0, 0
+		for trial := 0; trial < 60; trial++ {
+			m := Mesh{W: shape.w, H: shape.h, LinkBW: float64(20 + 10*r.Intn(12)), ERbit: 0.3, ELbit: 0.45}
+			n := 2 + r.Intn(m.Tiles()-1)
+			g := randomGraph(r, n, 1+r.Intn(3*n))
+			chk := newBWChecker(m, g)
+			for k := 0; k < 20; k++ {
+				mapping := r.Perm(m.Tiles())[:n]
+				want, wantOK := refCheckBandwidth(m, g, mapping)
+				got, gotOK := m.CheckBandwidth(g, mapping)
+				reusedOK := chk.check(mapping)
+				if gotOK != wantOK || reusedOK != wantOK {
+					t.Fatalf("%dx%d trial %d: feasible one-shot %v reused %v, reference %v (graph %+v, mapping %v, LinkBW %v)",
+						shape.w, shape.h, trial, gotOK, reusedOK, wantOK, g, mapping, m.LinkBW)
+				}
+				if !wantOK {
+					infeasible++
+					continue
+				}
+				feasible++
+				for i := range want {
+					if got[i] != want[i] || chk.routing[i] != want[i] {
+						t.Fatalf("%dx%d trial %d flow %d: routing one-shot %v reused %v, reference %v",
+							shape.w, shape.h, trial, i, got[i], chk.routing[i], want[i])
+					}
+				}
+			}
+		}
+		if feasible == 0 || infeasible == 0 {
+			t.Fatalf("%dx%d: inputs must cover both outcomes (feasible %d, infeasible %d)", shape.w, shape.h, feasible, infeasible)
+		}
+	}
+}
+
+// TestMapBnBMatchesReference: on random graphs of at most 9 cores on a
+// 3x3 mesh, the table-driven mapper returns the same mapping, routing and
+// energy as the reference and visits exactly as many nodes, so every
+// prune of the per-depth bound tables fires where the per-node sums did.
+// Sparse graphs are common among the inputs: their optimum is often all
+// one-hop, so the bound meets the incumbent exactly and the prune
+// depends on every rounding step of the sum.
+func TestMapBnBMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	compared := 0
+	for trial := 0; trial < 150; trial++ {
+		m := DefaultMesh()
+		m.W, m.H, m.LinkBW = 3, 3, float64(30+10*r.Intn(10))
+		n := 3 + r.Intn(7)
+		g := randomGraph(r, n, n-1+r.Intn(n+1))
+		maxNodes := uint64(1 + r.Intn(40_000))
+		want, wantErr := refMapBnB(m, g, maxNodes)
+		got, gotErr := MapBnB(m, g, maxNodes)
+		if (wantErr != nil) != (gotErr != nil) {
+			t.Fatalf("trial %d: error %v, reference %v", trial, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		compared++
+		if got.Energy != want.Energy || got.Visited != want.Visited {
+			t.Fatalf("trial %d: energy %v visited %d, reference %v visited %d",
+				trial, got.Energy, got.Visited, want.Energy, want.Visited)
+		}
+		for i := range want.Mapping {
+			if got.Mapping[i] != want.Mapping[i] {
+				t.Fatalf("trial %d: mapping %v, reference %v", trial, got.Mapping, want.Mapping)
+			}
+		}
+		for i := range want.Routing {
+			if got.Routing[i] != want.Routing[i] {
+				t.Fatalf("trial %d: routing %v, reference %v", trial, got.Routing, want.Routing)
+			}
+		}
+	}
+	if compared < 100 {
+		t.Fatalf("only %d of 150 trials were feasible; widen the inputs", compared)
+	}
+}
+
+// TestMapBnBAllocsIndependentOfNodes: a search node allocates nothing,
+// so the allocation count of a run does not grow with the node budget.
+// At LinkBW 700 no mapping beats row-major within either budget, so both
+// runs exhaust their budget.
+func TestMapBnBAllocsIndependentOfNodes(t *testing.T) {
+	m := DefaultMesh()
+	m.LinkBW = 700
+	g := MMSGraph()
+	allocs := func(maxNodes uint64) float64 {
+		return testing.AllocsPerRun(3, func() {
+			res, err := MapBnB(m, g, maxNodes)
+			if err != nil || res.Visited != maxNodes {
+				t.Fatalf("MapBnB(%d): visited %v, err %v", maxNodes, res, err)
+			}
+		})
+	}
+	small, large := allocs(20_000), allocs(200_000)
+	if small != large {
+		t.Fatalf("allocations grow with the node budget: %v at 20k nodes, %v at 200k", small, large)
+	}
+}

@@ -230,27 +230,54 @@ func Ratio(originalBytes int, codes []uint16) float64 {
 
 // --- Vector stitching (2C.1) ---
 
-// compatible reports whether the suffix of a starting at offset matches
-// the prefix of b on all cells where both are specified.
-func compatible(a, b Pattern, offset int) bool {
-	for i := offset; i < len(a) && i-offset < len(b); i++ {
-		ca, cb := a[i], b[i-offset]
-		if ca != X && cb != X && ca != cb {
-			return false
+// careCell is one specified cell of a pattern.
+type careCell struct {
+	pos int
+	val Cell
+}
+
+// careCells lists the specified cells of p in ascending position. Only
+// these can make an overlap incompatible.
+func careCells(p Pattern) []careCell {
+	n := 0
+	for _, c := range p {
+		if c != X {
+			n++
 		}
 	}
-	return true
+	cells := make([]careCell, 0, n)
+	for i, c := range p {
+		if c != X {
+			cells = append(cells, careCell{i, c})
+		}
+	}
+	return cells
 }
 
 // MaxOverlap returns the largest k such that the last k cells of a are
-// compatible with the first k cells of b.
+// compatible with the first k cells of b: equal wherever both are
+// specified.
 func MaxOverlap(a, b Pattern) int {
-	max := len(a)
-	if len(b) < max {
-		max = len(b)
-	}
-	for k := max; k > 0; k-- {
-		if compatible(a, b, len(a)-k) {
+	return maxOverlap(a, len(b), careCells(b))
+}
+
+// maxOverlap is MaxOverlap for a b of length bLen whose specified cells
+// are care. It tries k from min(len(a), bLen) down, checking only b's
+// specified cells below k, in ascending position.
+func maxOverlap(a Pattern, bLen int, care []careCell) int {
+	for k := min(len(a), bLen); k > 0; k-- {
+		off := len(a) - k
+		ok := true
+		for _, c := range care {
+			if c.pos >= k {
+				break
+			}
+			if ca := a[off+c.pos]; ca != X && ca != c.val {
+				ok = false
+				break
+			}
+		}
+		if ok {
 			return k
 		}
 	}
@@ -305,6 +332,10 @@ func Stitch(patterns, responses []Pattern) StitchResult {
 	}
 	length := len(patterns[0])
 	res.BaselineCycles = n * length
+	care := make([][]careCell, n)
+	for i, p := range patterns {
+		care[i] = careCells(p)
+	}
 	used := make([]bool, n)
 	cur := 0
 	used[0] = true
@@ -316,7 +347,7 @@ func Stitch(patterns, responses []Pattern) StitchResult {
 			if used[j] {
 				continue
 			}
-			ov := MaxOverlap(responses[cur], patterns[j])
+			ov := maxOverlap(responses[cur], len(patterns[j]), care[j])
 			if ov > bestOv {
 				best, bestOv = j, ov
 			}

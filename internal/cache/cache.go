@@ -112,31 +112,48 @@ func (NullBacking) ReadLine(_ uint32, dst []byte) {
 // WriteLine discards the line.
 func (NullBacking) WriteLine(uint32, []byte) {}
 
-// MapBacking is a simple sparse backing store.
+// pageSize is MapBacking's allocation unit in bytes.
+const pageSize = 1 << 12
+
+// MapBacking is a sparse, paged backing store. Bytes never written read
+// as zero; a page is allocated on the first write into it.
 type MapBacking struct {
-	m map[uint32]byte
+	pages map[uint32]*[pageSize]byte
 }
 
 // NewMapBacking returns an empty sparse backing store.
-func NewMapBacking() *MapBacking { return &MapBacking{m: make(map[uint32]byte)} }
+func NewMapBacking() *MapBacking { return &MapBacking{pages: make(map[uint32]*[pageSize]byte)} }
 
-// ReadLine copies the line at addr into dst.
+// ReadLine copies the line at addr into dst. A line may span pages, and
+// addresses wrap at 2³².
 func (b *MapBacking) ReadLine(addr uint32, dst []byte) {
-	for i := range dst {
-		dst[i] = b.m[addr+uint32(i)]
+	for len(dst) > 0 {
+		off := addr & (pageSize - 1)
+		n := min(len(dst), pageSize-int(off))
+		if p := b.pages[addr-off]; p != nil {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		addr += uint32(n)
 	}
 }
 
-// WriteLine stores the line at addr.
+// WriteLine stores the line at addr. A line may span pages, and
+// addresses wrap at 2³².
 func (b *MapBacking) WriteLine(addr uint32, src []byte) {
-	for i, v := range src {
-		b.m[addr+uint32(i)] = v
+	for len(src) > 0 {
+		off := addr & (pageSize - 1)
+		p := b.pages[addr-off]
+		if p == nil {
+			p = new([pageSize]byte)
+			b.pages[addr-off] = p
+		}
+		n := copy(p[off:], src)
+		src = src[n:]
+		addr += uint32(n)
 	}
-}
-
-// StoreByte stores a single byte (used to pre-load images).
-func (b *MapBacking) StoreByte(addr uint32, v byte) {
-	b.m[addr] = v
 }
 
 // Cache is the simulator proper.

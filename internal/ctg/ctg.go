@@ -49,8 +49,8 @@ type Task struct {
 
 // Graph is a conditional task graph. The structural fields (Tasks, Deps,
 // CondProb) must not be mutated once scheduling starts: the scheduler
-// memoizes the topological order, successor lists, task priorities and
-// scenario set on first use, because the DVS search and the GA evaluate
+// memoizes the task priorities, the scenario set and each scenario's
+// pick order on first use, because the DVS search and the GA evaluate
 // tens of thousands of schedules against the same structure.
 type Graph struct {
 	Tasks []Task
@@ -65,58 +65,147 @@ type Graph struct {
 	sched     *sched
 }
 
-// sched holds the mapping-independent scheduling invariants of a graph
-// plus reusable scratch state for the list scheduler. The scratch is
-// guarded by mu so concurrent Makespan calls stay race-free (they
-// serialize; all callers in this repository are sequential anyway).
+// sched holds the mapping-independent scheduling invariants of a graph,
+// including the list scheduler's pick order for every scenario. It is
+// read-only once built, so concurrent Makespan and Feasible calls share
+// it without locking; their scratch state is per call.
 type sched struct {
-	order     []int
-	succ      [][]int
 	prio      []float64
 	scenarios []Scenario
-	err       error
-
-	mu       sync.Mutex
-	done     []bool
-	active   []bool
-	finish   []float64
-	procFree []float64
+	// plans[k] is the pick order of scenarios[k].
+	plans []plan
+	err   error
 }
 
 // scheduler builds (once) and returns the graph's cached invariants.
 func (g *Graph) scheduler() *sched {
 	g.schedOnce.Do(func() {
 		s := &sched{}
-		s.order, s.err = g.topo()
-		if s.err != nil {
+		order, err := g.topo()
+		if err != nil {
+			s.err = err
 			g.sched = s
 			return
 		}
 		n := len(g.Tasks)
-		s.succ = make([][]int, n)
+		succ := make([][]int, n)
 		for i, deps := range g.Deps {
 			for _, d := range deps {
-				s.succ[d] = append(s.succ[d], i)
+				succ[d] = append(succ[d], i)
 			}
 		}
 		// Longest path to exit at nominal WCET (list-scheduling priority).
 		s.prio = make([]float64, n)
 		for k := n - 1; k >= 0; k-- {
-			v := s.order[k]
+			v := order[k]
 			s.prio[v] = g.Tasks[v].WCET
-			for _, sc := range s.succ[v] {
+			for _, sc := range succ[v] {
 				if s.prio[sc]+g.Tasks[v].WCET > s.prio[v] {
 					s.prio[v] = s.prio[sc] + g.Tasks[v].WCET
 				}
 			}
 		}
 		s.scenarios = g.Scenarios()
-		s.done = make([]bool, n)
-		s.active = make([]bool, n)
-		s.finish = make([]float64, n)
+		s.plans = make([]plan, len(s.scenarios))
+		for k, sc := range s.scenarios {
+			s.plans[k] = g.pickOrder(s.prio, sc)
+		}
 		g.sched = s
 	})
 	return g.sched
+}
+
+// plan is the list scheduler's pick order for one scenario. The
+// scheduler always picks the ready active task with the highest
+// priority, ties to the lower index, and readiness depends only on which
+// tasks are done. So the order depends on the scenario's active set, the
+// deps and the nominal-WCET priorities, never on the mapping or the
+// stretches. picks lists the active tasks in pick order, and
+// deps[off[p]:off[p+1]] lists the active predecessors of picks[p] in
+// Deps order.
+type plan struct {
+	picks []int
+	off   []int
+	deps  []int
+}
+
+// pickOrder computes the pick order of scenario sc on an acyclic graph.
+func (g *Graph) pickOrder(prio []float64, sc Scenario) plan {
+	n := len(g.Tasks)
+	active := make([]bool, n)
+	done := make([]bool, n)
+	remaining := 0
+	for i := 0; i < n; i++ {
+		active[i] = g.Active(i, sc)
+		done[i] = !active[i]
+		if active[i] {
+			remaining++
+		}
+	}
+	p := plan{picks: make([]int, 0, remaining), off: make([]int, 1, remaining+1)}
+	for ; remaining > 0; remaining-- {
+		best := -1
+		for i := 0; i < n; i++ {
+			if done[i] {
+				continue
+			}
+			ready := true
+			for _, d := range g.Deps[i] {
+				if active[d] && !done[d] {
+					ready = false
+					break
+				}
+			}
+			// The ascending scan with a strict > keeps the lower index on
+			// priority ties.
+			if ready && (best < 0 || prio[i] > prio[best]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			// Unreachable: the active subgraph of an acyclic graph
+			// always has a ready task.
+			break
+		}
+		p.picks = append(p.picks, best)
+		for _, d := range g.Deps[best] {
+			if active[d] {
+				p.deps = append(p.deps, d)
+			}
+		}
+		p.off = append(p.off, len(p.deps))
+		done[best] = true
+	}
+	return p
+}
+
+// makespan list-schedules along the plan over scratch from g.scratch.
+// Each task starts when its processor is free and its active
+// predecessors have finished. The finish times need no clearing, because
+// a task's entry is written before any successor reads it. Their max
+// does not depend on the order they are visited in.
+func (p *plan) makespan(tasks []Task, mapping []int, stretch, buf []float64) float64 {
+	finish, procFree := buf[:len(tasks)], buf[len(tasks):]
+	clear(procFree)
+	max := 0.0
+	for k, v := range p.picks {
+		start := procFree[mapping[v]]
+		for _, d := range p.deps[p.off[k]:p.off[k+1]] {
+			if finish[d] > start {
+				start = finish[d]
+			}
+		}
+		s := 1.0
+		if stretch != nil {
+			s = stretch[v]
+		}
+		finish[v] = start + tasks[v].WCET*s
+		procFree[mapping[v]] = finish[v]
+		if finish[v] > max {
+			max = finish[v]
+		}
+	}
+	return max
 }
 
 // Validate checks structural sanity (indices, probabilities, acyclicity).
@@ -218,96 +307,42 @@ func (g *Graph) Active(i int, sc Scenario) bool {
 	return gd.Var == NoCond || sc.Outcomes[gd.Var] == gd.Val
 }
 
+// unschedulable is the makespan reported for a cyclic graph, which
+// Validate excludes.
+const unschedulable = 1e18
+
 // Makespan list-schedules the active tasks of a scenario onto processors
 // (mapping[i] = processor) with the given per-task stretch factors, and
 // returns the completion time. Priorities are longest-path lengths at
 // nominal WCET; the policy is deterministic.
 func (g *Graph) Makespan(mapping []int, procs int, stretch []float64, sc Scenario) float64 {
-	n := len(g.Tasks)
 	s := g.scheduler()
 	if s.err != nil {
-		// Only possible with a cycle, excluded by Validate.
-		return 1e18
+		return unschedulable
 	}
-	prio := s.prio
-
-	// Ready-list scheduling over the reusable scratch state.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	done, active, finish := s.done, s.active, s.finish
-	if cap(s.procFree) < procs {
-		s.procFree = make([]float64, procs)
-	}
-	procFree := s.procFree[:procs]
-	for i := range procFree {
-		procFree[i] = 0
-	}
-	remaining := 0
-	for i := 0; i < n; i++ {
-		finish[i] = 0
-		if g.Active(i, sc) {
-			active[i] = true
-			done[i] = false
-			remaining++
-		} else {
-			active[i] = false
-			done[i] = true
-		}
-	}
-	for remaining > 0 {
-		// Pick the ready active task with the highest priority.
-		best := -1
-		for i := 0; i < n; i++ {
-			if done[i] || !active[i] {
-				continue
-			}
-			ready := true
-			for _, d := range g.Deps[i] {
-				if active[d] && !done[d] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			//lint:allow floatcompare exact equality only breaks argmax ties deterministically by index
-			if best < 0 || prio[i] > prio[best] || (prio[i] == prio[best] && i < best) {
-				best = i
-			}
-		}
-		if best < 0 {
-			// Only possible with a cycle, excluded by Validate.
-			return 1e18
-		}
-		start := procFree[mapping[best]]
-		for _, d := range g.Deps[best] {
-			if active[d] && finish[d] > start {
-				start = finish[d]
-			}
-		}
-		s := 1.0
-		if stretch != nil {
-			s = stretch[best]
-		}
-		finish[best] = start + g.Tasks[best].WCET*s
-		procFree[mapping[best]] = finish[best]
-		done[best] = true
-		remaining--
-	}
-	max := 0.0
-	for i := 0; i < n; i++ {
-		if active[i] && finish[i] > max {
-			max = finish[i]
-		}
-	}
-	return max
+	p := g.pickOrder(s.prio, sc)
+	return p.makespan(g.Tasks, mapping, stretch, g.scratch(procs))
 }
 
 // Feasible reports whether all scenarios meet the deadline.
 func (g *Graph) Feasible(mapping []int, procs int, stretch []float64) bool {
-	for _, sc := range g.cachedScenarios() {
-		if g.Makespan(mapping, procs, stretch, sc) > g.Deadline+1e-9 {
+	return g.feasible(mapping, procs, stretch, g.scratch(procs))
+}
+
+// scratch returns list-scheduler state for one caller: a finish time per
+// task, then a free time per processor.
+func (g *Graph) scratch(procs int) []float64 { return make([]float64, len(g.Tasks)+procs) }
+
+// feasible is Feasible over caller-owned scratch from g.scratch(procs),
+// so a DVS pass allocates it once for all its feasibility checks.
+func (g *Graph) feasible(mapping []int, procs int, stretch, buf []float64) bool {
+	s := g.scheduler()
+	if s.err != nil {
+		// Every scenario's makespan is the cycle sentinel.
+		return !(unschedulable > g.Deadline+1e-9)
+	}
+	for k := range s.plans {
+		if s.plans[k].makespan(g.Tasks, mapping, stretch, buf) > g.Deadline+1e-9 {
 			return false
 		}
 	}
@@ -357,11 +392,12 @@ func (g *Graph) DVS(mapping []int, procs int) ([]float64, error) {
 // cap as a fast fitness proxy.
 func (g *Graph) dvsBounded(mapping []int, procs int, maxRounds int) ([]float64, error) {
 	n := len(g.Tasks)
+	buf := g.scratch(procs)
 	stretch := make([]float64, n)
 	for i := range stretch {
 		stretch[i] = 1
 	}
-	if !g.Feasible(mapping, procs, stretch) {
+	if !g.feasible(mapping, procs, stretch, buf) {
 		return nil, fmt.Errorf("ctg: mapping misses the deadline even at nominal voltage")
 	}
 	// Global stretch: binary search the largest uniform factor.
@@ -371,7 +407,7 @@ func (g *Graph) dvsBounded(mapping []int, procs int, maxRounds int) ([]float64, 
 		for i := range stretch {
 			stretch[i] = mid
 		}
-		if g.Feasible(mapping, procs, stretch) {
+		if g.feasible(mapping, procs, stretch, buf) {
 			lo = mid
 		} else {
 			hi = mid
@@ -402,7 +438,7 @@ func (g *Graph) dvsBounded(mapping []int, procs int, maxRounds int) ([]float64, 
 		for _, i := range idx {
 			old := stretch[i]
 			stretch[i] = old * step
-			if g.Feasible(mapping, procs, stretch) {
+			if g.feasible(mapping, procs, stretch, buf) {
 				improved = true
 			} else {
 				stretch[i] = old

@@ -2,6 +2,7 @@ package ctg
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -157,6 +158,70 @@ func TestRandomCTGs(t *testing.T) {
 		}
 		if got, want := g.Energy(stretch), g.Energy(nil); got >= want {
 			t.Errorf("seed %d: DVS did not reduce energy (%.1f >= %.1f)", seed, got, want)
+		}
+	}
+}
+
+// TestScheduleConcurrent: Feasible and Makespan share only the graph's
+// read-only plans, so four goroutines hammering one fresh Graph (the
+// first calls race to build the plans) return exactly the sequential
+// results. Run it under -race.
+func TestScheduleConcurrent(t *testing.T) {
+	const procs = 3
+	seq := RandomCTG(11, 6, 4, 3, 1.4)
+	mappings := make([][]int, 8)
+	stretches := make([][]float64, len(mappings))
+	for k := range mappings {
+		mappings[k] = make([]int, len(seq.Tasks))
+		stretches[k] = make([]float64, len(seq.Tasks))
+		for i := range mappings[k] {
+			mappings[k][i] = (i*7 + k) % procs
+			stretches[k][i] = 1 + float64((i+k)%5)/4
+		}
+	}
+	type result struct {
+		feasible  bool
+		makespans []float64
+	}
+	run := func(g *Graph, k int) result {
+		res := result{feasible: g.Feasible(mappings[k], procs, stretches[k])}
+		for _, sc := range g.Scenarios() {
+			res.makespans = append(res.makespans, g.Makespan(mappings[k], procs, stretches[k], sc))
+		}
+		return res
+	}
+	want := make([]result, len(mappings))
+	for k := range mappings {
+		want[k] = run(seq, k)
+	}
+
+	shared := RandomCTG(11, 6, 4, 3, 1.4)
+	got := make([][]result, 4)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				for k := range mappings {
+					got[w] = append(got[w], run(shared, (k+w)%len(mappings)))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for idx, res := range got[w] {
+			k := (idx%len(mappings) + w) % len(mappings)
+			if res.feasible != want[k].feasible {
+				t.Fatalf("goroutine %d mapping %d: feasible %v, sequential %v", w, k, res.feasible, want[k].feasible)
+			}
+			for s := range res.makespans {
+				if math.Float64bits(res.makespans[s]) != math.Float64bits(want[k].makespans[s]) {
+					t.Fatalf("goroutine %d mapping %d scenario %d: makespan %v, sequential %v",
+						w, k, s, res.makespans[s], want[k].makespans[s])
+				}
+			}
 		}
 	}
 }

@@ -213,14 +213,26 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 	// Per-length model memos: the energy of one bank holding l blocks
 	// depends only on l — and each model term hides a math.Pow — so the
 	// O(n²·K) cost evaluations of the DP need just n model evaluations.
+	// Lengths whose bank sizes are equal form one size class and share
+	// all three terms; runLo[l] is the shortest length in l's class.
+	// Classes come from the integer sizes, never from comparing the
+	// float memos.
 	//lint:allow hotalloc O(n) setup amortised over the O(n²·K) DP below
 	memo := make([]energy.PJ, 3*(n+1))
 	readE, writeE, leakE := memo[:n+1], memo[n+1:2*(n+1)], memo[2*(n+1):]
+	//lint:allow hotalloc O(n) setup amortised over the O(n²·K) DP below
+	runLo := make([]int, n+1)
+	prevSize := uint32(0)
 	for l := 1; l <= n; l++ {
 		size := pow2Ceil(uint32(l) * spec.BlockSize)
 		readE[l] = m.ReadEnergy(size)
 		writeE[l] = m.WriteEnergy(size)
 		leakE[l] = m.Leakage(size, spec.Cycles)
+		runLo[l] = l
+		if size == prevSize {
+			runLo[l] = runLo[l-1]
+		}
+		prevSize = size
 	}
 
 	const inf = energy.PJ(1e30)
@@ -235,23 +247,68 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 		dp[i] = inf
 	}
 	dp[0] = 0
+	// blockMin[b] is the least entry of the previous DP row over the
+	// 64-aligned block of cut positions b<<6 .. b<<6+63.
+	//lint:allow hotalloc O(n) setup amortised over the O(n²·K) DP below
+	blockMin := make([]energy.PJ, n>>6+1)
 	for k := 1; k <= maxBanks; k++ {
 		prev, row := dp[(k-1)*stride:k*stride], dp[k*stride:(k+1)*stride]
 		cutRow := cut[k*stride : (k+1)*stride]
-		for j := 1; j <= n; j++ {
-			for i := k - 1; i < j; i++ {
-				if prev[i] >= inf {
-					continue
+		for b := range blockMin {
+			lo := b << 6
+			bm := prev[lo]
+			for _, v := range prev[lo:min(lo+64, stride)] {
+				if v < bm {
+					bm = v
 				}
-				// cost(i,j): energy of one bank holding blocks [i,j),
-				// including its leakage (select overhead depends on the
-				// final bank count and is added per k below).
-				c := prev[i] + readE[j-i]*energy.PJ(preR[j]-preR[i]) +
+			}
+			blockMin[b] = bm
+		}
+		for j := 1; j <= n; j++ {
+			// ub is the exact cost, in this column, of the previous
+			// column's cut: a candidate here too, so row[j] ends at or
+			// below it.
+			ub := inf
+			if row[j-1] < inf {
+				i := cutRow[j-1]
+				ub = prev[i] + readE[j-i]*energy.PJ(preR[j]-preR[i]) +
 					writeE[j-i]*energy.PJ(preW[j]-preW[i]) +
 					leakE[j-i]
-				if c < row[j] {
-					row[j] = c
-					cutRow[j] = i
+			}
+			for i := k - 1; i < j; {
+				// Candidates [i, end) share one size class and one
+				// 64-aligned block. Each term of their cost is
+				// non-negative and at least the matching term of lb,
+				// which takes the block's least prev and the counts of
+				// the shortest bank, [end-1, j). Rounding is monotone,
+				// so no candidate costs less than lb. lb has the same
+				// shape as the cost, so targets that fuse multiply-adds
+				// round both alike. When lb >= row[j] none beats the
+				// running minimum; when lb > ub none is the final one.
+				l := j - i
+				end := min(j-runLo[l]+1, (i|63)+1)
+				e := end - 1
+				lb := blockMin[i>>6] + readE[l]*energy.PJ(preR[j]-preR[e]) +
+					writeE[l]*energy.PJ(preW[j]-preW[e]) +
+					leakE[l]
+				if lb >= row[j] || lb > ub {
+					i = end
+					continue
+				}
+				for ; i < end; i++ {
+					if prev[i] >= inf {
+						continue
+					}
+					// cost(i,j): energy of one bank holding blocks [i,j),
+					// including its leakage (select overhead depends on
+					// the final bank count and is added per k below).
+					c := prev[i] + readE[j-i]*energy.PJ(preR[j]-preR[i]) +
+						writeE[j-i]*energy.PJ(preW[j]-preW[i]) +
+						leakE[j-i]
+					if c < row[j] {
+						row[j] = c
+						cutRow[j] = i
+					}
 				}
 			}
 		}

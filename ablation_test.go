@@ -7,11 +7,10 @@ import (
 	"lpmem/internal/cluster"
 	"lpmem/internal/compress"
 	"lpmem/internal/core"
-	"lpmem/internal/ctg"
 	"lpmem/internal/energy"
-	"lpmem/internal/noc"
 	"lpmem/internal/partition"
 	"lpmem/internal/stats"
+	"lpmem/internal/testutil"
 	"lpmem/internal/waycache"
 	"lpmem/internal/workloads"
 )
@@ -20,38 +19,12 @@ import (
 // DESIGN.md and logs the resulting curve once, so `go test -bench
 // Ablation -v` documents the sensitivity of every headline result.
 
-// BenchmarkAblationBankBudget sweeps the partitioner's bank budget (E1's
-// main hardware knob) on the listchase profile.
-func BenchmarkAblationBankBudget(b *testing.B) {
-	k, _ := workloads.ByName("listchase")
-	res := workloads.MustRun(k.Build(1))
-	spec, _, err := partition.SpecFromTrace(res.Trace, 64, res.Cycles)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := energy.DefaultMemoryModel()
-	for i := 0; i < b.N; i++ {
-		curve, err := partition.Tradeoff(spec, 12, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			tb := stats.NewTable("budget", "banks used", "energy")
-			for _, p := range curve {
-				tb.AddRow(p.MaxBanks, p.BanksUsed, float64(p.Energy))
-			}
-			knee := partition.Knee(curve, 0.02)
-			b.Logf("bank-budget tradeoff (listchase):\n%sknee at %d banks", tb.String(), knee.MaxBanks)
-		}
-	}
-}
-
 // BenchmarkAblationClusterAffinity sweeps the clustering affinity weight:
 // 0 is pure frequency ordering; large weights let cold blocks ride along
 // with hot partners and hurt the heat gradient.
 func BenchmarkAblationClusterAffinity(b *testing.B) {
 	k, _ := workloads.ByName("hashlookup")
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	for i := 0; i < b.N; i++ {
 		tb := stats.NewTable("affinity weight", "saving vs partitioned %")
 		for _, w := range []float64{0, 0.05, 0.5, 5, 50} {
@@ -73,7 +46,7 @@ func BenchmarkAblationClusterAffinity(b *testing.B) {
 // granularity.
 func BenchmarkAblationBlockSize(b *testing.B) {
 	k, _ := workloads.ByName("listchase")
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	for i := 0; i < b.N; i++ {
 		tb := stats.NewTable("block size", "saving vs partitioned %")
 		for _, bs := range []uint32{32, 64, 128, 256} {
@@ -94,7 +67,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 // BenchmarkAblationWDUSize sweeps the way-determination table size (E7).
 func BenchmarkAblationWDUSize(b *testing.B) {
 	k, _ := workloads.ByName("fir")
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	cfg := cache.Config{Sets: 16, Ways: 16, LineSize: 32, WriteBack: true, WriteAllocate: true}
 	cm := energy.DefaultCacheModel()
 	for i := 0; i < b.N; i++ {
@@ -112,63 +85,12 @@ func BenchmarkAblationWDUSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNoCMappers compares branch-and-bound against simulated
-// annealing on the MMS graph (E10).
-func BenchmarkAblationNoCMappers(b *testing.B) {
-	m := noc.DefaultMesh()
-	g := noc.MMSGraph()
-	adhoc := m.CommEnergy(g, noc.RowMajor(g.N))
-	for i := 0; i < b.N; i++ {
-		bnb, err := noc.MapBnB(m, g, 2_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sa, err := noc.MapAnneal(m, g, 1, 100_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			tb := stats.NewTable("mapper", "energy", "saving vs adhoc %", "nodes/iters")
-			tb.AddRow("adhoc", float64(adhoc), 0.0, 0)
-			tb.AddRow("anneal", float64(sa.Energy), stats.PercentSaving(float64(adhoc), float64(sa.Energy)), sa.Visited)
-			tb.AddRow("bnb", float64(bnb.Energy), stats.PercentSaving(float64(adhoc), float64(bnb.Energy)), bnb.Visited)
-			b.Logf("NoC mapper ablation (MMS):\n%s", tb.String())
-		}
-	}
-}
-
-// BenchmarkAblationDiscreteDVS quantifies the loss of a 4-point voltage
-// menu versus continuous scaling (E11).
-func BenchmarkAblationDiscreteDVS(b *testing.B) {
-	g := ctg.CruiseController()
-	const procs = 2
-	mapping := ctg.RoundRobin(len(g.Tasks), procs)
-	for i := 0; i < b.N; i++ {
-		cont, err := g.DVS(mapping, procs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		disc, err := g.DVSDiscrete(mapping, procs, ctg.DefaultLevels())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			nominal := g.Energy(nil)
-			tb := stats.NewTable("variant", "energy", "saving %")
-			tb.AddRow("nominal", nominal, 0.0)
-			tb.AddRow("discrete-4-levels", g.Energy(disc), stats.PercentSaving(nominal, g.Energy(disc)))
-			tb.AddRow("continuous", g.Energy(cont), stats.PercentSaving(nominal, g.Energy(cont)))
-			b.Logf("DVS discretization ablation:\n%s", tb.String())
-		}
-	}
-}
-
 // BenchmarkAblationLineSize sweeps the cache line size under the
 // differential compressor (E2): longer lines compress better per line but
 // move more speculative bytes.
 func BenchmarkAblationLineSize(b *testing.B) {
 	k, _ := workloads.ByName("adpcm")
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	for i := 0; i < b.N; i++ {
 		tb := stats.NewTable("line size", "boundary lines", "byte saving %")
 		for _, ls := range []int{16, 32, 64} {
@@ -190,7 +112,7 @@ func BenchmarkAblationLineSize(b *testing.B) {
 // partitioning the original.
 func BenchmarkAblationClusterVsIdentity(b *testing.B) {
 	k, _ := workloads.ByName("histogram")
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	m := energy.DefaultMemoryModel()
 	for i := 0; i < b.N; i++ {
 		data := res.Trace.Data()

@@ -3,7 +3,9 @@
 // the compiler cannot check: determinism of model code, completeness of
 // the experiment registry, float-comparison hygiene, panic-free library
 // code, error wrapping, allocation discipline in hot loops, lock and
-// goroutine hygiene, and request-bounded buffer sizing.
+// goroutine hygiene, request-bounded buffer sizing, and no exported
+// internal/ API that only tests use (testonly, which needs ./... from
+// the module root).
 //
 // Usage:
 //

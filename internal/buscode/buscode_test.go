@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lpmem/internal/testutil"
 	"lpmem/internal/trace"
 	"lpmem/internal/workloads"
 )
@@ -152,7 +153,7 @@ func TestChromaticBeatsRawOnNaturalImages(t *testing.T) {
 // instruction address stream of a real kernel.
 func TestEncodersOnRealFetchStream(t *testing.T) {
 	k, _ := workloads.ByName("fir")
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	var addrs []uint32
 	for _, a := range res.Trace.Accesses {
 		if a.Kind == trace.Fetch {
@@ -170,5 +171,60 @@ func TestEncodersOnRealFetchStream(t *testing.T) {
 	}
 	if bin.Transitions == 0 {
 		t.Fatal("binary baseline had no transitions")
+	}
+}
+
+func TestWordTransitions(t *testing.T) {
+	if got := Measure(&Binary{}, []uint32{0, 0xF}).Transitions; got != 4 {
+		t.Fatalf("transitions = %d, want 4", got)
+	}
+	if got := Measure(&Binary{}, []uint32{0xFFFFFFFF, 0xFFFFFFFF}).Transitions; got != 0 {
+		t.Fatalf("transitions = %d, want 0", got)
+	}
+}
+
+// TestCouplingCountsOppositeTogglesOnly: coupling requires adjacent lines
+// moving in opposite directions.
+func TestCouplingCountsOppositeTogglesOnly(t *testing.T) {
+	bus := &Binary{Width: 8}
+	// Lines 0 rises, line 1 falls: one coupling event.
+	if got := Measure(bus, []uint32{0b10, 0b01}).Couplings; got != 1 {
+		t.Fatalf("opposite toggle coupling = %d, want 1", got)
+	}
+	// Both rise: no coupling.
+	if got := Measure(bus, []uint32{0b00, 0b11}).Couplings; got != 0 {
+		t.Fatalf("same-direction coupling = %d, want 0", got)
+	}
+	// Far-apart toggles: no coupling.
+	if got := Measure(bus, []uint32{0b1, 0b10000000}).Couplings; got != 0 {
+		t.Fatalf("distant toggle coupling = %d, want 0", got)
+	}
+}
+
+// TestMeasureAdditive: on a stateless code, the activity of a
+// concatenated sequence equals the sum over its windows (with shared
+// boundary words).
+func TestMeasureAdditive(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		words := make([]uint32, 20)
+		for i := range words {
+			words[i] = r.Uint32()
+		}
+		whole := Measure(&Binary{}, words)
+		a, b := Measure(&Binary{}, words[:10]), Measure(&Binary{}, words[9:])
+		return whole.Transitions == a.Transitions+b.Transitions && whole.Couplings == a.Couplings+b.Couplings
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestMeasureEmpty(t *testing.T) {
+	if m := Measure(&Binary{}, nil); m.Transitions != 0 || m.Couplings != 0 {
+		t.Fatal("empty sequence has no activity")
+	}
+	if m := Measure(&Binary{}, []uint32{5}); m.Transitions != 0 || m.Couplings != 0 {
+		t.Fatal("single word has zero transitions")
 	}
 }

@@ -78,7 +78,9 @@ func (c *Chromatic) Encode(dst []uint64, word uint32) []uint64 {
 	return c.EncodePixel(dst, RGB{R: uint8(word), G: uint8(word >> 8), B: uint8(word >> 16)})
 }
 
-// DecodePixel inverts EncodePixel given a pattern (for correctness tests).
+// DecodePixel inverts EncodePixel given a pattern.
+//
+//lint:allow testonly verification oracle: TestChromaticRoundTrip proves the chromatic code lossless by decoding through it
 func DecodePixel(pat uint64) RGB {
 	inv := func(g uint8) uint8 {
 		// Inverse Gray.

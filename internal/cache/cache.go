@@ -217,9 +217,6 @@ func MustNew(cfg Config, backing Backing) *Cache {
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

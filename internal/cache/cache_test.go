@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lpmem/internal/testutil"
 	"lpmem/internal/trace"
 	"lpmem/internal/workloads"
 )
@@ -181,7 +182,7 @@ func TestCacheCoherentWithBacking(t *testing.T) {
 // workload trace: a bigger cache must not have a lower hit rate.
 func TestHitRateImprovesWithSize(t *testing.T) {
 	k, _ := workloads.ByName("matmul")
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	prev := -1.0
 	for _, sets := range []int{4, 16, 64} {
 		c := MustNew(Config{Sets: sets, Ways: 2, LineSize: 16, WriteBack: true, WriteAllocate: true}, nil)

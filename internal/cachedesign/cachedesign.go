@@ -18,7 +18,6 @@ package cachedesign
 
 import (
 	"fmt"
-	"sort"
 
 	"lpmem/internal/cache"
 	"lpmem/internal/trace"
@@ -162,36 +161,4 @@ func (e *Explorer) Direct(space Space, targetMissRate float64) (*Candidate, erro
 		return nil, fmt.Errorf("cachedesign: no configuration meets miss rate %.4f", targetMissRate)
 	}
 	return best, nil
-}
-
-// Pareto returns the miss-rate/size Pareto frontier of the space (by
-// exhaustive evaluation), smallest size first — the paper-style design
-// space picture.
-func (e *Explorer) Pareto(space Space) ([]Candidate, error) {
-	var all []Candidate
-	for _, ways := range space.Ways {
-		for sets := space.MinSets; sets <= space.MaxSets; sets <<= 1 {
-			cfg := space.config(sets, ways)
-			mr, err := e.simulate(cfg)
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, Candidate{Config: cfg, MissRate: mr})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].SizeBytes() != all[j].SizeBytes() {
-			return all[i].SizeBytes() < all[j].SizeBytes()
-		}
-		return all[i].MissRate < all[j].MissRate
-	})
-	var frontier []Candidate
-	bestMR := 2.0
-	for _, c := range all {
-		if c.MissRate < bestMR {
-			frontier = append(frontier, c)
-			bestMR = c.MissRate
-		}
-	}
-	return frontier, nil
 }

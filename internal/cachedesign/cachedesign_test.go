@@ -3,6 +3,7 @@ package cachedesign
 import (
 	"testing"
 
+	"lpmem/internal/testutil"
 	"lpmem/internal/workloads"
 )
 
@@ -12,7 +13,7 @@ func explorerFor(t *testing.T, kernel string) *Explorer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	return NewExplorer(res.Trace)
 }
 
@@ -76,26 +77,5 @@ func TestImpossibleTarget(t *testing.T) {
 	}
 	if _, err := e.Direct(space, 0.000001); err == nil {
 		t.Fatal("impossible target must error (direct)")
-	}
-}
-
-// TestParetoFrontierIsMonotone: along the frontier, size grows and miss
-// rate falls.
-func TestParetoFrontierIsMonotone(t *testing.T) {
-	e := explorerFor(t, "histogram")
-	frontier, err := e.Pareto(DefaultSpace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frontier) < 2 {
-		t.Fatalf("frontier too small: %d", len(frontier))
-	}
-	for i := 1; i < len(frontier); i++ {
-		if frontier[i].SizeBytes() < frontier[i-1].SizeBytes() {
-			t.Fatal("frontier sizes not ascending")
-		}
-		if frontier[i].MissRate >= frontier[i-1].MissRate {
-			t.Fatal("frontier miss rates not descending")
-		}
 	}
 }

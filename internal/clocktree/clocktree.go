@@ -132,35 +132,6 @@ func (t *Tree) Uncertainty(pairs []CritPair) (float64, error) {
 	return total, nil
 }
 
-// TotalWire returns the summed wire length of the tree embedding.
-func (t *Tree) TotalWire() float64 {
-	var walk func(n *Node) float64
-	walk = func(n *Node) float64 {
-		if n == nil || n.Sink >= 0 {
-			return 0
-		}
-		sum := walk(n.Left) + walk(n.Right)
-		sum += wireLen(n.X, n.Y, childX(n.Left, t), childY(n.Left, t))
-		sum += wireLen(n.X, n.Y, childX(n.Right, t), childY(n.Right, t))
-		return sum
-	}
-	return walk(t.Root)
-}
-
-func childX(n *Node, t *Tree) float64 {
-	if n.Sink >= 0 {
-		return t.Sinks[n.Sink].X
-	}
-	return n.X
-}
-
-func childY(n *Node, t *Tree) float64 {
-	if n.Sink >= 0 {
-		return t.Sinks[n.Sink].Y
-	}
-	return n.Y
-}
-
 // BuildGeometric builds the classic uncertainty-blind topology: recursive
 // balanced bipartition along the longer spatial dimension (the method of
 // means and medians).

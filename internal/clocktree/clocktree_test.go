@@ -124,14 +124,3 @@ func TestUncommonLengthProperties(t *testing.T) {
 		t.Fatal("unknown sink must error")
 	}
 }
-
-// TestTotalWirePositive sanity.
-func TestTotalWirePositive(t *testing.T) {
-	tree, err := BuildGeometric(grid16())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.TotalWire() <= 0 {
-		t.Fatal("total wire must be positive")
-	}
-}

@@ -163,25 +163,3 @@ func setTag(tags []byte, idx int, tag byte) {
 func getTag(tags []byte, idx int) byte {
 	return tags[idx/4] >> uint((idx%4)*2) & 3
 }
-
-// Ratio returns compressed size / original size for a line under a codec.
-func Ratio(c Codec, line []byte) float64 {
-	return float64(len(c.Compress(line))) / float64(len(line))
-}
-
-// Null is a pass-through codec used as the no-compression baseline.
-type Null struct{}
-
-// Name returns "null".
-func (Null) Name() string { return "null" }
-
-// Compress returns a copy of the line.
-func (Null) Compress(line []byte) []byte { return append([]byte(nil), line...) }
-
-// Decompress returns a copy of the encoding.
-func (Null) Decompress(enc []byte, lineSize int) ([]byte, error) {
-	if len(enc) != lineSize {
-		return nil, fmt.Errorf("compress: null codec length mismatch %d != %d", len(enc), lineSize)
-	}
-	return append([]byte(nil), enc...), nil
-}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"lpmem/internal/cache"
+	"lpmem/internal/testutil"
 	"lpmem/internal/workloads"
 )
 
@@ -78,7 +79,7 @@ func TestSmoothDataCompressesWell(t *testing.T) {
 		v += int32(r.Intn(100) - 50)
 		binary.LittleEndian.PutUint32(line[i*4:], uint32(v))
 	}
-	if got := Ratio(d, line); got > 0.5 {
+	if got := float64(len(d.Compress(line))) / float64(len(line)); got > 0.5 {
 		t.Errorf("smooth line ratio = %.2f, want <= 0.5", got)
 	}
 }
@@ -114,22 +115,6 @@ func TestDecompressErrors(t *testing.T) {
 	}
 }
 
-func TestNullCodec(t *testing.T) {
-	n := Null{}
-	line := []byte{1, 2, 3, 4}
-	enc := n.Compress(line)
-	if !bytes.Equal(enc, line) {
-		t.Fatal("null compress must copy")
-	}
-	dec, err := n.Decompress(enc, 4)
-	if err != nil || !bytes.Equal(dec, line) {
-		t.Fatalf("null decompress: %v", err)
-	}
-	if _, err := n.Decompress(enc, 8); err == nil {
-		t.Error("length mismatch must error")
-	}
-}
-
 // TestMeasureTrafficOnKernels: every kernel's boundary traffic must
 // compress at least a little, and the accounting must be self-consistent.
 func TestMeasureTrafficOnKernels(t *testing.T) {
@@ -139,7 +124,7 @@ func TestMeasureTrafficOnKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := workloads.MustRun(k.Build(1))
+		res := testutil.MustRun(k.Build(1))
 		tr, stats, err := MeasureTraffic(res.Trace, cfg, Differential{})
 		if err != nil {
 			t.Fatal(err)

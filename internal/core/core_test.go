@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"lpmem/internal/testutil"
 	"lpmem/internal/trace"
 	"lpmem/internal/workloads"
 )
@@ -48,7 +49,7 @@ func TestOptimizeOnKernels(t *testing.T) {
 	for _, k := range workloads.All() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			res := workloads.MustRun(k.Build(1))
+			res := testutil.MustRun(k.Build(1))
 			rep, err := Optimize(res.Trace, res.Cycles, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"lpmem/internal/testutil"
 	"lpmem/internal/trace"
 	"lpmem/internal/workloads"
 )
@@ -24,7 +25,7 @@ func TestCompositeAppTuning(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := workloads.MustRun(k.Build(1))
+			res := testutil.MustRun(k.Build(1))
 			for _, a := range res.Trace.Accesses {
 				merged.Append(a)
 			}

@@ -1,7 +1,5 @@
 package ctg
 
-import "math/rand"
-
 // CruiseController returns a hand-crafted conditional task graph in the
 // style of the paper's real-life example: a vehicle cruise-control
 // application where one branch (obstacle detected) triggers a braking
@@ -44,45 +42,4 @@ func CruiseController() *Graph {
 		CondProb: []float64{0.3, 0.5},
 		Deadline: 90,
 	}
-}
-
-// RandomCTG generates a layered conditional task graph for ablation
-// studies: layers of tasks with edges to the previous layer, a fraction of
-// tasks guarded by one of nConds conditions.
-func RandomCTG(seed int64, layers, perLayer, nConds int, deadlineSlack float64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := &Graph{}
-	for v := 0; v < nConds; v++ {
-		g.CondProb = append(g.CondProb, 0.2+0.6*rng.Float64())
-	}
-	totalWCET := 0.0
-	for l := 0; l < layers; l++ {
-		for k := 0; k < perLayer; k++ {
-			id := len(g.Tasks)
-			t := Task{
-				Name:  "t",
-				WCET:  2 + float64(rng.Intn(12)),
-				Power: 1 + 2*rng.Float64(),
-				Guard: Guard{Var: NoCond},
-			}
-			if nConds > 0 && rng.Float64() < 0.4 {
-				t.Guard = Guard{Var: rng.Intn(nConds), Val: rng.Intn(2) == 0}
-			}
-			totalWCET += t.WCET
-			g.Tasks = append(g.Tasks, t)
-			var deps []int
-			if l > 0 {
-				prevStart := (l - 1) * perLayer
-				for d := 0; d < 1+rng.Intn(2); d++ {
-					deps = append(deps, prevStart+rng.Intn(perLayer))
-				}
-			}
-			g.Deps = append(g.Deps, deps)
-			_ = id
-		}
-	}
-	// Deadline: serial WCET / layers gives a rough parallel makespan;
-	// multiply by the requested slack factor.
-	g.Deadline = totalWCET / float64(perLayer) * deadlineSlack
-	return g
 }

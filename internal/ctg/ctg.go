@@ -67,7 +67,7 @@ type Graph struct {
 
 // sched holds the mapping-independent scheduling invariants of a graph,
 // including the list scheduler's pick order for every scenario. It is
-// read-only once built, so concurrent Makespan and Feasible calls share
+// read-only once built, so concurrent Makespan and feasible calls share
 // it without locking; their scratch state is per call.
 type sched struct {
 	prio      []float64
@@ -324,17 +324,13 @@ func (g *Graph) Makespan(mapping []int, procs int, stretch []float64, sc Scenari
 	return p.makespan(g.Tasks, mapping, stretch, g.scratch(procs))
 }
 
-// Feasible reports whether all scenarios meet the deadline.
-func (g *Graph) Feasible(mapping []int, procs int, stretch []float64) bool {
-	return g.feasible(mapping, procs, stretch, g.scratch(procs))
-}
-
 // scratch returns list-scheduler state for one caller: a finish time per
 // task, then a free time per processor.
 func (g *Graph) scratch(procs int) []float64 { return make([]float64, len(g.Tasks)+procs) }
 
-// feasible is Feasible over caller-owned scratch from g.scratch(procs),
-// so a DVS pass allocates it once for all its feasibility checks.
+// feasible reports whether all scenarios meet the deadline, over
+// caller-owned scratch from g.scratch(procs), so a DVS pass allocates it
+// once for all its feasibility checks.
 func (g *Graph) feasible(mapping []int, procs int, stretch, buf []float64) bool {
 	s := g.scheduler()
 	if s.err != nil {

@@ -2,6 +2,7 @@ package ctg
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -92,7 +93,7 @@ func TestDVSSavesEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Feasible(mapping, procs, stretch) {
+	if !g.feasible(mapping, procs, stretch, g.scratch(procs)) {
 		t.Fatal("DVS result must be feasible in all scenarios")
 	}
 	dvsE := g.Energy(stretch)
@@ -127,7 +128,7 @@ func TestGAMappingBeatsDVSAlone(t *testing.T) {
 	if res.Energy > dvsOnly+1e-9 {
 		t.Errorf("GA mapping (%.1f) must not be worse than round-robin (%.1f)", res.Energy, dvsOnly)
 	}
-	if !g.Feasible(res.Mapping, procs, res.Stretch) {
+	if !g.feasible(res.Mapping, procs, res.Stretch, g.scratch(procs)) {
 		t.Error("GA result must be feasible")
 	}
 }
@@ -145,7 +146,7 @@ func TestInfeasibleDeadline(t *testing.T) {
 // TestRandomCTGs: DVS is feasible and saves energy across random graphs.
 func TestRandomCTGs(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		g := RandomCTG(seed, 4, 4, 2, 2.0)
+		g := randomCTG(seed, 4, 4, 2, 2.0)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -162,13 +163,13 @@ func TestRandomCTGs(t *testing.T) {
 	}
 }
 
-// TestScheduleConcurrent: Feasible and Makespan share only the graph's
+// TestScheduleConcurrent: feasible and Makespan share only the graph's
 // read-only plans, so four goroutines hammering one fresh Graph (the
 // first calls race to build the plans) return exactly the sequential
 // results. Run it under -race.
 func TestScheduleConcurrent(t *testing.T) {
 	const procs = 3
-	seq := RandomCTG(11, 6, 4, 3, 1.4)
+	seq := randomCTG(11, 6, 4, 3, 1.4)
 	mappings := make([][]int, 8)
 	stretches := make([][]float64, len(mappings))
 	for k := range mappings {
@@ -184,7 +185,7 @@ func TestScheduleConcurrent(t *testing.T) {
 		makespans []float64
 	}
 	run := func(g *Graph, k int) result {
-		res := result{feasible: g.Feasible(mappings[k], procs, stretches[k])}
+		res := result{feasible: g.feasible(mappings[k], procs, stretches[k], g.scratch(procs))}
 		for _, sc := range g.Scenarios() {
 			res.makespans = append(res.makespans, g.Makespan(mappings[k], procs, stretches[k], sc))
 		}
@@ -195,7 +196,7 @@ func TestScheduleConcurrent(t *testing.T) {
 		want[k] = run(seq, k)
 	}
 
-	shared := RandomCTG(11, 6, 4, 3, 1.4)
+	shared := randomCTG(11, 6, 4, 3, 1.4)
 	got := make([][]result, 4)
 	var wg sync.WaitGroup
 	for w := range got {
@@ -224,4 +225,43 @@ func TestScheduleConcurrent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomCTG generates a layered conditional task graph for the
+// randomized tests: layers of tasks with edges to the previous layer, a
+// fraction of tasks guarded by one of nConds conditions.
+func randomCTG(seed int64, layers, perLayer, nConds int, deadlineSlack float64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := &Graph{}
+	for v := 0; v < nConds; v++ {
+		g.CondProb = append(g.CondProb, 0.2+0.6*rng.Float64())
+	}
+	totalWCET := 0.0
+	for l := 0; l < layers; l++ {
+		for k := 0; k < perLayer; k++ {
+			t := Task{
+				Name:  "t",
+				WCET:  2 + float64(rng.Intn(12)),
+				Power: 1 + 2*rng.Float64(),
+				Guard: Guard{Var: NoCond},
+			}
+			if nConds > 0 && rng.Float64() < 0.4 {
+				t.Guard = Guard{Var: rng.Intn(nConds), Val: rng.Intn(2) == 0}
+			}
+			totalWCET += t.WCET
+			g.Tasks = append(g.Tasks, t)
+			var deps []int
+			if l > 0 {
+				prevStart := (l - 1) * perLayer
+				for d := 0; d < 1+rng.Intn(2); d++ {
+					deps = append(deps, prevStart+rng.Intn(perLayer))
+				}
+			}
+			g.Deps = append(g.Deps, deps)
+		}
+	}
+	// Deadline: serial WCET / layers gives a rough parallel makespan;
+	// multiply by the requested slack factor.
+	g.Deadline = totalWCET / float64(perLayer) * deadlineSlack
+	return g
 }

@@ -77,7 +77,7 @@ func refMakespan(g *Graph, mapping []int, procs int, stretch []float64, sc Scena
 	return max
 }
 
-// refFeasible is Feasible over refMakespan.
+// refFeasible is feasible over refMakespan.
 func refFeasible(g *Graph, mapping []int, procs int, stretch []float64) bool {
 	for _, sc := range g.Scenarios() {
 		if refMakespan(g, mapping, procs, stretch, sc) > g.Deadline+1e-9 {
@@ -136,10 +136,10 @@ func randomStretch(r *rand.Rand, n int) []float64 {
 
 // TestMakespanMatchesReference: the plan-based scheduler returns the
 // reference makespan bit for bit in every scenario, on graphs with tied
-// priorities, 1 to 4 processors and random stretches. Feasible, and
-// feasible over scratch reused across calls as a DVS pass reuses it,
-// agree with the reference at deadlines on both sides of each worst
-// case.
+// priorities, 1 to 4 processors and random stretches. feasible, over
+// fresh scratch and over scratch reused across calls as a DVS pass
+// reuses it, agrees with the reference at deadlines on both sides of
+// each worst case.
 func TestMakespanMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 400; trial++ {
@@ -168,8 +168,8 @@ func TestMakespanMatchesReference(t *testing.T) {
 			for _, dl := range []float64{worst, worst - 0.5, worst + 1e-10, worst - 2e-9} {
 				g.Deadline = dl
 				want := refFeasible(g, mapping, procs, stretch)
-				if got := g.Feasible(mapping, procs, stretch); got != want {
-					t.Fatalf("trial %d deadline %v: Feasible %v, reference %v", trial, dl, got, want)
+				if got := g.feasible(mapping, procs, stretch, g.scratch(procs)); got != want {
+					t.Fatalf("trial %d deadline %v: feasible %v, reference %v", trial, dl, got, want)
 				}
 				if got := g.feasible(mapping, procs, stretch, buf); got != want {
 					t.Fatalf("trial %d deadline %v: feasible with reused scratch %v, reference %v", trial, dl, got, want)

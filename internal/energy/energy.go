@@ -159,49 +159,6 @@ func (b BusModel) TransitionEnergy(n uint64) PJ {
 	return b.PerTransition * PJ(n)
 }
 
-// WordTransitions counts the toggled bits between two consecutive bus words.
-func WordTransitions(prev, cur uint32) int {
-	return bits.OnesCount32(prev ^ cur)
-}
-
-// CouplingTransitions counts opposite-direction toggles on adjacent lines
-// between two consecutive words on a width-bit bus: for each adjacent pair
-// (i, i+1), a coupling event occurs when one line rises while the other
-// falls. These cost extra energy via BusModel.CouplingFactor.
-func CouplingTransitions(prev, cur uint32, width int) int {
-	rise := ^prev & cur
-	fall := prev & ^cur
-	count := 0
-	for i := 0; i < width-1; i++ {
-		a := (rise>>uint(i))&1 == 1
-		b := (fall>>uint(i+1))&1 == 1
-		c := (fall>>uint(i))&1 == 1
-		d := (rise>>uint(i+1))&1 == 1
-		if (a && b) || (c && d) {
-			count++
-		}
-	}
-	return count
-}
-
-// SequenceEnergy returns the total bus energy of driving the word sequence
-// over a width-bit bus, including coupling if enabled.
-func (b BusModel) SequenceEnergy(words []uint32, width int) PJ {
-	if len(words) == 0 {
-		return 0
-	}
-	var self, coup uint64
-	prev := words[0]
-	for _, w := range words[1:] {
-		self += uint64(WordTransitions(prev, w))
-		if b.CouplingFactor > 0 {
-			coup += uint64(CouplingTransitions(prev, w, width))
-		}
-		prev = w
-	}
-	return b.PerTransition * (PJ(self) + PJ(b.CouplingFactor)*PJ(coup))
-}
-
 // CacheModel gives per-component energies for a set-associative cache.
 // A conventional N-way access reads all N tag and data ways in parallel;
 // way-determination (DATE'03 10E.4) reduces that to one way.

@@ -1,10 +1,6 @@
 package energy
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 // TestReadEnergyMonotone: bigger SRAMs must cost more per access, for any
 // reasonable model.
@@ -47,68 +43,6 @@ func TestSelectEnergy(t *testing.T) {
 	}
 	if m.SelectEnergy(16) <= m.SelectEnergy(2) {
 		t.Error("select energy must grow with bank count")
-	}
-}
-
-func TestWordTransitions(t *testing.T) {
-	if got := WordTransitions(0, 0xF); got != 4 {
-		t.Fatalf("transitions = %d, want 4", got)
-	}
-	if got := WordTransitions(0xFFFFFFFF, 0xFFFFFFFF); got != 0 {
-		t.Fatalf("transitions = %d, want 0", got)
-	}
-}
-
-// TestCouplingCountsOppositeTogglesOnly: coupling requires adjacent lines
-// moving in opposite directions.
-func TestCouplingCountsOppositeTogglesOnly(t *testing.T) {
-	// Lines 0 rises, line 1 falls: one coupling event.
-	if got := CouplingTransitions(0b10, 0b01, 8); got != 1 {
-		t.Fatalf("opposite toggle coupling = %d, want 1", got)
-	}
-	// Both rise: no coupling.
-	if got := CouplingTransitions(0b00, 0b11, 8); got != 0 {
-		t.Fatalf("same-direction coupling = %d, want 0", got)
-	}
-	// Far-apart toggles: no coupling.
-	if got := CouplingTransitions(0b1, 0b10000000, 8); got != 0 {
-		t.Fatalf("distant toggle coupling = %d, want 0", got)
-	}
-}
-
-// TestSequenceEnergyAdditive: energy of a concatenated sequence equals the
-// sum over its windows (with shared boundary words).
-func TestSequenceEnergyAdditive(t *testing.T) {
-	b := DefaultBusModel()
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		words := make([]uint32, 20)
-		for i := range words {
-			words[i] = r.Uint32()
-		}
-		whole := b.SequenceEnergy(words, 32)
-		parts := b.SequenceEnergy(words[:10], 32) + b.SequenceEnergy(words[9:], 32)
-		return abs(float64(whole-parts)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func TestSequenceEnergyEmpty(t *testing.T) {
-	b := DefaultBusModel()
-	if b.SequenceEnergy(nil, 32) != 0 {
-		t.Fatal("empty sequence has zero energy")
-	}
-	if b.SequenceEnergy([]uint32{5}, 32) != 0 {
-		t.Fatal("single word has zero transitions")
 	}
 }
 

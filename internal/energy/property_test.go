@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"lpmem/internal/energy"
-	"lpmem/internal/faultinject"
+	"lpmem/internal/testutil"
 )
 
 // TestMemoryModelMonotoneProperty checks the invariant every experiment
@@ -17,7 +17,7 @@ import (
 func TestMemoryModelMonotoneProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 500; trial++ {
-		m := faultinject.PerturbModel(energy.DefaultMemoryModel(), r)
+		m := testutil.PerturbModel(energy.DefaultMemoryModel(), r)
 		// Random size pair with small <= big, spanning 1B..1GiB.
 		e1 := r.Intn(24)
 		e2 := e1 + r.Intn(31-e1)
@@ -53,7 +53,7 @@ func TestMemoryModelMonotoneProperty(t *testing.T) {
 func TestSelectEnergyMonotoneInBanks(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		m := faultinject.PerturbModel(energy.DefaultMemoryModel(), r)
+		m := testutil.PerturbModel(energy.DefaultMemoryModel(), r)
 		if got := m.SelectEnergy(1); got != 0 {
 			t.Fatalf("monolithic select energy %v, want 0", got)
 		}

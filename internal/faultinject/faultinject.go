@@ -7,12 +7,6 @@
 // replayable: every decision is derived from (plan seed, job key), never
 // from execution order, so two runs with the same plan place identical
 // faults no matter how the scheduler interleaves jobs.
-//
-// The package also wraps two substrates the experiments depend on: a
-// corrupting io.Reader for the trace text format (bit flips, truncation,
-// injected I/O errors) and a seeded perturbation of the energy model
-// (random but still monotone parameters), both used by the property and
-// fuzz sweeps.
 package faultinject
 
 import (
@@ -20,15 +14,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"lpmem/internal/energy"
 	"lpmem/internal/stats"
 )
 
@@ -182,9 +173,6 @@ func New(plan Plan) *Injector {
 	return &Injector{plan: plan, attempts: make(map[string]int)}
 }
 
-// Plan returns the normalised plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // rng derives a PRNG from the plan seed and a label, so decisions depend
 // only on (seed, label) and never on scheduling order.
 func (in *Injector) rng(label string) *rand.Rand {
@@ -205,16 +193,6 @@ func (in *Injector) Decide(key string) Decision {
 	// Keep delays strictly positive so a Delay decision always sleeps.
 	delay := time.Duration(1 + r.Int63n(int64(in.plan.MaxDelay)))
 	return Decision{Kind: kind, Delay: delay}
-}
-
-// Placements maps every key to its decided fault name; chaos harnesses
-// compare two runs' placements to assert determinism.
-func (in *Injector) Placements(keys []string) map[string]string {
-	out := make(map[string]string, len(keys))
-	for _, k := range keys {
-		out[k] = in.Decide(k).Kind.String()
-	}
-	return out
 }
 
 // begin records one attempt of key and returns its 1-based number.
@@ -259,17 +237,6 @@ func (in *Injector) Counts() map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// TotalInjected returns the total number of injected fault executions.
-func (in *Injector) TotalInjected() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var n uint64
-	for k := Kind(1); k < numKinds; k++ {
-		n += in.counts[k]
-	}
-	return n
 }
 
 // sleep waits for d or until ctx is done, reporting which happened.
@@ -356,67 +323,6 @@ func CorruptTableCell(t *stats.Table, r *rand.Rand) bool {
 	return true
 }
 
-// PerturbModel returns a copy of m with every parameter scaled by an
-// independent seeded factor in [0.5, 2). The result is still a valid,
-// monotone energy model, which is exactly what the property sweep needs:
-// the invariants under test must hold for the whole family, not just the
-// default calibration.
-func PerturbModel(m energy.MemoryModel, r *rand.Rand) energy.MemoryModel {
-	scale := func() float64 { return 0.5 + 1.5*r.Float64() }
-	m.ReadE0 *= energy.PJ(scale())
-	m.WriteE0 *= energy.PJ(scale())
-	m.KSize *= energy.PJ(scale())
-	// Keep the exponent in a physically plausible monotone band.
-	m.SizeExp = 0.4 + 0.5*r.Float64()
-	m.WritePenalty = 1 + r.Float64()
-	m.LeakPerByteCycle *= energy.PJ(scale())
-	m.DecoderE *= energy.PJ(scale())
-	return m
-}
-
-// Reader wraps an io.Reader with deterministic stream corruption: bit
-// flips at the plan rate, plus (rarely) truncation surfaced as an
-// injected I/O error. It exercises text-format parsers (trace.ReadText)
-// against exactly the garbage a crash-interrupted write would leave.
-type Reader struct {
-	r    io.Reader
-	rng  *rand.Rand
-	rate float64
-	// failAfter counts down to an injected error; <0 disables.
-	failAfter int64
-}
-
-// NewReader wraps r with seeded corruption. rate is the per-byte bit-flip
-// probability in [0,1]. With probability ~1/4 the stream also fails
-// partway through with ErrInjected wrapped in an *io.ErrUnexpectedEOF-like
-// error, at a seeded offset.
-func NewReader(r io.Reader, seed int64, rate float64) *Reader {
-	rng := rand.New(rand.NewSource(seed))
-	failAfter := int64(-1)
-	if rng.Float64() < 0.25 {
-		failAfter = rng.Int63n(4096)
-	}
-	return &Reader{r: r, rng: rng, rate: rate, failAfter: failAfter}
-}
-
-// Read reads from the wrapped reader, flipping bits and possibly cutting
-// the stream short.
-func (cr *Reader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	for i := 0; i < n; i++ {
-		if cr.failAfter == 0 {
-			return i, fmt.Errorf("%w: stream truncated by fault plan", ErrInjected)
-		}
-		if cr.failAfter > 0 {
-			cr.failAfter--
-		}
-		if cr.rng.Float64() < cr.rate {
-			p[i] ^= 1 << uint(cr.rng.Intn(8))
-		}
-	}
-	return n, err
-}
-
 // GoroutineDelta runs fn and returns how many goroutines outlived it
 // after a settle loop of up to wait. The chaos harness uses it to assert
 // the engine leaks nothing across a faulted sweep; the settle loop exists
@@ -432,15 +338,4 @@ func GoroutineDelta(wait time.Duration, fn func()) int {
 		now = runtime.NumGoroutine()
 	}
 	return now - before
-}
-
-// SortedKeys returns the keys of a placements map in stable order, a
-// convenience for rendering chaos reports deterministically.
-func SortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"lpmem/internal/energy"
 	"lpmem/internal/stats"
 )
 
@@ -23,7 +21,10 @@ func TestDecideDeterminism(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("E%d", i)
 	}
-	pa := a.Placements(keys)
+	pa := make(map[string]string, len(keys))
+	for _, k := range keys {
+		pa[k] = a.Decide(k).Kind.String()
+	}
 	// Query b in reverse order to prove order independence.
 	for i := len(keys) - 1; i >= 0; i-- {
 		if got := b.Decide(keys[i]).Kind.String(); got != pa[keys[i]] {
@@ -202,51 +203,4 @@ func TestCorruptTableCell(t *testing.T) {
 	if CorruptTableCell(nil, rand.New(rand.NewSource(9))) {
 		t.Fatal("nil table reported a corrupted cell")
 	}
-}
-
-// TestPerturbModelMonotone: perturbed models keep positive parameters, so
-// energies stay positive and size-monotone.
-func TestPerturbModelMonotone(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		m := PerturbModel(energy.DefaultMemoryModel(), r)
-		prev := energy.PJ(-1)
-		for _, size := range []uint32{64, 256, 1024, 65536} {
-			e := m.ReadEnergy(size)
-			if e <= 0 || e < prev {
-				t.Fatalf("iter %d: ReadEnergy(%d) = %v not monotone positive", i, size, e)
-			}
-			prev = e
-		}
-	}
-}
-
-// TestReaderDeterminism: the same seed corrupts a stream identically;
-// rate 0 with no failure point leaves it intact.
-func TestReaderDeterminism(t *testing.T) {
-	src := bytes.Repeat([]byte("R 10 4 ff\n"), 200)
-	read := func(seed int64, rate float64) ([]byte, error) {
-		var out bytes.Buffer
-		_, err := out.ReadFrom(NewReader(bytes.NewReader(src), seed, rate))
-		return out.Bytes(), err
-	}
-	a, errA := read(11, 0.05)
-	b, errB := read(11, 0.05)
-	if !bytes.Equal(a, b) || fmt.Sprint(errA) != fmt.Sprint(errB) {
-		t.Fatal("same seed produced different corruption")
-	}
-	if bytes.Equal(a, src) && errA == nil {
-		t.Fatal("corruption had no observable effect at rate 0.05")
-	}
-	// Find a seed whose plan has no truncation point for the clean case.
-	for seed := int64(1); seed < 20; seed++ {
-		c, err := read(seed, 0)
-		if err == nil {
-			if !bytes.Equal(c, src) {
-				t.Fatal("rate 0 altered the stream")
-			}
-			return
-		}
-	}
-	t.Fatal("no truncation-free seed found in 1..19")
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lpmem/internal/energy"
+	"lpmem/internal/testutil"
 	"lpmem/internal/trace"
 	"lpmem/internal/workloads"
 )
@@ -21,7 +22,7 @@ func mergeKernels(t *testing.T, names ...string) (*trace.Trace, []Region) {
 			t.Fatal(err)
 		}
 		inst := k.Build(1)
-		res := workloads.MustRun(inst)
+		res := testutil.MustRun(inst)
 		for _, a := range res.Trace.Accesses {
 			merged.Append(a)
 		}

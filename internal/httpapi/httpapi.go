@@ -67,6 +67,8 @@ func WithRequestTimeout(d time.Duration) Option {
 // WithExperiments overrides the served registry. Fault-injection tests
 // use it to expose deliberately broken experiments; production callers
 // serve the default full registry.
+//
+//lint:allow testonly the benchmark module (benchmark/serve.go) serves its timed registry through it, and the loader does not walk nested modules
 func WithExperiments(exps []lpmem.Experiment) Option {
 	return func(s *Server) { s.exps = exps }
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,15 +122,23 @@ func TestAllFailedBatch(t *testing.T) {
 }
 
 // TestHealthzDegraded: open breakers flip /healthz to 503 "degraded"
-// listing the cooling experiments; closing them restores "ok".
+// listing the cooling experiments; a successful probe after the cooldown
+// closes the breaker and restores "ok".
 func TestHealthzDegraded(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
+	const cooldown = 30 * time.Millisecond
 	eng := lpmem.NewEngine(runner.Options{
 		Workers: 1, NoCache: true,
-		BreakerThreshold: 1, BreakerCooldown: time.Minute,
+		BreakerThreshold: 1, BreakerCooldown: cooldown,
 	})
+	var healthy atomic.Bool
 	exps := []lpmem.Experiment{
-		fakeExp("E2", func() (*lpmem.Result, error) { return nil, errors.New("down") }),
+		fakeExp("E2", func() (*lpmem.Result, error) {
+			if healthy.Load() {
+				return okResult()
+			}
+			return nil, errors.New("down")
+		}),
 	}
 	ts := httptest.NewServer(New(eng, WithExperiments(exps)).Handler())
 	t.Cleanup(ts.Close)
@@ -153,9 +162,13 @@ func TestHealthzDegraded(t *testing.T) {
 	if m.Breakers["E2"] != runner.BreakerOpen || m.Runner.BreakerOpens != 1 {
 		t.Fatalf("metrics breakers: %+v", m)
 	}
-	eng.ResetBreakers()
+	healthy.Store(true)
+	time.Sleep(2 * cooldown)
+	if code, body := postRun(t, ts.URL+"/run?ids=E2"); code != http.StatusOK {
+		t.Fatalf("probe run: %d %+v", code, body)
+	}
 	if code := get(t, ts.URL+"/healthz", &hb); code != http.StatusOK || hb["status"] != "ok" {
-		t.Fatalf("healthz after reset: %d %v", code, hb)
+		t.Fatalf("healthz after a successful probe: %d %v", code, hb)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lpmem/internal/testutil"
 	"lpmem/internal/trace"
 	"lpmem/internal/workloads"
 )
@@ -71,7 +72,7 @@ func TestTransitions(t *testing.T) {
 // the trained transformation must reduce bus transitions.
 func TestReducesTransitionsOnKernels(t *testing.T) {
 	for _, k := range workloads.All() {
-		res := workloads.MustRun(k.Build(1))
+		res := testutil.MustRun(k.Build(1))
 		stream := fetchStream(res.Trace)
 		base, xf, err := Evaluate(stream, stream, MuRISCFields())
 		if err != nil {

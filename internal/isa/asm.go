@@ -50,6 +50,8 @@ func (b *Builder) emitRef(in Instr, label string) {
 }
 
 // Nop appends a no-op.
+//
+//lint:allow testonly verification oracle: TestPCOutsideProgram drives the interpreter's nop through it; no kernel emits it
 func (b *Builder) Nop() { b.emit(Instr{Op: OpNop}) }
 
 // --- register-register ALU ---
@@ -67,6 +69,8 @@ func (b *Builder) Mul(rd, rs1, rs2 Reg) { b.emit(Instr{Op: OpMul, Rd: rd, Rs1: r
 func (b *Builder) Div(rd, rs1, rs2 Reg) { b.emit(Instr{Op: OpDiv, Rd: rd, Rs1: rs1, Rs2: rs2}) }
 
 // Rem emits rd = rs1 % rs2 (signed; modulo by zero yields 0).
+//
+//lint:allow testonly verification oracle: TestALUOps drives the interpreter's rem through it; no kernel emits it
 func (b *Builder) Rem(rd, rs1, rs2 Reg) { b.emit(Instr{Op: OpRem, Rd: rd, Rs1: rs1, Rs2: rs2}) }
 
 // And emits rd = rs1 & rs2.
@@ -88,6 +92,8 @@ func (b *Builder) Shr(rd, rs1, rs2 Reg) { b.emit(Instr{Op: OpShr, Rd: rd, Rs1: r
 func (b *Builder) Sra(rd, rs1, rs2 Reg) { b.emit(Instr{Op: OpSra, Rd: rd, Rs1: rs1, Rs2: rs2}) }
 
 // Slt emits rd = (rs1 < rs2) ? 1 : 0, signed.
+//
+//lint:allow testonly verification oracle: TestShiftAndCompare drives the interpreter's slt through it; no kernel emits it
 func (b *Builder) Slt(rd, rs1, rs2 Reg) { b.emit(Instr{Op: OpSlt, Rd: rd, Rs1: rs1, Rs2: rs2}) }
 
 // --- immediates ---
@@ -103,11 +109,15 @@ func (b *Builder) Andi(rd, rs1 Reg, imm int32) {
 }
 
 // Ori emits rd = rs1 | imm.
+//
+//lint:allow testonly verification oracle: TestALUOps drives the interpreter's ori through it; no kernel emits it
 func (b *Builder) Ori(rd, rs1 Reg, imm int32) {
 	b.emit(Instr{Op: OpOri, Rd: rd, Rs1: rs1, Imm: imm})
 }
 
 // Xori emits rd = rs1 ^ imm.
+//
+//lint:allow testonly verification oracle: TestALUOps drives the interpreter's xori through it; no kernel emits it
 func (b *Builder) Xori(rd, rs1 Reg, imm int32) {
 	b.emit(Instr{Op: OpXori, Rd: rd, Rs1: rs1, Imm: imm})
 }
@@ -123,6 +133,8 @@ func (b *Builder) Shri(rd, rs1 Reg, imm int32) {
 }
 
 // Slti emits rd = (rs1 < imm) ? 1 : 0, signed.
+//
+//lint:allow testonly verification oracle: TestShiftAndCompare drives the interpreter's slti through it; no kernel emits it
 func (b *Builder) Slti(rd, rs1 Reg, imm int32) {
 	b.emit(Instr{Op: OpSlti, Rd: rd, Rs1: rs1, Imm: imm})
 }
@@ -142,6 +154,8 @@ func (b *Builder) Mov(rd, rs Reg) { b.Addi(rd, rs, 0) }
 func (b *Builder) Lw(rd, rs1 Reg, off int32) { b.emit(Instr{Op: OpLw, Rd: rd, Rs1: rs1, Imm: off}) }
 
 // Lh emits rd = zext(mem16[rs1 + off]).
+//
+//lint:allow testonly verification oracle: TestLoadStoreWidths drives the interpreter's lh through it; no kernel emits it
 func (b *Builder) Lh(rd, rs1 Reg, off int32) { b.emit(Instr{Op: OpLh, Rd: rd, Rs1: rs1, Imm: off}) }
 
 // Lb emits rd = zext(mem8[rs1 + off]).
@@ -151,6 +165,8 @@ func (b *Builder) Lb(rd, rs1 Reg, off int32) { b.emit(Instr{Op: OpLb, Rd: rd, Rs
 func (b *Builder) Sw(rs2, rs1 Reg, off int32) { b.emit(Instr{Op: OpSw, Rs1: rs1, Rs2: rs2, Imm: off}) }
 
 // Sh emits mem16[rs1 + off] = rs2.
+//
+//lint:allow testonly verification oracle: TestLoadStoreWidths drives the interpreter's sh through it; no kernel emits it
 func (b *Builder) Sh(rs2, rs1 Reg, off int32) { b.emit(Instr{Op: OpSh, Rs1: rs1, Rs2: rs2, Imm: off}) }
 
 // Sb emits mem8[rs1 + off] = rs2.
@@ -194,6 +210,8 @@ func (b *Builder) Ret() { b.Jr(LR) }
 // Call saves LR on the stack, calls label, restores LR. It is the standard
 // non-leaf call sequence and generates the stack traffic studied by the
 // stack-memory experiment (E9).
+//
+//lint:allow testonly verification oracle: TestCallRetAndStack drives the non-leaf call sequence through it; no kernel emits it
 func (b *Builder) Call(label string) {
 	b.Push(LR)
 	b.Jal(label)

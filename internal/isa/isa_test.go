@@ -74,16 +74,18 @@ func TestALUOps(t *testing.T) {
 	cpu := runProg(t, func(b *Builder) {
 		b.Movi(1, 20)
 		b.Movi(2, 6)
-		b.Add(3, 1, 2)  // 26
-		b.Sub(4, 1, 2)  // 14
-		b.Mul(5, 1, 2)  // 120
-		b.Div(6, 1, 2)  // 3
-		b.Rem(7, 1, 2)  // 2
-		b.And(8, 1, 2)  // 4
-		b.Or(9, 1, 2)   // 22
-		b.Xor(10, 1, 2) // 18
+		b.Add(3, 1, 2)   // 26
+		b.Sub(4, 1, 2)   // 14
+		b.Mul(5, 1, 2)   // 120
+		b.Div(6, 1, 2)   // 3
+		b.Rem(7, 1, 2)   // 2
+		b.And(8, 1, 2)   // 4
+		b.Or(9, 1, 2)    // 22
+		b.Xor(10, 1, 2)  // 18
+		b.Ori(11, 1, 3)  // 23
+		b.Xori(12, 1, 6) // 18
 	})
-	want := map[Reg]uint32{3: 26, 4: 14, 5: 120, 6: 3, 7: 2, 8: 4, 9: 22, 10: 18}
+	want := map[Reg]uint32{3: 26, 4: 14, 5: 120, 6: 3, 7: 2, 8: 4, 9: 22, 10: 18, 11: 23, 12: 18}
 	for r, w := range want {
 		if cpu.Regs[r] != w {
 			t.Errorf("r%d = %d, want %d", r, cpu.Regs[r], w)
@@ -135,9 +137,14 @@ func TestLoadStoreWidths(t *testing.T) {
 		b.Lb(3, 1, 3) // 0xDE
 		b.Lh(4, 1, 0) // 0xBEEF
 		b.Lw(5, 1, 0)
+		b.Sh(2, 1, 4) // low half only
+		b.Lw(6, 1, 4)
 	})
 	if cpu.Regs[3] != 0xDE || cpu.Regs[4] != 0xBEEF || cpu.Regs[5] != 0xDEADBEEF {
 		t.Fatalf("loads = %#x %#x %#x", cpu.Regs[3], cpu.Regs[4], cpu.Regs[5])
+	}
+	if cpu.Regs[6] != 0xBEEF {
+		t.Fatalf("sh stored %#x, want 0xbeef", cpu.Regs[6])
 	}
 }
 
@@ -187,6 +194,24 @@ func TestCallRetAndStack(t *testing.T) {
 	}
 	if cpu2.Regs[SP] != DefaultStackTop {
 		t.Fatalf("SP not restored: %#x", cpu2.Regs[SP])
+	}
+	// Call saves LR around a nested call, so the non-leaf outer returns.
+	b3 := NewBuilder()
+	b3.Movi(1, 3)
+	b3.Jal("outer")
+	b3.Halt()
+	b3.Label("outer")
+	b3.Call("double")
+	b3.Ret()
+	b3.Label("double")
+	b3.Add(1, 1, 1)
+	b3.Ret()
+	cpu3 := NewCPU(b3.MustAssemble())
+	if err := cpu3.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if cpu3.Regs[1] != 6 || cpu3.Regs[SP] != DefaultStackTop {
+		t.Fatalf("call: r1 = %d, SP = %#x", cpu3.Regs[1], cpu3.Regs[SP])
 	}
 }
 

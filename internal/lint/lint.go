@@ -38,11 +38,13 @@ type Analyzer struct {
 	Run func(pkg *Package, rep *Reporter)
 }
 
-// All returns the full analyzer suite in stable (alphabetical) order.
-// The first five are the API-hygiene wave (PR 2); the last four are the
-// performance-and-concurrency wave policing the invariants the
-// dark-memory line of work says dominate at scale: energy goes where
-// the memory traffic goes.
+// All returns the full analyzer suite, ten analyzers in stable
+// (alphabetical) order. determinism, errwrap, floatcompare, panicfree
+// and registry are the API-hygiene wave; boundedbuf, goroutine, hotalloc
+// and locks police the performance-and-concurrency invariants the
+// dark-memory line of work says dominate at scale (energy goes where the
+// memory traffic goes); testonly keeps internal/ free of exported API
+// that only tests reach, and needs a ./... load of the whole module.
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerBoundedbuf(),
@@ -54,14 +56,8 @@ func All() []*Analyzer {
 		AnalyzerLocks(),
 		AnalyzerPanicFree(),
 		AnalyzerRegistry(),
+		AnalyzerTestonly(),
 	}
-}
-
-// FastFive returns the cheap syntactic wave run by CI quick mode: the
-// original API-hygiene analyzers, which need no escape evidence and no
-// deep expression walking.
-func FastFive() string {
-	return "determinism,errwrap,floatcompare,panicfree,registry"
 }
 
 // knownAnalyzers indexes every analyzer name a //lint:allow directive

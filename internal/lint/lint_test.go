@@ -105,6 +105,84 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// loadTestonlyFixture loads the testonly fixture, a mini-module with its
+// own go.mod, through the real loader with the given patterns.
+func loadTestonlyFixture(t *testing.T, patterns ...string) []*Package {
+	t.Helper()
+	loader, err := NewLoader(filepath.Join("testdata", "src", "testonly"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load(patterns...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkgs {
+		if len(p.TypeErrors) > 0 {
+			t.Fatalf("fixture package %s has type errors: %v", p.RelPath, p.TypeErrors)
+		}
+	}
+	return pkgs
+}
+
+// TestTestonlyGolden runs testonly over the whole fixture module: exports
+// reached only from lib_test.go or from nothing (a func, a method, a
+// self-recursive func, a var and a type) are findings; exports cmd/tool
+// uses, methods an interface declares, constants, fields, unexported
+// names and exports outside internal/ are not; one directive suppresses.
+func TestTestonlyGolden(t *testing.T) {
+	pkgs := loadTestonlyFixture(t, "./...")
+	if len(pkgs) != 3 {
+		t.Fatalf("fixture loaded %d packages, want 3", len(pkgs))
+	}
+	res := Run(pkgs, []*Analyzer{AnalyzerTestonly()})
+	if res.Suppressed != 1 {
+		t.Errorf("want 1 suppression from the fixture's directive, got %d", res.Suppressed)
+	}
+	checkGolden(t, "testonly", render(res.Diagnostics))
+}
+
+// TestTestonlyPartialLoad: references are complete only over the whole
+// module, so loading one package reports nothing rather than flagging
+// everything its importers use.
+func TestTestonlyPartialLoad(t *testing.T) {
+	for _, pattern := range []string{"./internal/lib", "./internal/..."} {
+		pkgs := loadTestonlyFixture(t, pattern)
+		if len(pkgs) != 1 {
+			t.Fatalf("%s loaded %d packages, want 1", pattern, len(pkgs))
+		}
+		if res := Run(pkgs, []*Analyzer{AnalyzerTestonly()}); len(res.Diagnostics) != 0 || res.Suppressed != 0 {
+			t.Fatalf("%s: partial load reported %d finding(s), %d suppressed:\n%s",
+				pattern, len(res.Diagnostics), res.Suppressed, render(res.Diagnostics))
+		}
+	}
+}
+
+// TestLoaderChecksEachPackageOnce: a package loaded for analysis and the
+// same package imported by another are one type-checked object, so a
+// use in the importer resolves to the declaring package's object.
+func TestLoaderChecksEachPackageOnce(t *testing.T) {
+	pkgs := loadTestonlyFixture(t, "./...")
+	byPath := make(map[string]*Package)
+	for _, p := range pkgs {
+		byPath[p.RelPath] = p
+	}
+	lib, tool := byPath["internal/lib"], byPath["cmd/tool"]
+	if lib == nil || tool == nil {
+		t.Fatalf("fixture packages missing: %v", byPath)
+	}
+	want := lib.Types.Scope().Lookup("NewCounter")
+	for id, obj := range tool.Info.Uses {
+		if id.Name == "NewCounter" {
+			if obj != want {
+				t.Fatalf("cmd/tool's NewCounter is %p, lib declares %p: the package was checked twice", obj, want)
+			}
+			return
+		}
+	}
+	t.Fatal("cmd/tool does not use NewCounter")
+}
+
 // TestMalformedDirectives: directives without an analyzer name or
 // reason — or naming an analyzer the suite does not know — are findings
 // regardless of which analyzers run.

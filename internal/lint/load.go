@@ -39,12 +39,27 @@ type Package struct {
 	// (see AttachEscape); hotalloc corroborates its findings against it.
 	Escape *EscapeIndex
 
+	// load is the Load call that returned this package; whole-module
+	// analyzers (testonly) look across its packages.
+	load *loadSet
+
 	directives []directive
 	badDiags   []Diagnostic
 	// hotpath and untrusted record the //lint:hotpath and
 	// //lint:untrusted-input package markers.
 	hotpath   bool
 	untrusted bool
+}
+
+// loadSet is the outcome of one Load call, shared by every package it
+// returned.
+type loadSet struct {
+	pkgs []*Package
+	// whole reports that a pattern walked the module root (./...), so
+	// pkgs holds every package of the module.
+	whole bool
+	// refs is testonly's reference index, built on first use.
+	refs *refIndex
 }
 
 // Loader loads module packages for analysis.
@@ -54,9 +69,13 @@ type Loader struct {
 	// ModPath is the module path declared in go.mod.
 	ModPath string
 
-	fset     *token.FileSet
-	std      types.Importer
-	checked  map[string]*types.Package
+	fset *token.FileSet
+	std  types.Importer
+	// pkgs caches every directory loaded so far, by path; a nil entry is
+	// a directory without non-test Go files. Each module package is
+	// type-checked once, so a types.Object is pointer-identical in the
+	// package that declares it and in every package that imports it.
+	pkgs     map[string]*Package
 	checking map[string]bool
 }
 
@@ -98,7 +117,7 @@ func NewLoader(dir string) (*Loader, error) {
 		ModPath:  modPath,
 		fset:     fset,
 		std:      importer.ForCompiler(fset, "source", nil),
-		checked:  make(map[string]*types.Package),
+		pkgs:     make(map[string]*Package),
 		checking: make(map[string]bool),
 	}, nil
 }
@@ -110,24 +129,28 @@ func NewLoader(dir string) (*Loader, error) {
 // modules (a directory below the walk root with its own go.mod) are
 // skipped.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs, err := l.expand(patterns)
+	dirs, whole, err := l.expand(patterns)
 	if err != nil {
 		return nil, err
 	}
-	var pkgs []*Package
+	set := &loadSet{whole: whole}
 	for _, dir := range dirs {
 		pkg, err := l.loadDir(dir)
 		if err != nil {
 			return nil, err
 		}
 		if pkg != nil {
-			pkgs = append(pkgs, pkg)
+			pkg.load = set
+			set.pkgs = append(set.pkgs, pkg)
 		}
 	}
-	return pkgs, nil
+	return set.pkgs, nil
 }
 
-func (l *Loader) expand(patterns []string) ([]string, error) {
+// expand resolves patterns to sorted package directories and reports
+// whether one of them walked the whole module.
+func (l *Loader) expand(patterns []string) ([]string, bool, error) {
+	whole := false
 	seen := make(map[string]bool)
 	var dirs []string
 	add := func(d string) {
@@ -140,20 +163,22 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 	for _, pat := range patterns {
 		switch {
 		case pat == "./..." || pat == "...":
+			whole = true
 			if err := l.walk(l.ModRoot, add); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 		case strings.HasSuffix(pat, "/..."):
-			base := strings.TrimSuffix(pat, "/...")
-			if err := l.walk(l.resolveDir(base), add); err != nil {
-				return nil, err
+			root := l.resolveDir(strings.TrimSuffix(pat, "/..."))
+			whole = whole || filepath.Clean(root) == l.ModRoot
+			if err := l.walk(root, add); err != nil {
+				return nil, false, err
 			}
 		default:
 			add(l.resolveDir(pat))
 		}
 	}
 	sort.Strings(dirs)
-	return dirs, nil
+	return dirs, whole, nil
 }
 
 // resolveDir maps a pattern base to a directory: module-qualified import
@@ -195,16 +220,25 @@ func (l *Loader) walk(root string, add func(string)) error {
 	})
 }
 
-// loadDir parses and type-checks one directory; returns nil if it holds
-// no non-test Go files.
+// loadDir parses and type-checks one directory, once per loader; returns
+// nil if it holds no non-test Go files.
 func (l *Loader) loadDir(dir string) (*Package, error) {
+	if pkg, ok := l.pkgs[dir]; ok {
+		return pkg, nil
+	}
+	if l.checking[dir] {
+		return nil, fmt.Errorf("lint: import cycle through %s", l.importPathFor(dir))
+	}
 	files, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(files) == 0 {
+		l.pkgs[dir] = nil
 		return nil, nil
 	}
+	l.checking[dir] = true
+	defer func() { l.checking[dir] = false }()
 	rel, err := filepath.Rel(l.ModRoot, dir)
 	if err != nil {
 		rel = dir
@@ -231,6 +265,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	tpkg, _ := conf.Check(l.importPathFor(dir), l.fset, files, info)
 	pkg.Info = info
 	pkg.Types = tpkg
+	l.pkgs[dir] = pkg
 	return pkg, nil
 }
 
@@ -267,38 +302,20 @@ func (l *Loader) importPathFor(dir string) string {
 	return l.ModPath + "/" + filepath.ToSlash(rel)
 }
 
-// Import implements types.Importer: module-internal paths are checked
-// from source through this loader; everything else (the standard
-// library) falls through to the source importer.
+// Import implements types.Importer: module-internal paths resolve to the
+// package loadDir checked (checking it first if need be); everything
+// else (the standard library) falls through to the source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path != l.ModPath && !strings.HasPrefix(path, l.ModPath+"/") {
 		return l.std.Import(path)
 	}
-	if p, ok := l.checked[path]; ok {
-		return p, nil
-	}
-	if l.checking[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
-	}
-	l.checking[path] = true
-	defer func() { l.checking[path] = false }()
-
-	dir := l.ModRoot
-	if rest, ok := strings.CutPrefix(path, l.ModPath+"/"); ok {
-		dir = filepath.Join(l.ModRoot, rest)
-	}
-	files, err := l.parseDir(dir)
+	dir := l.resolveDir(path)
+	pkg, err := l.loadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(files) == 0 {
+	if pkg == nil {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	conf := types.Config{Importer: l, Error: func(error) {}}
-	p, err := conf.Check(path, l.fset, files, nil)
-	if p != nil {
-		l.checked[path] = p
-		return p, nil
-	}
-	return nil, err
+	return pkg.Types, nil
 }

@@ -30,8 +30,6 @@
 package memtech
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -156,22 +154,6 @@ func (c Config) WithAllGating(perfLoss float64) Config {
 	c.InterconnectPowerGating = true
 	c.PowerGatingPerformanceLoss = perfLoss
 	return c
-}
-
-// ParseJSON decodes and validates a configuration. Unknown fields are
-// rejected so a typoed CACTI knob fails loudly instead of silently
-// keeping its default.
-func ParseJSON(data []byte) (Config, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var c Config
-	if err := dec.Decode(&c); err != nil {
-		return Config{}, fmt.Errorf("memtech: decoding config: %w", err)
-	}
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
 }
 
 // presets maps the named technology configurations the experiments and

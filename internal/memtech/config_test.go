@@ -83,38 +83,6 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 }
 
-// TestParseJSON: round-trips a valid deck, rejects unknown CACTI knobs
-// and invalid values.
-func TestParseJSON(t *testing.T) {
-	good := `{
-		"technology": 0.065,
-		"data_array_cell_type": "lstp",
-		"data_array_peripheral_type": "lop",
-		"uca_bank_count": 4,
-		"array_power_gating": true,
-		"power_gating_performance_loss": 0.01,
-		"page_size": 2048,
-		"burst_length": 8
-	}`
-	cfg, err := memtech.ParseJSON([]byte(good))
-	if err != nil {
-		t.Fatalf("valid deck rejected: %v", err)
-	}
-	if cfg.DataCell != memtech.CellLSTP || cfg.PeripheralCell != memtech.CellLOP ||
-		cfg.UCABankCount != 4 || !cfg.ArrayPowerGating {
-		t.Fatalf("deck decoded wrong: %+v", cfg)
-	}
-	if _, err := memtech.ParseJSON([]byte(`{"technology": 0.065, "cache_size": 65536}`)); err == nil {
-		t.Fatal("unknown field must be rejected")
-	}
-	if _, err := memtech.ParseJSON([]byte(`{"technology": "abc"}`)); err == nil {
-		t.Fatal("malformed value must be rejected")
-	}
-	if _, err := memtech.ParseJSON([]byte(good[:40])); err == nil {
-		t.Fatal("truncated deck must be rejected")
-	}
-}
-
 // TestCellTypesOrder pins the canonical ordering the tables and property
 // tests iterate in.
 func TestCellTypesOrder(t *testing.T) {

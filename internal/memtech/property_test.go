@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"lpmem/internal/energy"
-	"lpmem/internal/faultinject"
 	"lpmem/internal/memtech"
+	"lpmem/internal/testutil"
 )
 
 // randTechnology draws a node inside the modelled band.
@@ -32,7 +32,7 @@ func randBaseConfig(r *rand.Rand, cell memtech.CellType) memtech.Config {
 func TestCellTypeOrderingProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {
-		base := faultinject.PerturbModel(energy.DefaultMemoryModel(), r)
+		base := testutil.PerturbModel(energy.DefaultMemoryModel(), r)
 		tech := randTechnology(r)
 		size := uint32(1) << (8 + r.Intn(13)) // 256 B .. 1 MiB
 		models := make(map[memtech.CellType]*memtech.Model, 3)
@@ -66,7 +66,7 @@ func TestLeakageMonotoneProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	cells := memtech.CellTypes()
 	for trial := 0; trial < 300; trial++ {
-		base := faultinject.PerturbModel(energy.DefaultMemoryModel(), r)
+		base := testutil.PerturbModel(energy.DefaultMemoryModel(), r)
 		cfg := randBaseConfig(r, cells[r.Intn(len(cells))])
 		m, err := memtech.New(base, cfg)
 		if err != nil {
@@ -134,7 +134,7 @@ func TestOracleGatingNeverLoses(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	cells := memtech.CellTypes()
 	for trial := 0; trial < 300; trial++ {
-		base := faultinject.PerturbModel(energy.DefaultMemoryModel(), r)
+		base := testutil.PerturbModel(energy.DefaultMemoryModel(), r)
 		cfg := randGated(r, cells)
 		m, err := memtech.New(base, cfg)
 		if err != nil {
@@ -163,7 +163,7 @@ func TestTimeoutGatingCounterexample(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	cells := memtech.CellTypes()
 	for trial := 0; trial < 100; trial++ {
-		base := faultinject.PerturbModel(energy.DefaultMemoryModel(), r)
+		base := testutil.PerturbModel(energy.DefaultMemoryModel(), r)
 		cfg := randGated(r, cells)
 		m, err := memtech.New(base, cfg)
 		if err != nil {
@@ -204,7 +204,7 @@ func TestDRAMEnergyMonotoneInMisses(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	cells := memtech.CellTypes()
 	for trial := 0; trial < 300; trial++ {
-		base := faultinject.PerturbModel(energy.DefaultMemoryModel(), r)
+		base := testutil.PerturbModel(energy.DefaultMemoryModel(), r)
 		cfg := randBaseConfig(r, cells[r.Intn(len(cells))])
 		m, err := memtech.New(base, cfg)
 		if err != nil {

@@ -65,6 +65,8 @@ func CSD(c int32) []int8 {
 }
 
 // CSDValue reconstructs the value of a CSD digit string.
+//
+//lint:allow testonly verification oracle: TestCSDRoundTrip checks CSD against it
 func CSDValue(digits []int8) int32 {
 	var v int64
 	for i, d := range digits {

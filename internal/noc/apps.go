@@ -47,13 +47,3 @@ func MMSGraph() *Graph {
 		},
 	}
 }
-
-// PipelineGraph returns a simple n-stage streaming pipeline (for tests and
-// ablations): core i sends to core i+1 at the given bandwidth.
-func PipelineGraph(n int, bw float64) *Graph {
-	g := &Graph{N: n}
-	for i := 0; i < n-1; i++ {
-		g.Flows = append(g.Flows, Flow{Src: i, Dst: i + 1, Volume: bw * 1e3, BW: bw})
-	}
-	return g
-}

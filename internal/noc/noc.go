@@ -268,19 +268,6 @@ func (c *bwChecker) check(mapping []int) bool {
 	return true
 }
 
-// CheckBandwidth reports whether the flows of g under the mapping can be
-// routed within link capacities using per-flow XY/YX selection. It returns
-// the chosen routing per flow when feasible. The selection is greedy:
-// flows in decreasing bandwidth order take XY if it fits, else YX, else
-// the mapping is infeasible.
-func (m Mesh) CheckBandwidth(g *Graph, mapping []int) ([]Routing, bool) {
-	c := newBWChecker(m, g)
-	if !c.check(mapping) {
-		return nil, false
-	}
-	return c.routing, true
-}
-
 // MapResult is the outcome of the branch-and-bound mapper.
 type MapResult struct {
 	Mapping []int

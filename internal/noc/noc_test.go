@@ -81,16 +81,15 @@ func TestRoutingFlexibilityExpandsFeasibility(t *testing.T) {
 		{Src: 0, Dst: 8, Volume: 1, BW: 60},
 	}}
 	mapping := RowMajor(9)
-	routing, ok := m.CheckBandwidth(g, mapping)
-	if !ok {
+	c := newBWChecker(m, g)
+	if !c.check(mapping) {
 		t.Fatal("routing flexibility should make this feasible")
 	}
-	if routing[0] == XY && routing[1] == XY {
+	if c.routing[0] == XY && c.routing[1] == XY {
 		t.Fatal("both flows on XY cannot be feasible here")
 	}
 	// With XY-only (LinkBW too small for both), it must fail: emulate by
 	// checking that both XY routes share link 0->1.
-	c := newBWChecker(m, g)
 	shared := map[int]int{}
 	for _, f := range g.Flows {
 		for _, l := range c.route(mapping[f.Src], mapping[f.Dst], XY) {
@@ -117,7 +116,7 @@ func TestBnBBeatsRowMajorOnMMS(t *testing.T) {
 	if saving < 25 {
 		t.Errorf("BnB saving = %.1f%%, want >= 25%%", saving)
 	}
-	if _, ok := m.CheckBandwidth(g, res.Mapping); !ok {
+	if !newBWChecker(m, g).check(res.Mapping) {
 		t.Error("returned mapping must be bandwidth-feasible")
 	}
 	// Mapping must be a permutation of distinct tiles.
@@ -134,7 +133,7 @@ func TestBnBBeatsRowMajorOnMMS(t *testing.T) {
 // optimum is a Hamiltonian path (every hop distance 1).
 func TestBnBOptimalOnSmallPipeline(t *testing.T) {
 	m := Mesh{W: 2, H: 2, LinkBW: 1e9, ERbit: 0.3, ELbit: 0.45}
-	g := PipelineGraph(4, 10)
+	g := pipelineGraph(4, 10)
 	res, err := MapBnB(m, g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -149,11 +148,11 @@ func TestBnBOptimalOnSmallPipeline(t *testing.T) {
 // TestBnBRejectsOversizedGraph and infeasible bandwidth.
 func TestBnBErrors(t *testing.T) {
 	m := Mesh{W: 2, H: 2, LinkBW: 1, ERbit: 0.3, ELbit: 0.45}
-	g := PipelineGraph(5, 10)
+	g := pipelineGraph(5, 10)
 	if _, err := MapBnB(m, g, 0); err == nil {
 		t.Fatal("5 cores on 4 tiles must fail")
 	}
-	g2 := PipelineGraph(4, 10) // BW 10 > LinkBW 1: infeasible anywhere
+	g2 := pipelineGraph(4, 10) // BW 10 > LinkBW 1: infeasible anywhere
 	if _, err := MapBnB(m, g2, 0); err == nil {
 		t.Fatal("infeasible bandwidth must fail")
 	}
@@ -208,3 +207,13 @@ func TestRandomGraphsNeverWorseThanAdhoc(t *testing.T) {
 
 // energyOf adapts a float volume for energy arithmetic in tests.
 func energyOf(v float64) energy.PJ { return energy.PJ(v) }
+
+// pipelineGraph returns a simple n-stage streaming pipeline: core i sends
+// to core i+1 at the given bandwidth.
+func pipelineGraph(n int, bw float64) *Graph {
+	g := &Graph{N: n}
+	for i := 0; i < n-1; i++ {
+		g.Flows = append(g.Flows, Flow{Src: i, Dst: i + 1, Volume: bw * 1e3, BW: bw})
+	}
+	return g
+}

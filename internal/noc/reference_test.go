@@ -239,7 +239,8 @@ func TestCheckerMatchesReference(t *testing.T) {
 			for k := 0; k < 20; k++ {
 				mapping := r.Perm(m.Tiles())[:n]
 				want, wantOK := refCheckBandwidth(m, g, mapping)
-				got, gotOK := m.CheckBandwidth(g, mapping)
+				fresh := newBWChecker(m, g)
+				gotOK := fresh.check(mapping)
 				reusedOK := chk.check(mapping)
 				if gotOK != wantOK || reusedOK != wantOK {
 					t.Fatalf("%dx%d trial %d: feasible one-shot %v reused %v, reference %v (graph %+v, mapping %v, LinkBW %v)",
@@ -251,9 +252,9 @@ func TestCheckerMatchesReference(t *testing.T) {
 				}
 				feasible++
 				for i := range want {
-					if got[i] != want[i] || chk.routing[i] != want[i] {
+					if fresh.routing[i] != want[i] || chk.routing[i] != want[i] {
 						t.Fatalf("%dx%d trial %d flow %d: routing one-shot %v reused %v, reference %v",
-							shape.w, shape.h, trial, i, got[i], chk.routing[i], want[i])
+							shape.w, shape.h, trial, i, fresh.routing[i], chk.routing[i], want[i])
 					}
 				}
 			}

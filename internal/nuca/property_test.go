@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"lpmem/internal/energy"
-	"lpmem/internal/faultinject"
 	"lpmem/internal/nuca"
+	"lpmem/internal/testutil"
 	"lpmem/internal/trace"
 )
 
@@ -23,7 +23,7 @@ func randConfig(r *rand.Rand) nuca.Config {
 		TagFactor:    1 + r.Intn(3),
 		Mapping:      nuca.MappingPolicies()[r.Intn(2)],
 		Compression:  nuca.CompressionPolicies()[r.Intn(3)],
-		Model:        faultinject.PerturbModel(energy.DefaultMemoryModel(), r),
+		Model:        testutil.PerturbModel(energy.DefaultMemoryModel(), r),
 	}
 }
 

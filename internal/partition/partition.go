@@ -115,9 +115,6 @@ type Partition struct {
 	Banks []Bank
 }
 
-// NumBanks returns the bank count.
-func (p *Partition) NumBanks() int { return len(p.Banks) }
-
 // String renders a compact description like "[4KiB:1203 1KiB:9771]".
 func (p *Partition) String() string {
 	var sb strings.Builder
@@ -193,7 +190,6 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 	}
 	n := len(spec.Blocks)
 	if n == 0 {
-		//lint:allow hotalloc empty-spec fast path: one fixed-size allocation per call
 		return &Partition{}, 0, nil
 	}
 	// Optimal is called in a loop by tradeoff.Curve, so its setup
@@ -203,7 +199,6 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 	//
 	// Prefix sums for O(1) range statistics: pre[0..n] reads, pre[n+1..]
 	// writes.
-	//lint:allow hotalloc O(n) setup amortised over the O(n²·K) DP below
 	pre := make([]uint64, 2*(n+1))
 	preR, preW := pre[:n+1], pre[n+1:]
 	for i, b := range spec.Blocks {
@@ -217,10 +212,8 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 	// all three terms; runLo[l] is the shortest length in l's class.
 	// Classes come from the integer sizes, never from comparing the
 	// float memos.
-	//lint:allow hotalloc O(n) setup amortised over the O(n²·K) DP below
 	memo := make([]energy.PJ, 3*(n+1))
 	readE, writeE, leakE := memo[:n+1], memo[n+1:2*(n+1)], memo[2*(n+1):]
-	//lint:allow hotalloc O(n) setup amortised over the O(n²·K) DP below
 	runLo := make([]int, n+1)
 	prevSize := uint32(0)
 	for l := 1; l <= n; l++ {
@@ -239,9 +232,7 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 	// dp[k][j]: min energy of splitting blocks [0,j) into exactly k
 	// banks; cut[k][j] the matching last boundary. Flat row-major tables.
 	stride := n + 1
-	//lint:allow hotalloc O(n·K) DP table amortised over the O(n²·K) DP below
 	dp := make([]energy.PJ, (maxBanks+1)*stride)
-	//lint:allow hotalloc O(n·K) DP table amortised over the O(n²·K) DP below
 	cut := make([]int, (maxBanks+1)*stride)
 	for i := range dp {
 		dp[i] = inf
@@ -249,7 +240,6 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 	dp[0] = 0
 	// blockMin[b] is the least entry of the previous DP row over the
 	// 64-aligned block of cut positions b<<6 .. b<<6+63.
-	//lint:allow hotalloc O(n) setup amortised over the O(n²·K) DP below
 	blockMin := make([]energy.PJ, n>>6+1)
 	for k := 1; k <= maxBanks; k++ {
 		prev, row := dp[(k-1)*stride:k*stride], dp[k*stride:(k+1)*stride]
@@ -326,7 +316,6 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 		}
 	}
 	// Reconstruct the cuts.
-	//lint:allow hotalloc result slice; the caller owns the returned banks
 	banks := make([]Bank, 0, bestK)
 	j := n
 	for k := bestK; k >= 1; k-- {
@@ -344,6 +333,5 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 	for l, r := 0, len(banks)-1; l < r; l, r = l+1, r-1 {
 		banks[l], banks[r] = banks[r], banks[l]
 	}
-	//lint:allow hotalloc result value; the API returns a fresh Partition per call
 	return &Partition{Banks: banks}, bestE, nil
 }

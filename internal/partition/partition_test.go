@@ -61,7 +61,7 @@ func TestPow2Ceil(t *testing.T) {
 func TestMonolithicCoversEverything(t *testing.T) {
 	spec := flatSpec(10, 5)
 	p := Monolithic(spec)
-	if p.NumBanks() != 1 {
+	if len(p.Banks) != 1 {
 		t.Fatal("monolithic must be one bank")
 	}
 	b := p.Banks[0]
@@ -170,7 +170,7 @@ func TestOptimalEmptyAndBadArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumBanks() != 0 || e != 0 {
+	if len(p.Banks) != 0 || e != 0 {
 		t.Fatal("empty spec should yield empty partition")
 	}
 	if _, _, err := Optimal(flatSpec(2, 1), 0, model()); err == nil {

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"lpmem/internal/energy"
-	"lpmem/internal/faultinject"
 	"lpmem/internal/partition"
+	"lpmem/internal/testutil"
 )
 
 // randomSpec builds a random but well-formed partitioning problem:
@@ -43,7 +43,7 @@ func TestOptimalNeverWorseThanMonolithic(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
 		spec := randomSpec(r)
-		m := faultinject.PerturbModel(energy.DefaultMemoryModel(), r)
+		m := testutil.PerturbModel(energy.DefaultMemoryModel(), r)
 		mono := partition.Energy(spec, partition.Monolithic(spec), m)
 		maxBanks := 1 + r.Intn(8)
 		p, e, err := partition.Optimal(spec, maxBanks, m)

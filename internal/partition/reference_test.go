@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"lpmem/internal/energy"
-	"lpmem/internal/faultinject"
+	"lpmem/internal/testutil"
 )
 
 // refOptimal is the exhaustive DP the bound-pruned one replaced: every
@@ -142,7 +142,7 @@ func TestOptimalMatchesReference(t *testing.T) {
 		case 0:
 			m = energy.DefaultMemoryModel()
 		case 1:
-			m = faultinject.PerturbModel(energy.DefaultMemoryModel(), r)
+			m = testutil.PerturbModel(energy.DefaultMemoryModel(), r)
 		default:
 			m = tieModel()
 		}

@@ -36,7 +36,6 @@ import (
 // bytes. Scan consumes complete lines incrementally — each call picks up
 // only what was appended (by anyone) since the previous call.
 type Log struct {
-	path string
 	sync bool
 
 	mu sync.Mutex
@@ -62,7 +61,7 @@ func OpenLog(path string, sync bool) (*Log, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("resultstore: open log for read: %w", err)
 	}
-	l := &Log{path: path, sync: sync, f: f, rf: rf}
+	l := &Log{sync: sync, f: f, rf: rf}
 	if st, err := rf.Stat(); err == nil && st.Size() > 0 {
 		var last [1]byte
 		if _, err := rf.ReadAt(last[:], st.Size()-1); err == nil && last[0] != '\n' {
@@ -71,9 +70,6 @@ func OpenLog(path string, sync bool) (*Log, error) {
 	}
 	return l, nil
 }
-
-// Path returns the backing file path.
-func (l *Log) Path() string { return l.path }
 
 // Append writes line (which must not contain '\n') plus a newline as one
 // write call, then fsyncs when the log is sync'd. Concurrent appends

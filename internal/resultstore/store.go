@@ -74,14 +74,6 @@ func Open(path string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Path returns the backing file path ("" for memory-only stores).
-func (s *Store) Path() string {
-	if s.log == nil {
-		return ""
-	}
-	return s.log.Path()
-}
-
 // Len returns the number of distinct keys held.
 func (s *Store) Len() int {
 	s.mu.Lock()

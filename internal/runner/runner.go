@@ -248,14 +248,6 @@ func (e *Engine[T]) BreakerStates() map[string]BreakerState {
 	return out
 }
 
-// ResetBreakers force-closes every breaker (operational reset, e.g.
-// after the underlying fault is fixed without restarting lpmemd).
-func (e *Engine[T]) ResetBreakers() {
-	e.bmu.Lock()
-	defer e.bmu.Unlock()
-	e.breakers = make(map[string]*breaker)
-}
-
 // breakerAllow reports whether a job with this ID may execute now. An
 // open breaker past its cooldown transitions to half-open and admits
 // exactly one probe; other callers keep failing fast until the probe

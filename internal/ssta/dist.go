@@ -54,22 +54,6 @@ func Point(t0, step float64, n int, v float64) *Dist {
 	return d
 }
 
-// Gaussian returns a normal(mu, sigma) distribution truncated to the grid.
-func Gaussian(t0, step float64, n int, mu, sigma float64) *Dist {
-	d := NewGrid(t0, step, n)
-	for i := range d.CDF {
-		t := t0 + float64(i)*step
-		if sigma <= 0 {
-			if t >= mu {
-				d.CDF[i] = 1
-			}
-			continue
-		}
-		d.CDF[i] = 0.5 * (1 + math.Erf((t-mu)/(sigma*math.Sqrt2)))
-	}
-	return d
-}
-
 // clone copies the distribution.
 func (d *Dist) clone() *Dist {
 	out := &Dist{T0: d.T0, Step: d.Step, CDF: make([]float64, len(d.CDF))}
@@ -135,31 +119,6 @@ func (d *Dist) Quantile(q float64) float64 {
 		}
 	}
 	return d.T0 + float64(len(d.CDF))*d.Step
-}
-
-// Mean returns the grid approximation of E[X].
-func (d *Dist) Mean() float64 {
-	// E[X] = T0 + Step * sum_i (1 - CDF[i]) over the grid.
-	sum := 0.0
-	for _, c := range d.CDF {
-		sum += 1 - c
-	}
-	return d.T0 + d.Step*sum
-}
-
-// StochasticallyDominates reports whether d >= other in the usual
-// stochastic order (CDF of d is pointwise <= CDF of other), up to tol.
-func (d *Dist) StochasticallyDominates(other *Dist, tol float64) bool {
-	//lint:allow floatcompare grid-identity check; compatible grids share literal construction so equality is exact
-	if d.T0 != other.T0 || d.Step != other.Step || len(d.CDF) != len(other.CDF) {
-		return false
-	}
-	for i := range d.CDF {
-		if d.CDF[i] > other.CDF[i]+tol {
-			return false
-		}
-	}
-	return true
 }
 
 func compatible(a, b *Dist) error {

@@ -5,12 +5,37 @@ import (
 	"testing"
 )
 
+// mean is the grid approximation of E[X]: T0 + Step * sum_i (1 - CDF[i]).
+func mean(d *Dist) float64 {
+	sum := 0.0
+	for _, c := range d.CDF {
+		sum += 1 - c
+	}
+	return d.T0 + d.Step*sum
+}
+
+// dominates reports whether a >= b in the usual stochastic order (the
+// CDF of a is pointwise <= the CDF of b), up to tol, on a shared grid.
+func dominates(a, b *Dist, tol float64) bool {
+	if compatible(a, b) != nil {
+		return false
+	}
+	for i := range a.CDF {
+		if a.CDF[i] > b.CDF[i]+tol {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGaussianCDFShape: a point at 0 plus a GaussPDF delay is the
+// normal(mu, sigma) CDF the bound propagation works with.
 func TestGaussianCDFShape(t *testing.T) {
-	d := Gaussian(0, 0.1, 200, 10, 1)
+	d := Point(0, 0.1, 200, 0).AddPDF(GaussPDF(0.1, 10, 1, 61))
 	if got := d.Quantile(0.5); math.Abs(got-10) > 0.2 {
 		t.Fatalf("median = %f, want ~10", got)
 	}
-	if got := d.Mean(); math.Abs(got-10) > 0.2 {
+	if got := mean(d); math.Abs(got-10) > 0.2 {
 		t.Fatalf("mean = %f, want ~10", got)
 	}
 	// CDF must be nondecreasing.
@@ -29,8 +54,9 @@ func TestPointDist(t *testing.T) {
 }
 
 func TestMaxMergesOrdering(t *testing.T) {
-	a := Gaussian(0, 0.05, 400, 5, 0.5)
-	b := Gaussian(0, 0.05, 400, 5.5, 0.5)
+	t0, pdf := GaussPDF(0.05, 5, 0.5, 61)
+	a := Point(0, 0.05, 400, 0).AddPDF(t0, pdf)   // normal(5, 0.5)
+	b := Point(0, 0.05, 400, 0.5).AddPDF(t0, pdf) // normal(5.5, 0.5)
 	indep, err := MaxIndep(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -40,18 +66,18 @@ func TestMaxMergesOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Independence merge dominates the Fréchet merge.
-	if !indep.StochasticallyDominates(frechet, 1e-12) {
+	if !dominates(indep, frechet, 1e-12) {
 		t.Fatal("independent max must dominate Fréchet max")
 	}
 	// Both dominate each input.
-	if !frechet.StochasticallyDominates(b, 1e-12) {
+	if !dominates(frechet, b, 1e-12) {
 		t.Fatal("any max bound must dominate its inputs")
 	}
 }
 
 func TestMergeGridMismatch(t *testing.T) {
-	a := Gaussian(0, 0.05, 100, 1, 0.1)
-	b := Gaussian(0, 0.1, 100, 1, 0.1)
+	a := NewGrid(0, 0.05, 100)
+	b := NewGrid(0, 0.1, 100)
 	if _, err := MaxIndep(a, b); err == nil {
 		t.Fatal("grid mismatch must error")
 	}
@@ -61,7 +87,7 @@ func TestAddPDFShiftsMean(t *testing.T) {
 	d := Point(0, 0.1, 400, 2)
 	t0, pdf := GaussPDF(0.1, 3, 0.2, 20)
 	sum := d.AddPDF(t0, pdf)
-	if got := sum.Mean(); math.Abs(got-5) > 0.3 {
+	if got := mean(sum); math.Abs(got-5) > 0.3 {
 		t.Fatalf("mean after add = %f, want ~5", got)
 	}
 }

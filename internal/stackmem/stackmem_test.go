@@ -6,6 +6,7 @@ import (
 	"lpmem/internal/cache"
 	"lpmem/internal/energy"
 	"lpmem/internal/isa"
+	"lpmem/internal/testutil"
 	"lpmem/internal/workloads"
 )
 
@@ -22,7 +23,7 @@ func TestRejectsEmptyRegion(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.StackHi = cfg.StackLo
 	k, _ := workloads.ByName("fibcall")
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	if _, err := Simulate(res.Trace, cfg, energy.DefaultCacheModel(), energy.DefaultMemoryModel()); err == nil {
 		t.Fatal("empty stack region must be rejected")
 	}
@@ -33,7 +34,7 @@ func TestRejectsEmptyRegion(t *testing.T) {
 // of the paper's 32.5% best case.
 func TestCallHeavyKernelSavesBig(t *testing.T) {
 	k, _ := workloads.ByName("fibcall")
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	r, err := Simulate(res.Trace, defaultConfig(), energy.DefaultCacheModel(), energy.DefaultMemoryModel())
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestCallHeavyKernelSavesBig(t *testing.T) {
 // cache pressure.
 func TestSplitNeverIncreasesMisses(t *testing.T) {
 	for _, k := range workloads.All() {
-		res := workloads.MustRun(k.Build(1))
+		res := testutil.MustRun(k.Build(1))
 		r, err := Simulate(res.Trace, defaultConfig(), energy.DefaultCacheModel(), energy.DefaultMemoryModel())
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +75,7 @@ func TestSplitNeverIncreasesMisses(t *testing.T) {
 // per-access uniform).
 func TestCacheSavingTracksStackFraction(t *testing.T) {
 	k, _ := workloads.ByName("fibcall")
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	r, err := Simulate(res.Trace, defaultConfig(), energy.DefaultCacheModel(), energy.DefaultMemoryModel())
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,19 +21,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs, which must all be positive.
-// It returns 0 for an empty slice.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // Min returns the minimum of xs; it panics on an empty slice.
@@ -68,6 +54,8 @@ func Max(xs []float64) float64 {
 }
 
 // Median returns the median of xs; it panics on an empty slice.
+//
+//lint:allow testonly the benchmark module (benchmark/) reduces every repeated measurement with it, and the loader does not walk nested modules
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {
 		//lint:allow panicfree returning a fabricated 0 would silently corrupt paper tables; empty input is a harness bug
@@ -80,20 +68,6 @@ func Median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
 }
 
 // PercentSaving returns the percentage saved going from base to opt:

@@ -17,15 +17,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if GeoMean(nil) != 0 {
-		t.Fatal("geomean of empty = 0")
-	}
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("geomean = %f", got)
-	}
-}
-
 func TestMinMaxMedian(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
 	if Min(xs) != 1 || Max(xs) != 5 || Median(xs) != 3 {
@@ -43,18 +34,6 @@ func TestMinMaxMedian(t *testing.T) {
 			}()
 			f(nil)
 		}()
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	if StdDev(nil) != 0 {
-		t.Fatal("stddev of empty = 0")
-	}
-	if got := StdDev([]float64{2, 2, 2}); got != 0 {
-		t.Fatalf("stddev of constant = %f", got)
-	}
-	if got := StdDev([]float64{1, 3}); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("stddev = %f", got)
 	}
 }
 

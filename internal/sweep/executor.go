@@ -29,17 +29,6 @@ type Result struct {
 	Total, Evaluated, Cached, Failed int
 }
 
-// Ok returns the successful outcomes.
-func (r *Result) Ok() []Outcome {
-	out := make([]Outcome, 0, len(r.Outcomes))
-	for _, o := range r.Outcomes {
-		if o.Err == nil {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // Progress is one executor progress report, emitted after every batch.
 type Progress struct {
 	// Batch/Batches identify the completed shard.

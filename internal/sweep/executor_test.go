@@ -3,7 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
-	"fmt"
+	"maps"
 	"path/filepath"
 	"testing"
 
@@ -108,7 +108,7 @@ func TestRunValidatesAndDedupes(t *testing.T) {
 		t.Fatal("Run accepted an out-of-space point")
 	}
 	p := Point{"i": IntValue(1), "j": IntValue(2)}
-	res, err := Run(context.Background(), ad, []Point{p, p.Clone(), p.Clone()}, Config{})
+	res, err := Run(context.Background(), ad, []Point{p, maps.Clone(p), maps.Clone(p)}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,16 +280,5 @@ func TestAdaptersRunOnePoint(t *testing.T) {
 		if m != m2 {
 			t.Fatalf("%s: Run is nondeterministic: %+v vs %+v", ad.Name(), m, m2)
 		}
-	}
-}
-
-func TestResultOkFiltering(t *testing.T) {
-	res := &Result{Outcomes: []Outcome{
-		{Point: Point{"i": IntValue(0)}},
-		{Point: Point{"i": IntValue(1)}, Err: fmt.Errorf("x")},
-		{Point: Point{"i": IntValue(2)}},
-	}}
-	if got := len(res.Ok()); got != 2 {
-		t.Fatalf("Ok() returned %d outcomes, want 2", got)
 	}
 }

@@ -224,12 +224,6 @@ func FloatValue(v float64) Value { return Value{num: v} }
 // EnumValue makes a categorical coordinate.
 func EnumValue(v string) Value { return Value{str: v, enum: true} }
 
-// IsEnum reports whether the coordinate is categorical.
-func (v Value) IsEnum() bool { return v.enum }
-
-// Float returns the numeric coordinate (0 for enums).
-func (v Value) Float() float64 { return v.num }
-
 // Int returns the numeric coordinate rounded to an integer.
 func (v Value) Int() int { return int(math.Round(v.num)) }
 
@@ -269,9 +263,6 @@ type Point map[string]Value
 // so adapters may use the plain accessors).
 func (p Point) Int(name string) int { return p[name].Int() }
 
-// Float returns the named coordinate as a float (0 when absent).
-func (p Point) Float(name string) float64 { return p[name].Float() }
-
 // Enum returns the named categorical coordinate ("" when absent).
 func (p Point) Enum(name string) string {
 	v := p[name]
@@ -279,15 +270,6 @@ func (p Point) Enum(name string) string {
 		return ""
 	}
 	return v.str
-}
-
-// Clone returns an independent copy of the point.
-func (p Point) Clone() Point {
-	out := make(Point, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
 }
 
 // Canonical renders the point as "axis=value|..." with axes sorted by
@@ -355,16 +337,6 @@ func (s Space) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Axis returns the named axis.
-func (s Space) Axis(name string) (Axis, bool) {
-	for _, a := range s.Axes {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return Axis{}, false
 }
 
 // Contains checks that the point assigns exactly the space's axes with

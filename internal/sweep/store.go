@@ -38,8 +38,6 @@ type Record struct {
 // rather than refusing the whole file: every intact record is still
 // worth not recomputing.
 type Store struct {
-	path string
-
 	mu      sync.Mutex
 	recs    map[string]Record
 	log     *resultstore.Log
@@ -49,7 +47,7 @@ type Store struct {
 // OpenStore loads (creating if needed) the JSONL store at path, or
 // returns a memory-only store when path is empty.
 func OpenStore(path string) (*Store, error) {
-	s := &Store{path: path, recs: make(map[string]Record)}
+	s := &Store{recs: make(map[string]Record)}
 	if path == "" {
 		return s, nil
 	}
@@ -64,9 +62,6 @@ func OpenStore(path string) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Path returns the backing file path ("" for memory-only stores).
-func (s *Store) Path() string { return s.path }
 
 // Len returns the number of records held.
 func (s *Store) Len() int {

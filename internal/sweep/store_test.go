@@ -124,8 +124,8 @@ func TestStoreMemoryOnly(t *testing.T) {
 	if _, ok := s.Get(storeRecord(0).Key); !ok {
 		t.Fatal("memory-only store lost a record")
 	}
-	if s.Path() != "" {
-		t.Fatalf("memory-only store has path %q", s.Path())
+	if s.log != nil {
+		t.Fatal("memory-only store opened a log file")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -33,20 +33,6 @@ const (
 // Pattern is one scan vector.
 type Pattern []Cell
 
-// CareDensity returns the fraction of specified (non-X) cells.
-func (p Pattern) CareDensity() float64 {
-	if len(p) == 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range p {
-		if c != X {
-			n++
-		}
-	}
-	return float64(n) / float64(len(p))
-}
-
 // Generate creates n patterns of the given length with the given care-bit
 // density; specified bits appear in small clusters, as ATPG produces.
 func Generate(seed int64, n, length int, careDensity float64) []Pattern {
@@ -178,6 +164,8 @@ func LZWEncode(data []byte) []uint16 {
 }
 
 // LZWDecode inverts LZWEncode.
+//
+//lint:allow testonly verification oracle: TestLZWRoundTripProperty and its siblings prove the test-data compression lossless through it
 func LZWDecode(codes []uint16) ([]byte, error) {
 	const maxCodes = 1 << 12
 	dict := make(map[uint16][]byte, maxCodes)
@@ -254,16 +242,11 @@ func careCells(p Pattern) []careCell {
 	return cells
 }
 
-// MaxOverlap returns the largest k such that the last k cells of a are
-// compatible with the first k cells of b: equal wherever both are
-// specified.
-func MaxOverlap(a, b Pattern) int {
-	return maxOverlap(a, len(b), careCells(b))
-}
-
-// maxOverlap is MaxOverlap for a b of length bLen whose specified cells
-// are care. It tries k from min(len(a), bLen) down, checking only b's
-// specified cells below k, in ascending position.
+// maxOverlap returns the largest k such that the last k cells of a are
+// compatible with the first k cells of a pattern b of length bLen whose
+// specified cells are care: equal wherever both are specified. It tries
+// k from min(len(a), bLen) down, checking only b's specified cells below
+// k, in ascending position.
 func maxOverlap(a Pattern, bLen int, care []careCell) int {
 	for k := min(len(a), bLen); k > 0; k-- {
 		off := len(a) - k

@@ -1,6 +1,9 @@
-// Package testutil holds helpers shared by the robustness test suites,
-// most importantly the goroutine-leak assertion used around the runner
-// engine and the lpmemd HTTP surface.
+//lint:allow testonly every helper here exists for _test.go files; that is the package's job
+
+// Package testutil holds helpers shared by the test suites of several
+// packages: the goroutine-leak assertion used around the runner engine
+// and the lpmemd HTTP surface, and the seeded energy-model perturbation
+// the property tests sweep.
 package testutil
 
 import (

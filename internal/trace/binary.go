@@ -77,8 +77,8 @@ func zigzag(d int64) uint64 { return uint64((d << 1) ^ (d >> 63)) }
 // unzigzag reverses zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// BinaryWriter streams accesses into the binary columnar format. Create
-// one with NewBinaryWriter, Write accesses, then Flush. The writer
+// BinaryWriter streams accesses into the binary columnar format:
+// (*Trace).WriteBinary Writes the accesses, then Flushes. The writer
 // buffers one block of accesses and encodes it column-at-a-time into
 // reused buffers, so writing a trace of any length allocates O(block),
 // not O(trace).
@@ -93,16 +93,6 @@ type BinaryWriter struct {
 	// Per-column encode buffers, reused across blocks.
 	kindBuf, addrBuf, widthBuf, valueBuf, coreBuf, varBuf []byte
 }
-
-// NewBinaryWriter returns a streaming writer for a single-core trace;
-// any access carrying a non-zero Core ID is rejected so core
-// information can never be dropped silently.
-func NewBinaryWriter(w io.Writer) *BinaryWriter { return newBinaryWriter(w, false) }
-
-// NewMultiCoreBinaryWriter returns a streaming writer that persists the
-// per-access core IDs (header flag FlagMultiCore, core column in every
-// block).
-func NewMultiCoreBinaryWriter(w io.Writer) *BinaryWriter { return newBinaryWriter(w, true) }
 
 func newBinaryWriter(w io.Writer, multiCore bool) *BinaryWriter {
 	bw := &BinaryWriter{
@@ -152,7 +142,7 @@ func (bw *BinaryWriter) Write(a Access) error {
 	}
 	if !bw.multiCore && a.Core != 0 {
 		//lint:allow hotalloc cold rejection path: formats once, then every later Write returns the stored error
-		bw.err = fmt.Errorf("trace: access with core ID %d in a single-core stream (use NewMultiCoreBinaryWriter)", a.Core)
+		bw.err = fmt.Errorf("trace: access with core ID %d in a single-core stream (mark the trace MultiCore)", a.Core)
 		return bw.err
 	}
 	bw.pending = append(bw.pending, a)

@@ -132,7 +132,7 @@ func TestBinaryStreamingReaderMatchesMaterialised(t *testing.T) {
 }
 
 func TestBinaryWriterRejectsUnknownKind(t *testing.T) {
-	bw := NewBinaryWriter(io.Discard)
+	bw := newBinaryWriter(io.Discard, false)
 	if err := bw.Write(Access{Kind: Kind(7)}); err == nil {
 		t.Fatal("Write accepted kind 7")
 	}

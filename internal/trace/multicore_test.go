@@ -251,7 +251,7 @@ func TestReadTextRejectsBadCore(t *testing.T) {
 // from being silently dropped by the four-column encoding.
 func TestSingleCoreWriterRejectsCoreID(t *testing.T) {
 	var buf bytes.Buffer
-	bw := NewBinaryWriter(&buf)
+	bw := newBinaryWriter(&buf, false)
 	if err := bw.Write(Access{Kind: Read, Addr: 4, Width: 4, Core: 3}); err == nil {
 		t.Fatal("single-core writer accepted an access with a core ID")
 	}

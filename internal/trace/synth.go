@@ -80,49 +80,3 @@ func Synthesize(cfg SynthConfig) *Trace {
 	}
 	return t
 }
-
-// GaussianPixels generates a stream of 8-bit pixel values whose adjacent
-// deltas are (approximately) Gaussian with the given standard deviation:
-// the "tonal locality" assumption of the DVI chromatic-encoding experiment
-// (DATE'03 8B.3). The first return value is the pixel sequence.
-func GaussianPixels(seed int64, n int, sigma float64) []uint8 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]uint8, n)
-	cur := 128.0
-	for i := range out {
-		cur += rng.NormFloat64() * sigma
-		if cur < 0 {
-			cur = 0
-		}
-		if cur > 255 {
-			cur = 255
-		}
-		out[i] = uint8(cur)
-	}
-	return out
-}
-
-// InterleavedArrays emits the access pattern of a loop that touches k
-// arrays per iteration (a[i], b[i], c[i], ...): the canonical pattern whose
-// partitioning benefits from address clustering, because the per-iteration
-// working set is spread across distant regions.
-func InterleavedArrays(seed int64, iters int, bases []uint32, elemSize uint32) *Trace {
-	rng := rand.New(rand.NewSource(seed))
-	t := New(iters * len(bases))
-	for i := 0; i < iters; i++ {
-		for j, b := range bases {
-			kind := Read
-			// Last array in the set is written (c[i] = a[i] op b[i]).
-			if j == len(bases)-1 {
-				kind = Write
-			}
-			t.Append(Access{
-				Addr:  b + uint32(i)*elemSize,
-				Value: rng.Uint32(),
-				Width: uint8(elemSize),
-				Kind:  kind,
-			})
-		}
-	}
-	return t
-}

@@ -131,19 +131,6 @@ func (t *Trace) Data() *Trace {
 	return t.Filter(func(a Access) bool { return a.Kind != Fetch })
 }
 
-// Remap returns a new trace with every address passed through f.
-// It is the hook used by address clustering: the clustering pass computes a
-// permutation of the address space and Remap applies it.
-func (t *Trace) Remap(f func(uint32) uint32) *Trace {
-	out := New(len(t.Accesses))
-	out.MultiCore = t.MultiCore
-	for _, a := range t.Accesses {
-		a.Addr = f(a.Addr)
-		out.Append(a)
-	}
-	return out
-}
-
 // WriteText serialises the trace in a line-oriented text format:
 //
 //	<kind> <addr-hex> <width> <value-hex>

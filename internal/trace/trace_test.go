@@ -44,17 +44,6 @@ func TestFilterAndData(t *testing.T) {
 	}
 }
 
-func TestRemap(t *testing.T) {
-	tr := sample()
-	out := tr.Remap(func(a uint32) uint32 { return a + 0x100 })
-	if out.Accesses[0].Addr != 0x1100 {
-		t.Fatalf("remapped addr = %#x", out.Accesses[0].Addr)
-	}
-	if tr.Accesses[0].Addr != 0x1000 {
-		t.Fatal("Remap must not mutate the receiver")
-	}
-}
-
 // TestTextRoundTrip: WriteText then ReadText is the identity.
 func TestTextRoundTrip(t *testing.T) {
 	tr := sample()
@@ -172,37 +161,4 @@ func TestSynthesizeRespectsRegions(t *testing.T) {
 		}
 	}()
 	Synthesize(SynthConfig{N: 1})
-}
-
-func TestGaussianPixels(t *testing.T) {
-	px := GaussianPixels(3, 10000, 2.0)
-	if len(px) != 10000 {
-		t.Fatal("wrong length")
-	}
-	// Adjacent deltas should be small on average for small sigma.
-	sum := 0.0
-	for i := 1; i < len(px); i++ {
-		d := float64(px[i]) - float64(px[i-1])
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	if avg := sum / float64(len(px)-1); avg > 4 {
-		t.Errorf("avg |delta| = %.2f, want small for sigma=2", avg)
-	}
-}
-
-func TestInterleavedArrays(t *testing.T) {
-	tr := InterleavedArrays(1, 10, []uint32{0x1000, 0x2000, 0x3000}, 4)
-	if tr.Len() != 30 {
-		t.Fatalf("len = %d, want 30", tr.Len())
-	}
-	// Last array per iteration is written.
-	if tr.Accesses[2].Kind != Write || tr.Accesses[0].Kind != Read {
-		t.Fatal("read/write pattern wrong")
-	}
-	if tr.Accesses[3].Addr != 0x1004 {
-		t.Fatalf("stride wrong: %#x", tr.Accesses[3].Addr)
-	}
 }

@@ -50,14 +50,6 @@ type Result struct {
 	ScalarCycles uint64
 }
 
-// IPC returns retired instructions per cycle.
-func (r *Result) IPC() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Instructions) / float64(r.Cycles)
-}
-
 // Run executes prog on a fresh CPU (init may pre-load data) under the
 // bundle model and returns trace and cycle counts. maxSteps bounds retired
 // instructions.

@@ -5,6 +5,7 @@ import (
 
 	"lpmem/internal/cache"
 	"lpmem/internal/energy"
+	"lpmem/internal/testutil"
 	"lpmem/internal/trace"
 	"lpmem/internal/workloads"
 )
@@ -49,7 +50,7 @@ func TestNewWDURejectsBadCapacity(t *testing.T) {
 func TestDeterminationIsAlwaysCorrect(t *testing.T) {
 	for _, name := range []string{"histogram", "listchase", "sort"} {
 		k, _ := workloads.ByName(name)
-		res := workloads.MustRun(k.Build(1))
+		res := testutil.MustRun(k.Build(1))
 		cfg := cache.Config{Sets: 8, Ways: 8, LineSize: 32, WriteBack: true, WriteAllocate: true}
 		c := cache.MustNew(cfg, nil)
 		wdu, _ := NewWDU(16)
@@ -82,7 +83,7 @@ func TestDeterminationIsAlwaysCorrect(t *testing.T) {
 // table: power reduction increases with the number of ways.
 func TestSavingGrowsWithAssociativity(t *testing.T) {
 	k, _ := workloads.ByName("fir")
-	res := workloads.MustRun(k.Build(1))
+	res := testutil.MustRun(k.Build(1))
 	cm := energy.DefaultCacheModel()
 	prev := 0.0
 	for _, ways := range []int{8, 16, 32} {

@@ -98,16 +98,6 @@ func Run(inst *Instance) (*Result, error) {
 	return &Result{Trace: t, Cycles: cpu.Cycles, Retired: cpu.Instructions}, nil
 }
 
-// MustRun is Run for tests and benchmarks where failure is a bug.
-func MustRun(inst *Instance) *Result {
-	r, err := Run(inst)
-	if err != nil {
-		//lint:allow panicfree Must* helper for tests and benchmarks; panicking on failure is the documented contract
-		panic(err)
-	}
-	return r
-}
-
 // rng returns the deterministic random source used by all kernels.
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 

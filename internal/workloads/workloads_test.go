@@ -33,8 +33,8 @@ func TestAllKernelsRunAndVerify(t *testing.T) {
 // trace, which the experiments depend on for reproducibility.
 func TestKernelsAreDeterministic(t *testing.T) {
 	for _, k := range All() {
-		a := MustRun(k.Build(7)).Trace
-		b := MustRun(k.Build(7)).Trace
+		a := run(t, k.Build(7)).Trace
+		b := run(t, k.Build(7)).Trace
 		if a.Len() != b.Len() {
 			t.Fatalf("%s: trace lengths differ: %d vs %d", k.Name, a.Len(), b.Len())
 		}
@@ -50,7 +50,7 @@ func TestKernelsAreDeterministic(t *testing.T) {
 // reads and writes, which all downstream experiments assume.
 func TestKernelsEmitDataAccesses(t *testing.T) {
 	for _, k := range All() {
-		res := MustRun(k.Build(1))
+		res := run(t, k.Build(1))
 		var reads, writes, fetches int
 		for _, a := range res.Trace.Accesses {
 			switch a.Kind {
@@ -90,7 +90,7 @@ func TestByName(t *testing.T) {
 func TestArraysCoverDataAccesses(t *testing.T) {
 	for _, k := range All() {
 		inst := k.Build(3)
-		res := MustRun(inst)
+		res := run(t, inst)
 		covered, total := 0, 0
 		for _, a := range res.Trace.Accesses {
 			if a.Kind == trace.Fetch {
@@ -111,4 +111,16 @@ func TestArraysCoverDataAccesses(t *testing.T) {
 			t.Errorf("%s: only %.1f%% of data accesses covered by declared arrays", k.Name, 100*frac)
 		}
 	}
+}
+
+// run is Run for tests: a kernel that fails its own check fails the
+// test. (testutil.MustRun cannot serve here: testutil imports this
+// package.)
+func run(t *testing.T, inst *Instance) *Result {
+	t.Helper()
+	res, err := Run(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

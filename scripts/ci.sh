@@ -5,7 +5,7 @@
 #
 #   ./scripts/ci.sh                 # all = fmt vet lint build test chaos fuzz trace sweep serve
 #   ./scripts/ci.sh fmt vet         # any subset, in the order given
-#   ./scripts/ci.sh quick           # fmt vet lint build + tests WITHOUT -race
+#   ./scripts/ci.sh quick           # fmt vet lint(fast six) build + tests WITHOUT -race
 #   ./scripts/ci.sh bench           # lpmembench -check against committed baselines
 #   ./scripts/ci.sh chaos           # seeded fault-injection sweep of the registry
 #   ./scripts/ci.sh fuzz            # short smoke of every native fuzz target
@@ -13,6 +13,9 @@
 #   ./scripts/ci.sh sweep           # design-space sweep resume/determinism gate
 #   ./scripts/ci.sh serve           # lpmemd + loadgen end-to-end smoke
 #
+# `build` also vets the nested benchmark/ module, which ./... skips: it is
+# the one caller of internal/ API that neither the compiler run nor the
+# testonly analyzer sees from the root.
 # The race run is the correctness backstop for the concurrent experiment
 # runner (internal/runner) and the lpmemd HTTP service; `quick` trades it
 # (and the chaos/fuzz stages) away for local edit-compile-test speed.
@@ -72,23 +75,25 @@ stage_lint() {
     echo "== lpmemlint (full suite, escape evidence)"
     # Build once; `go run` would relink the analyzer on every invocation.
     go build -o "$BIN/lpmemlint" ./cmd/lpmemlint
-    # Full nine-analyzer run with compiler corroboration; keep the JSON
+    # Full ten-analyzer run with compiler corroboration; keep the JSON
     # report as a CI artifact while the exit code still gates. `tee`
     # would mask the exit status without pipefail (set above).
     "$BIN/lpmemlint" -escape-evidence -json ./... | tee lint-report.json
 }
 
 stage_lint_quick() {
-    echo "== lpmemlint (fast five)"
+    echo "== lpmemlint (fast six)"
     go build -o "$BIN/lpmemlint" ./cmd/lpmemlint
-    # The syntactic API-hygiene wave only: no escape-evidence compile,
-    # no deep expression walking — the local edit-compile-test loop.
-    "$BIN/lpmemlint" -enable determinism,errwrap,floatcompare,panicfree,registry ./...
+    # The API-hygiene wave plus testonly: no escape-evidence compile, no
+    # deep expression walking — the local edit-compile-test loop.
+    "$BIN/lpmemlint" -enable determinism,errwrap,floatcompare,panicfree,registry,testonly ./...
 }
 
 stage_build() {
     echo "== go build"
     go build ./...
+    echo "== go vet (benchmark module)"
+    (cd benchmark && go vet ./...)
 }
 
 stage_test() {

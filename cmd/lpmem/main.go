@@ -183,6 +183,8 @@ sweep flags:
   -pareto        print only the Pareto frontier table
   -objectives L  frontier objectives (default energy_pj,latency,area)
   -parallel N    worker-pool size; -batch N points per batch; -timeout D
+                 per-point deadline (banks, memhier: a column's first job
+                 computes the whole column, so its deadline covers that)
   -json          emit the sweep envelope as JSON; -v batch progress
 
 trace convert flags:

@@ -43,7 +43,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	objectives := fs.String("objectives", "", "comma list of frontier objectives (default energy_pj,latency,area)")
 	parallel := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "points per scheduling batch (0 = 32)")
-	timeout := fs.Duration("timeout", 0, "per-point deadline (0 = none)")
+	timeout := fs.Duration("timeout", 0, "per-point deadline (0 = none); a column space's first job carries its whole column")
 	jsonOut := fs.Bool("json", false, "emit the sweep envelope as JSON")
 	list := fs.Bool("list", false, "list available design spaces and exit")
 	verbose := fs.Bool("v", false, "stream per-batch progress to stderr")

@@ -308,8 +308,9 @@ type LLC struct {
 	clock   uint64
 	stats   Stats
 
-	coreTiles []int
-	bankTiles []int
+	// hops[c*Banks+b] is the mesh distance from core c's tile to bank
+	// b's tile.
+	hops []int
 	// bankBytes is one bank's data capacity, pricing bank probes.
 	bankBytes uint32
 	// memReadE/memWriteE/bankReadE/bankWriteE are precomputed per-event
@@ -338,14 +339,13 @@ func New(cfg Config) (*LLC, error) {
 	for b := range l.banks {
 		l.banks[b] = sets[b*cfg.SetsPerBank : (b+1)*cfg.SetsPerBank]
 	}
+	// Cores and banks spread evenly over the tiles.
 	tiles := cfg.Mesh.Tiles()
-	l.coreTiles = make([]int, cfg.Cores)
-	for c := range l.coreTiles {
-		l.coreTiles[c] = c * tiles / cfg.Cores
-	}
-	l.bankTiles = make([]int, cfg.Banks)
-	for b := range l.bankTiles {
-		l.bankTiles[b] = b * tiles / cfg.Banks
+	l.hops = make([]int, cfg.Cores*cfg.Banks)
+	for c := 0; c < cfg.Cores; c++ {
+		for b := 0; b < cfg.Banks; b++ {
+			l.hops[c*cfg.Banks+b] = cfg.Mesh.Dist(c*tiles/cfg.Cores, b*tiles/cfg.Banks)
+		}
 	}
 	l.bankBytes = uint32(cfg.SetsPerBank * cfg.Ways * cfg.LineSize)
 	l.memReadE = cfg.Model.ReadEnergy(cfg.MainMemBytes)
@@ -389,11 +389,11 @@ func (l *LLC) bankFor(base uint32, core uint8) int {
 		}
 		// First touch: nearest bank to the core's tile, ties to the
 		// lower bank index, so the choice is deterministic.
-		ct := l.coreTiles[core]
-		best, bestD := 0, l.cfg.Mesh.Dist(ct, l.bankTiles[0])
-		for b := 1; b < l.cfg.Banks; b++ {
-			if d := l.cfg.Mesh.Dist(ct, l.bankTiles[b]); d < bestD {
-				best, bestD = b, d
+		hops := l.hops[int(core)*l.cfg.Banks : (int(core)+1)*l.cfg.Banks]
+		best := 0
+		for b, d := range hops {
+			if d < hops[best] {
+				best = b
 			}
 		}
 		l.pageMap[page] = best
@@ -497,7 +497,7 @@ func (l *LLC) Access(a trace.Access) int {
 	bank := l.bankFor(base, uint8(core))
 	si := l.setFor(base)
 	s := &l.banks[bank][si]
-	hops := l.cfg.Mesh.Dist(l.coreTiles[core], l.bankTiles[bank])
+	hops := l.hops[core*l.cfg.Banks+bank]
 	isWrite := a.Kind == trace.Write
 
 	l.stats.Accesses++

@@ -182,20 +182,50 @@ func Monolithic(spec *Spec) *Partition {
 // contiguous banks, via dynamic programming, and returns it with its
 // energy. A bank budget below 1 is reported as an error.
 func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy.PJ, error) {
+	if err := checkBudget(maxBanks, m); err != nil {
+		return nil, 0, err
+	}
+	parts := make([]Partition, 1)
+	var e [1]energy.PJ
+	optimal(spec, maxBanks, m, parts, e[:])
+	return &parts[0], e[0], nil
+}
+
+// OptimalUpTo computes the optimum for every bank budget 1..maxBanks
+// from one dynamic program: element b-1 of the returned slices is the
+// partition and energy Optimal(spec, b, m) returns, bit for bit. A bank
+// budget below 1 is reported as an error.
+func OptimalUpTo(spec *Spec, maxBanks int, m energy.MemoryModel) ([]Partition, []energy.PJ, error) {
+	if err := checkBudget(maxBanks, m); err != nil {
+		return nil, nil, err
+	}
+	parts, es := make([]Partition, maxBanks), make([]energy.PJ, maxBanks)
+	optimal(spec, maxBanks, m, parts, es)
+	return parts, es, nil
+}
+
+// checkBudget validates the arguments Optimal and OptimalUpTo share.
+func checkBudget(maxBanks int, m energy.MemoryModel) error {
 	if maxBanks < 1 {
-		return nil, 0, fmt.Errorf("partition: maxBanks must be >= 1, got %d", maxBanks)
+		return fmt.Errorf("partition: maxBanks must be >= 1, got %d", maxBanks)
 	}
 	if err := m.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("partition: %w", err)
+		return fmt.Errorf("partition: %w", err)
 	}
+	return nil
+}
+
+// optimal runs the DP to maxBanks banks and fills parts and es with the
+// optimum of the last len(parts) budgets in ascending order: element i
+// holds budget maxBanks-len(parts)+1+i. An empty spec leaves every
+// budget with no banks and no energy.
+func optimal(spec *Spec, maxBanks int, m energy.MemoryModel, parts []Partition, es []energy.PJ) {
 	n := len(spec.Blocks)
 	if n == 0 {
-		return &Partition{}, 0, nil
+		return
 	}
-	// Optimal is called in a loop by tradeoff.Curve, so its setup
-	// allocations are per-iteration from the caller's view. Each O(n)
-	// slice below is amortised over the O(n²·K) DP that follows, and the
-	// logically-2D tables share single flat backings.
+	// Each O(n) slice below is amortised over the O(n²·K) DP that
+	// follows, and the logically-2D tables share single flat backings.
 	//
 	// Prefix sums for O(1) range statistics: pre[0..n] reads, pre[n+1..]
 	// writes.
@@ -303,35 +333,42 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 			}
 		}
 	}
+	// Budget b's optimum is the first cheapest bank count k <= b. Row k
+	// of the DP reads only row k-1, so rows 1..b are the same whatever
+	// the budget, and after step k of a running best over ascending k,
+	// with a strict <, (bestK, bestE) is budget k's pick. Budget b uses
+	// at most b banks, so one backing holds every rebuilt budget.
+	first := maxBanks - len(parts) + 1
+	backing := make([]Bank, len(parts)*(first+maxBanks)/2)
 	total := spec.TotalAccesses()
 	bestK, bestE := 1, inf
 	for k := 1; k <= maxBanks; k++ {
-		if dp[k*stride+n] >= inf {
+		if dp[k*stride+n] < inf {
+			e := dp[k*stride+n] + m.SelectEnergy(k)*energy.PJ(total)
+			if e < bestE {
+				bestE = e
+				bestK = k
+			}
+		}
+		if k < first {
 			continue
 		}
-		e := dp[k*stride+n] + m.SelectEnergy(k)*energy.PJ(total)
-		if e < bestE {
-			bestE = e
-			bestK = k
+		// Reconstruct budget k's cuts, last bank first.
+		banks := backing[:bestK:bestK]
+		backing = backing[bestK:]
+		j := n
+		for bank := bestK - 1; bank >= 0; bank-- {
+			i := cut[(bank+1)*stride+j]
+			banks[bank] = Bank{
+				FirstBlock: i,
+				NumBlocks:  j - i,
+				SizeBytes:  pow2Ceil(uint32(j-i) * spec.BlockSize),
+				Reads:      preR[j] - preR[i],
+				Writes:     preW[j] - preW[i],
+			}
+			j = i
 		}
+		parts[k-first] = Partition{Banks: banks}
+		es[k-first] = bestE
 	}
-	// Reconstruct the cuts.
-	banks := make([]Bank, 0, bestK)
-	j := n
-	for k := bestK; k >= 1; k-- {
-		i := cut[k*stride+j]
-		banks = append(banks, Bank{
-			FirstBlock: i,
-			NumBlocks:  j - i,
-			SizeBytes:  pow2Ceil(uint32(j-i) * spec.BlockSize),
-			Reads:      preR[j] - preR[i],
-			Writes:     preW[j] - preW[i],
-		})
-		j = i
-	}
-	// Reverse into ascending block order.
-	for l, r := 0, len(banks)-1; l < r; l, r = l+1, r-1 {
-		banks[l], banks[r] = banks[r], banks[l]
-	}
-	return &Partition{Banks: banks}, bestE, nil
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -129,10 +130,23 @@ func refSpec(r *rand.Rand) *Spec {
 	return spec
 }
 
+// sameOptimum fails the test unless p and e are the reference partition
+// and energy, bit for bit.
+func sameOptimum(t *testing.T, what string, p *Partition, e energy.PJ, wantP *Partition, wantE energy.PJ) {
+	t.Helper()
+	if math.Float64bits(float64(e)) != math.Float64bits(float64(wantE)) {
+		t.Fatalf("%s: energy %v, reference %v", what, e, wantE)
+	}
+	if !reflect.DeepEqual(p, wantP) {
+		t.Fatalf("%s:\n got %+v\nwant %+v", what, p.Banks, wantP.Banks)
+	}
+}
+
 // TestOptimalMatchesReference: the bound-pruned DP returns the
 // reference partition and bit-identical energy on random specs, bank
 // budgets 1 to 8 and three model families: the default, perturbed
-// defaults and the exact tie-prone model.
+// defaults and the exact tie-prone model. On the same specs, OptimalUpTo
+// returns the reference optimum of every budget up to 12.
 func TestOptimalMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
@@ -152,11 +166,59 @@ func TestOptimalMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		wantP, wantE := refOptimal(spec, maxBanks, m)
-		if math.Float64bits(float64(e)) != math.Float64bits(float64(wantE)) {
-			t.Fatalf("trial %d (%d blocks, budget %d): energy %v, reference %v", trial, len(spec.Blocks), maxBanks, e, wantE)
+		sameOptimum(t, fmt.Sprintf("trial %d (%d blocks, budget %d)", trial, len(spec.Blocks), maxBanks), p, e, wantP, wantE)
+
+		// Deriving the frontier's size from the trial, not from r, keeps
+		// the specs above the ones Optimal has always been checked on.
+		upTo := maxBanks + trial%5
+		parts, es, err := OptimalUpTo(spec, upTo, m)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !reflect.DeepEqual(p, wantP) {
-			t.Fatalf("trial %d (%d blocks, budget %d):\n got %+v\nwant %+v", trial, len(spec.Blocks), maxBanks, p.Banks, wantP.Banks)
+		if len(parts) != upTo || len(es) != upTo {
+			t.Fatalf("trial %d: OptimalUpTo(%d) returned %d partitions, %d energies", trial, upTo, len(parts), len(es))
 		}
+		for b := 1; b <= upTo; b++ {
+			wantP, wantE := refOptimal(spec, b, m)
+			sameOptimum(t, fmt.Sprintf("trial %d (%d blocks): OptimalUpTo(%d) budget %d", trial, len(spec.Blocks), upTo, b), &parts[b-1], es[b-1], wantP, wantE)
+		}
+	}
+}
+
+// TestOptimalUpToEdgeCases covers what the random specs do not: the
+// empty spec, a one-budget frontier, an invalid budget, and an exact tie
+// between bank counts, which the first (smallest) count must win for
+// every budget.
+func TestOptimalUpToEdgeCases(t *testing.T) {
+	check := func(name string, spec *Spec, upTo int, m energy.MemoryModel) []Partition {
+		t.Helper()
+		parts, es, err := OptimalUpTo(spec, upTo, m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(parts) != upTo || len(es) != upTo {
+			t.Fatalf("%s: %d partitions, %d energies for %d budgets", name, len(parts), len(es), upTo)
+		}
+		for b := 1; b <= upTo; b++ {
+			wantP, wantE := refOptimal(spec, b, m)
+			sameOptimum(t, fmt.Sprintf("%s budget %d", name, b), &parts[b-1], es[b-1], wantP, wantE)
+		}
+		return parts
+	}
+	check("empty spec", &Spec{BlockSize: 64}, 3, energy.DefaultMemoryModel())
+	check("one budget", refSpec(rand.New(rand.NewSource(2))), 1, energy.DefaultMemoryModel())
+
+	// Two blocks, 4 reads and nothing, no leakage: one 32-byte bank costs
+	// 4x1.5 = 6; two 16-byte banks cost 4x1.25 plus a 0.25 decoder charge
+	// per access, also 6.
+	tie := &Spec{BlockSize: 16, Blocks: []BlockStats{{Reads: 4}, {}}}
+	for b, p := range check("tie", tie, 3, tieModel()) {
+		if len(p.Banks) != 1 {
+			t.Fatalf("tie budget %d: %d banks, want the first cheapest count, 1", b+1, len(p.Banks))
+		}
+	}
+
+	if _, _, err := OptimalUpTo(tie, 0, tieModel()); err == nil {
+		t.Fatal("OptimalUpTo accepted a zero bank budget")
 	}
 }

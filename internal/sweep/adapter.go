@@ -89,6 +89,31 @@ type Adapter interface {
 	Run(p Point) (Metrics, error)
 }
 
+// ColumnAdapter is an Adapter that evaluates a whole column at once. A
+// column is the points of a space that differ only on ColumnAxis; its
+// points share work that RunColumn does once, such as a trace replay or
+// a DP whose one run answers every value of the axis. The executor
+// calls RunColumn once per column of the points it has to evaluate.
+type ColumnAdapter interface {
+	Adapter
+	// ColumnAxis names the axis that varies within a column.
+	ColumnAxis() string
+	// RunColumn evaluates the points of one column, at least one.
+	// Element i of the result must equal what Run(ps[i]) returns, bit
+	// for bit.
+	RunColumn(ps []Point) ([]Metrics, error)
+}
+
+// runOne is Run for a ColumnAdapter: a column of one point, so that
+// each column adapter has one implementation.
+func runOne(a ColumnAdapter, p Point) (Metrics, error) {
+	ms, err := a.RunColumn([]Point{p})
+	if err != nil {
+		return Metrics{}, err
+	}
+	return ms[0], nil
+}
+
 // registry holds the built-in adapters, keyed by name.
 var registry = map[string]Adapter{}
 

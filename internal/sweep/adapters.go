@@ -75,31 +75,64 @@ func (banksAdapter) Space() Space {
 	}}
 }
 
-func (a banksAdapter) Run(p Point) (Metrics, error) {
+func (banksAdapter) ColumnAxis() string { return "banks" }
+
+func (a banksAdapter) Run(p Point) (Metrics, error) { return runOne(a, p) }
+
+// RunColumn builds the block size's spec once and answers every bank
+// budget of the column from one partition DP.
+func (banksAdapter) RunColumn(ps []Point) ([]Metrics, error) {
+	maxBanks, err := budgetColumn(ps)
+	if err != nil {
+		return nil, err
+	}
 	ref, err := referenceTrace()
 	if err != nil {
-		return Metrics{}, err
+		return nil, err
 	}
-	banks := p.Int("banks")
-	block := uint32(p.Int("block"))
-	spec, _, err := partition.SpecFromTrace(ref.data, block, ref.cycles)
+	spec, _, err := partition.SpecFromTrace(ref.data, uint32(ps[0].Int("block")), ref.cycles)
 	if err != nil {
-		return Metrics{}, err
+		return nil, err
 	}
-	part, e, err := partition.Optimal(spec, banks, energy.DefaultMemoryModel())
+	parts, es, err := partition.OptimalUpTo(spec, maxBanks, energy.DefaultMemoryModel())
 	if err != nil {
-		return Metrics{}, err
+		return nil, err
 	}
-	var area float64
-	for _, b := range part.Banks {
-		area += float64(b.SizeBytes)
+	accesses := float64(spec.TotalAccesses())
+	out := make([]Metrics, len(ps))
+	for i, p := range ps {
+		banks := p.Int("banks")
+		var area float64
+		for _, b := range parts[banks-1].Banks {
+			area += float64(b.SizeBytes)
+		}
+		// Provisioned decoder depth: each extra level of bank select adds
+		// a fraction of a cycle to every access, whether or not the
+		// optimizer used the full budget — the hardware is built for the
+		// budget.
+		decode := float64(bits.Len(uint(banks - 1)))
+		out[i] = Metrics{EnergyPJ: float64(es[banks-1]), Latency: accesses * (1 + 0.15*decode), Area: area}
 	}
-	// Provisioned decoder depth: each extra level of bank select adds a
-	// fraction of a cycle to every access, whether or not the optimizer
-	// used the full budget — the hardware is built for the budget.
-	decode := float64(bits.Len(uint(banks - 1)))
-	latency := float64(spec.TotalAccesses()) * (1 + 0.15*decode)
-	return Metrics{EnergyPJ: float64(e), Latency: latency, Area: area}, nil
+	return out, nil
+}
+
+// budgetColumn checks that ps, at least one point, form one column of
+// the "banks" axis with every budget at least 1, and returns the largest
+// budget.
+func budgetColumn(ps []Point) (int, error) {
+	col := ps[0].columnKey("banks")
+	most := 0
+	for _, p := range ps {
+		if p.columnKey("banks") != col {
+			return 0, fmt.Errorf("sweep: points %q and %q differ off the banks axis", ps[0].Canonical(), p.Canonical())
+		}
+		banks := p.Int("banks")
+		if banks < 1 {
+			return 0, fmt.Errorf("sweep: bank budget %d is below 1", banks)
+		}
+		most = max(most, banks)
+	}
+	return most, nil
 }
 
 // cacheAdapter sweeps the cache geometry of E19 (DATE'03 8A.1): set
@@ -292,18 +325,28 @@ func (memhierAdapter) Space() Space {
 	}}
 }
 
-func (a memhierAdapter) Run(p Point) (Metrics, error) {
+func (memhierAdapter) ColumnAxis() string { return "banks" }
+
+func (a memhierAdapter) Run(p Point) (Metrics, error) { return runOne(a, p) }
+
+// RunColumn replays the column's cache geometry once and partitions its
+// miss traffic for every bank budget of the column from one DP.
+func (memhierAdapter) RunColumn(ps []Point) ([]Metrics, error) {
+	maxBanks, err := budgetColumn(ps)
+	if err != nil {
+		return nil, err
+	}
 	ref, err := referenceTrace()
 	if err != nil {
-		return Metrics{}, err
+		return nil, err
 	}
 	cfg := cache.Config{
-		Sets: p.Int("sets"), Ways: p.Int("ways"), LineSize: 32,
+		Sets: ps[0].Int("sets"), Ways: ps[0].Int("ways"), LineSize: 32,
 		WriteBack: true, WriteAllocate: true,
 	}
 	c, err := cache.New(cfg, nil)
 	if err != nil {
-		return Metrics{}, err
+		return nil, err
 	}
 	// Record the miss traffic the banked memory actually serves: one
 	// word-wide access per transferred word of every refill and
@@ -320,29 +363,36 @@ func (a memhierAdapter) Run(p Point) (Metrics, error) {
 	c.OnWriteBack = record(trace.Write)
 	st := c.Replay(ref.data)
 
-	banks := p.Int("banks")
-	mm := energy.DefaultMemoryModel()
-	var memE float64
-	var memArea float64
+	var parts []partition.Partition
+	var es []energy.PJ
 	if missTraffic.Len() > 0 {
 		spec, _, err := partition.SpecFromTrace(missTraffic, 64, ref.cycles)
 		if err != nil {
-			return Metrics{}, err
+			return nil, err
 		}
-		part, e, err := partition.Optimal(spec, banks, mm)
+		parts, es, err = partition.OptimalUpTo(spec, maxBanks, energy.DefaultMemoryModel())
 		if err != nil {
-			return Metrics{}, err
-		}
-		memE = float64(e)
-		for _, b := range part.Banks {
-			memArea += float64(b.SizeBytes)
+			return nil, err
 		}
 	}
-	m := cacheSideMetrics(cfg, st)
-	m.EnergyPJ += memE
-	// The cache-side miss penalty already models transfer time; add the
-	// provisioned bank-decode depth on top of every miss.
-	m.Latency += float64(st.Misses) * 0.15 * float64(bits.Len(uint(banks-1)))
-	m.Area += memArea
-	return m, nil
+	side := cacheSideMetrics(cfg, st)
+	out := make([]Metrics, len(ps))
+	for i, p := range ps {
+		banks := p.Int("banks")
+		var memE, memArea float64
+		if parts != nil {
+			memE = float64(es[banks-1])
+			for _, b := range parts[banks-1].Banks {
+				memArea += float64(b.SizeBytes)
+			}
+		}
+		m := side
+		m.EnergyPJ += memE
+		// The cache-side miss penalty already models transfer time; add
+		// the provisioned bank-decode depth on top of every miss.
+		m.Latency += float64(st.Misses) * 0.15 * float64(bits.Len(uint(banks-1)))
+		m.Area += memArea
+		out[i] = m
+	}
+	return out, nil
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"lpmem/internal/runner"
@@ -47,7 +48,9 @@ type Config struct {
 	// batches this large, and the store is flushed and progress reported
 	// at every batch boundary. <= 0 means 32.
 	BatchSize int
-	// Timeout bounds each point evaluation; 0 means none.
+	// Timeout bounds each point evaluation; 0 means none. For a
+	// ColumnAdapter, the first job of a column to run evaluates the
+	// whole column, so its deadline covers the column's shared work.
 	Timeout time.Duration
 	// Store, when non-nil, serves already-evaluated points and persists
 	// new ones (the resume mechanism). A nil store recomputes everything.
@@ -117,6 +120,7 @@ func Run(ctx context.Context, ad Adapter, pts []Point, cfg Config) (*Result, err
 		pending = append(pending, i)
 	}
 
+	evals := evaluators(ad, sorted, pending)
 	eng := runner.New[Metrics](runner.Options{
 		Workers: cfg.Workers,
 		Timeout: cfg.Timeout,
@@ -146,13 +150,13 @@ func Run(ctx context.Context, ad Adapter, pts []Point, cfg Config) (*Result, err
 
 		jobs := make([]runner.Job[Metrics], len(batch))
 		for j, i := range batch {
-			p := sorted[i]
-			key := Key(ad.Name(), StoreVersion, p)
+			key := Key(ad.Name(), StoreVersion, sorted[i])
+			eval := evals[lo+j]
 			run := func(ctx context.Context) (Metrics, error) {
 				if err := ctx.Err(); err != nil {
 					return Metrics{}, err
 				}
-				return ad.Run(p)
+				return eval()
 			}
 			if cfg.WrapJob != nil {
 				run = cfg.WrapJob(key, run)
@@ -190,4 +194,56 @@ func Run(ctx context.Context, ad Adapter, pts []Point, cfg Config) (*Result, err
 		cfg.OnProgress(Progress{Batches: 0, Done: done, Total: res.Total, Cached: res.Cached})
 	}
 	return res, nil
+}
+
+// evaluators returns the evaluation each pending point's job runs: Run,
+// or for a ColumnAdapter its element of the point's column. The pending
+// points of one column share a sync.OnceValues over RunColumn, so the
+// first of its jobs to run computes the whole column and the others
+// wait for it. A column is shared across batches, because the canonical
+// order can spread it over all of them (the banks grid puts a block
+// size's budgets seven points apart). Jobs stay per point, so WrapJob,
+// progress, store flushes and per-point outcomes are as for any
+// adapter, and a RunColumn error or panic fails that column's points
+// only: OnceValues repeats it to every caller.
+func evaluators(ad Adapter, sorted []Point, pending []int) []func() (Metrics, error) {
+	if len(pending) == 0 {
+		return nil
+	}
+	evals := make([]func() (Metrics, error), len(pending))
+	ca, ok := ad.(ColumnAdapter)
+	if !ok {
+		for j, i := range pending {
+			p := sorted[i]
+			evals[j] = func() (Metrics, error) { return ad.Run(p) }
+		}
+		return evals
+	}
+	type column struct {
+		pts []Point
+		run func() ([]Metrics, error)
+	}
+	axis := ca.ColumnAxis()
+	cols := make(map[string]*column)
+	for j, i := range pending {
+		key := sorted[i].columnKey(axis)
+		c := cols[key]
+		if c == nil {
+			// c.pts is complete before any job runs: the jobs start
+			// after evaluators returns.
+			c = &column{}
+			c.run = sync.OnceValues(func() ([]Metrics, error) { return ca.RunColumn(c.pts) })
+			cols[key] = c
+		}
+		k := len(c.pts)
+		c.pts = append(c.pts, sorted[i])
+		evals[j] = func() (Metrics, error) {
+			ms, err := c.run()
+			if err != nil {
+				return Metrics{}, err
+			}
+			return ms[k], nil
+		}
+	}
+	return evals
 }

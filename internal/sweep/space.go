@@ -32,6 +32,7 @@ package sweep
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -290,6 +291,14 @@ func (p Point) Canonical() string {
 		b.WriteString(p[n].String())
 	}
 	return b.String()
+}
+
+// columnKey identifies the column of axis that p lies in: its canonical
+// form without that axis, which the other points of the column share.
+func (p Point) columnKey(axis string) string {
+	q := maps.Clone(p)
+	delete(q, axis)
+	return q.Canonical()
 }
 
 // Key content-addresses the point for the result store: the adapter name

@@ -252,7 +252,7 @@ stage_sweep() {
     dir=$(mktemp -d)
     # Cold run populates each store; the resumed run must re-execute
     # nothing and reproduce the frontier byte-for-byte.
-    for space in banks memtech nuca; do
+    for space in banks memhier memtech nuca; do
         "$BIN/lpmem" sweep -space "$space" -resume "$dir/$space.jsonl" -pareto \
             >"$dir/front1.txt" 2>"$dir/sum1.txt"
         "$BIN/lpmem" sweep -space "$space" -resume "$dir/$space.jsonl" -pareto \

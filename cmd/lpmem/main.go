@@ -176,7 +176,7 @@ loadgen flags:
   -json          emit the report as JSON
 
 sweep flags:
-  -space NAME    design space: banks, cache, bus, memhier, memtech (-list to enumerate)
+  -space NAME    design space: banks, cache, bus, memhier, memtech, nuca (-list to enumerate)
   -points N      Latin-hypercube sample size (default 0 = full grid)
   -seed N        sampling seed (default 1)
   -resume FILE   JSONL result store; reruns skip already-evaluated points

@@ -60,7 +60,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 				case sweep.EnumAxis:
 					fmt.Fprintf(stdout, "           %-8s enum  %v\n", a.Name, a.Values)
 				default:
-					fmt.Fprintf(stdout, "           %-8s %-5s [%g, %g]\n", a.Name, a.Kind, a.Min, a.Max)
+					fmt.Fprintf(stdout, "           %-8s %-5s [%d, %d]\n", a.Name, a.Kind, a.Min, a.Max)
 				}
 			}
 			for _, c := range sp.Constraints {
@@ -124,11 +124,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	}
 
 	front := sweep.Frontier(res.Outcomes, objs)
-	frontTable, err := sweep.FrontierTable(sp.Axes, front, objs)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
+	frontTable := sweep.FrontierTable(sp.Axes, front, objs)
 	summary := fmt.Sprintf("space %s: %d points (evaluated %d, cached %d, failed %d), frontier %d",
 		ad.Name(), res.Total, res.Evaluated, res.Cached, res.Failed, len(front))
 

@@ -116,6 +116,29 @@ func TestSweepSampled(t *testing.T) {
 	}
 }
 
+// TestSweepListGolden: `lpmem sweep -list` must match the checked-in
+// listing byte-for-byte. Regenerate with `go test ./cmd/lpmem -run
+// Golden -update` only after a deliberate change to a space.
+func TestSweepListGolden(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := runSweep([]string{"-list"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	golden := filepath.Join("testdata", "sweep_list.txt")
+	if *update {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("sweep -list mismatch\n--- got ---\n%s\n--- want ---\n%s", out.Bytes(), want)
+	}
+}
+
 // TestSweepListAndErrors: -list enumerates the spaces; bad flags and
 // unknown spaces exit 2.
 func TestSweepListAndErrors(t *testing.T) {

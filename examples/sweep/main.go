@@ -50,11 +50,7 @@ func main() {
 
 	objectives := sweep.MetricNames()
 	front := sweep.Frontier(res.Outcomes, objectives)
-	table, err := sweep.FrontierTable(sp.Axes, front, objectives)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	table := sweep.FrontierTable(sp.Axes, front, objectives)
 	fmt.Printf("Pareto frontier over %v (%d of %d points):\n", objectives, len(front), res.Total)
 	fmt.Print(table.String())
 

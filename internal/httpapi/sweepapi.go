@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 
 	"lpmem/internal/stats"
@@ -22,9 +24,10 @@ const maxSweepPoints = 4096
 type sweepManager struct {
 	workers int
 
-	mu    sync.Mutex
-	seq   int
-	jobs  map[string]*sweepJob
+	mu sync.Mutex
+	// jobs holds every accepted sweep in acceptance order: jobs[i] has
+	// ID "S<i+1>". It only grows, so a copied header stays valid.
+	jobs  []*sweepJob
 	store *sweep.Store
 }
 
@@ -109,12 +112,13 @@ func newSweepManager(workers int, store *sweep.Store) *sweepManager {
 		// OpenStore("") cannot fail: memory-only stores touch no file.
 		store, _ = sweep.OpenStore("")
 	}
-	return &sweepManager{workers: workers, jobs: make(map[string]*sweepJob), store: store}
+	return &sweepManager{workers: workers, store: store}
 }
 
 // sweepRequest is the POST /sweeps body.
 type sweepRequest struct {
-	// Space names the design space ("banks", "cache", "bus", "memhier", "memtech").
+	// Space names the design space ("banks", "bus", "cache", "memhier",
+	// "memtech", "nuca").
 	Space string `json:"space"`
 	// Points > 0 Latin-hypercube samples that many points; 0 sweeps the
 	// full grid.
@@ -198,13 +202,12 @@ func (m *sweepManager) start(req sweepRequest) (*sweepJob, error) {
 	}
 
 	m.mu.Lock()
-	m.seq++
 	job := &sweepJob{
-		id:     fmt.Sprintf("S%d", m.seq),
+		id:     fmt.Sprintf("S%d", len(m.jobs)+1),
 		space:  ad.Name(),
 		status: "running", objectives: objs, total: len(pts),
 	}
-	m.jobs[job.id] = job
+	m.jobs = append(m.jobs, job)
 	m.mu.Unlock()
 
 	//lint:allow goroutine an accepted sweep deliberately outlives its request; run settles the job and exits, and the store keeps partial results if the server dies
@@ -239,13 +242,7 @@ func (m *sweepManager) run(job *sweepJob, ad sweep.Adapter, sp sweep.Space, pts 
 	}
 	job.done = res.Total
 	job.evaluated, job.cached, job.failed = res.Evaluated, res.Cached, res.Failed
-	front := sweep.Frontier(res.Outcomes, job.objectives)
-	ft, ferr := sweep.FrontierTable(sp.Axes, front, job.objectives)
-	if ferr != nil {
-		job.status, job.err = "failed", ferr.Error()
-		return
-	}
-	job.frontier = ft
+	job.frontier = sweep.FrontierTable(sp.Axes, sweep.Frontier(res.Outcomes, job.objectives), job.objectives)
 	job.sensitivity = sweep.Sensitivity(sp.Axes, res.Outcomes)
 	job.results = sweep.ResultsTable(sp.Axes, res.Outcomes)
 	switch {
@@ -258,34 +255,29 @@ func (m *sweepManager) run(job *sweepJob, ad sweep.Adapter, sp sweep.Space, pts 
 	}
 }
 
-// get returns the job by ID.
+// get returns the job by ID. Only the exact form "S<n>" resolves, so
+// "S01" or "S+1" are unknown like any other ID.
 func (m *sweepManager) get(id string) (*sweepJob, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "S"))
+	if err != nil || n < 1 || n > len(m.jobs) || m.jobs[n-1].id != id {
+		return nil, false
+	}
+	return m.jobs[n-1], true
 }
 
 // list snapshots every job, newest first.
 func (m *sweepManager) list() []sweepStatus {
 	m.mu.Lock()
-	jobs := make([]*sweepJob, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	seq := m.seq
+	jobs := m.jobs
 	m.mu.Unlock()
 	out := make([]sweepStatus, 0, len(jobs))
-	for i := seq; i >= 1 && len(out) < len(jobs); i-- {
-		for _, j := range jobs {
-			if j.id == fmt.Sprintf("S%d", i) {
-				s := j.snapshot()
-				// Listings stay light: tables are fetched per-ID.
-				s.Frontier, s.Sensitivity, s.Results = nil, nil, nil
-				out = append(out, s)
-				break
-			}
-		}
+	for i := len(jobs) - 1; i >= 0; i-- {
+		s := jobs[i].snapshot()
+		// Listings stay light: tables are fetched per-ID.
+		s.Frontier, s.Sensitivity, s.Results = nil, nil, nil
+		out = append(out, s)
 	}
 	return out
 }
@@ -366,8 +358,8 @@ func (s *Server) handleSweepSpaces(w http.ResponseWriter, r *http.Request) {
 	type axisInfo struct {
 		Name   string   `json:"name"`
 		Kind   string   `json:"kind"`
-		Min    float64  `json:"min,omitempty"`
-		Max    float64  `json:"max,omitempty"`
+		Min    int      `json:"min,omitempty"`
+		Max    int      `json:"max,omitempty"`
 		Values []string `json:"values,omitempty"`
 	}
 	type spaceInfo struct {

@@ -1,12 +1,21 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // tableJSON mirrors stats.Table's wire form (the Table type itself only
 // marshals).
@@ -130,6 +139,75 @@ func TestSweepSubmitAndFetch(t *testing.T) {
 	}
 }
 
+// TestSweepListNewestFirst: GET /sweeps lists every accepted sweep,
+// newest first, while submissions, listings and lookups run
+// concurrently, and GET /sweeps/{id} resolves only the exact IDs it
+// handed out.
+func TestSweepListNewestFirst(t *testing.T) {
+	ts, _ := newTestServer(t)
+	const clients, perClient = 4, 9
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(`{"space":"bus","points":1}`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var accepted sweepStatusJSON
+				err = json.NewDecoder(resp.Body).Decode(&accepted)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusAccepted {
+					t.Errorf("submit: status %d, %v", resp.StatusCode, err)
+					return
+				}
+				for _, path := range []string{"/sweeps", "/sweeps/" + accepted.ID} {
+					resp, err := http.Get(ts.URL + path)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("GET %s: status %d", path, resp.StatusCode)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const n = clients * perClient
+	for i := 1; i <= n; i++ {
+		waitSweep(t, ts.URL, fmt.Sprintf("S%d", i))
+	}
+	var listing struct {
+		Sweeps []sweepStatusJSON `json:"sweeps"`
+	}
+	if code := get(t, ts.URL+"/sweeps", &listing); code != http.StatusOK {
+		t.Fatalf("list status %d", code)
+	}
+	if len(listing.Sweeps) != n {
+		t.Fatalf("listing has %d sweeps, want %d", len(listing.Sweeps), n)
+	}
+	for i, s := range listing.Sweeps {
+		if want := fmt.Sprintf("S%d", n-i); s.ID != want {
+			t.Fatalf("listing[%d] = %q, want %q", i, s.ID, want)
+		}
+	}
+	for _, id := range []string{"S01", "S+1", "S0", "S-1", fmt.Sprintf("S%d", n+1), "1", "s1", "S1x"} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code := get(t, ts.URL+"/sweeps/"+id, &e); code != http.StatusNotFound {
+			t.Fatalf("GET /sweeps/%s: status %d, want 404", id, code)
+		}
+	}
+}
+
 // TestSweepSampledRequest: "points" samples instead of sweeping the grid.
 func TestSweepSampledRequest(t *testing.T) {
 	ts, _ := newTestServer(t)
@@ -203,5 +281,38 @@ func TestSweepSpaces(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("catalogue misses %q: %v", want, names)
 		}
+	}
+}
+
+// TestSweepSpacesGolden: the GET /sweeps/spaces body must match the
+// checked-in catalogue byte-for-byte. Regenerate with `go test
+// ./internal/httpapi -run SpacesGolden -update` only after a deliberate
+// change to a space.
+func TestSweepSpacesGolden(t *testing.T) {
+	ts, _ := newTestServer(t)
+	resp, err := http.Get(ts.URL + "/sweeps/spaces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "sweep_spaces.json")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("/sweeps/spaces mismatch\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

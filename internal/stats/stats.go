@@ -1,5 +1,5 @@
 // Package stats provides the small statistical helpers shared by the
-// experiment harnesses: means, geometric means, percent deltas and a
+// experiment harnesses: means, extremes, medians, percent savings and a
 // fixed-width table printer for reproducing the papers' result tables.
 package stats
 
@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -139,73 +138,6 @@ func (t *Table) SetCell(row, col int, v string) error {
 	}
 	t.rows[row][col] = v
 	return nil
-}
-
-// SortBy stably reorders the body rows by the given column, ascending.
-// Cells that both parse as numbers compare numerically (so "9.50" sorts
-// before "10.25"); any other pair compares lexically, with numeric cells
-// ordering before non-numeric ones. An out-of-range column is an error
-// rather than a panic because table shapes are often driven by external
-// input (sweep objectives, HTTP parameters).
-func (t *Table) SortBy(col int) error {
-	if col < 0 || col >= len(t.header) {
-		return fmt.Errorf("stats: sort column %d out of range [0,%d)", col, len(t.header))
-	}
-	cell := func(row []string) string {
-		if col < len(row) {
-			return row[col]
-		}
-		return ""
-	}
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		a, b := cell(t.rows[i]), cell(t.rows[j])
-		af, aerr := strconv.ParseFloat(a, 64)
-		bf, berr := strconv.ParseFloat(b, 64)
-		switch {
-		case aerr == nil && berr == nil:
-			return af < bf
-		case aerr == nil:
-			return true
-		case berr == nil:
-			return false
-		default:
-			return a < b
-		}
-	})
-	return nil
-}
-
-// FilterRows returns a new table with the same header holding only the
-// body rows the predicate keeps. The receiver is unchanged; row slices
-// are copied, so the result is safe to mutate independently.
-func (t *Table) FilterRows(keep func(row []string) bool) *Table {
-	out := NewTable(t.header...)
-	for _, r := range t.rows {
-		if keep(r) {
-			out.rows = append(out.rows, append([]string{}, r...))
-		}
-	}
-	return out
-}
-
-// DropColumn returns a new table without the given column (header and
-// every row cell). Rows shorter than the column index are copied as-is.
-func (t *Table) DropColumn(col int) (*Table, error) {
-	if col < 0 || col >= len(t.header) {
-		return nil, fmt.Errorf("stats: drop column %d out of range [0,%d)", col, len(t.header))
-	}
-	header := make([]string, 0, len(t.header)-1)
-	header = append(header, t.header[:col]...)
-	header = append(header, t.header[col+1:]...)
-	out := NewTable(header...)
-	for _, r := range t.rows {
-		row := append([]string{}, r...)
-		if col < len(row) {
-			row = append(row[:col], row[col+1:]...)
-		}
-		out.rows = append(out.rows, row)
-	}
-	return out, nil
 }
 
 // MarshalJSON encodes the table as {"header": [...], "rows": [[...]]}.

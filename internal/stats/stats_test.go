@@ -146,99 +146,3 @@ func TestTableMarshalJSON(t *testing.T) {
 		t.Fatalf("empty table must not encode null: %s", empty)
 	}
 }
-
-// TestTableSortBy: numeric columns sort numerically, mixed columns put
-// numbers before text, and ties keep their input order (stable sort).
-func TestTableSortBy(t *testing.T) {
-	tb := NewTable("name", "value")
-	tb.AddRow("c", 10.0)
-	tb.AddRow("a", 2.0)
-	tb.AddRow("b", 2.0)
-	tb.AddRow("d", 1.0)
-	if err := tb.SortBy(1); err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, row := range tb.ToRows() {
-		names = append(names, row[0])
-	}
-	// 1 first, then the 2.0 tie in input order (a before b), then 10
-	// (numeric, not lexical — lexical would put "10.00" before "2.00").
-	if got := strings.Join(names, ""); got != "dabc" {
-		t.Fatalf("numeric sort order = %q, want dabc", got)
-	}
-
-	if err := tb.SortBy(0); err != nil {
-		t.Fatal(err)
-	}
-	names = names[:0]
-	for _, row := range tb.ToRows() {
-		names = append(names, row[0])
-	}
-	if got := strings.Join(names, ""); got != "abcd" {
-		t.Fatalf("lexical sort order = %q, want abcd", got)
-	}
-
-	mixed := NewTable("v")
-	mixed.AddRow("zz")
-	mixed.AddRow(3.0)
-	if err := mixed.SortBy(0); err != nil {
-		t.Fatal(err)
-	}
-	if mixed.ToRows()[0][0] == "zz" {
-		t.Fatal("numeric cells must order before non-numeric ones")
-	}
-
-	if err := tb.SortBy(9); err == nil {
-		t.Fatal("SortBy accepted an out-of-range column")
-	}
-}
-
-// TestTableFilterRows: filtering returns a new table and leaves the
-// receiver untouched.
-func TestTableFilterRows(t *testing.T) {
-	tb := NewTable("name", "status")
-	tb.AddRow("a", "ok")
-	tb.AddRow("b", "error")
-	tb.AddRow("c", "ok")
-	kept := tb.FilterRows(func(row []string) bool { return row[1] == "ok" })
-	if kept.NumRows() != 2 {
-		t.Fatalf("filtered table has %d rows, want 2", kept.NumRows())
-	}
-	if tb.NumRows() != 3 {
-		t.Fatalf("FilterRows mutated the receiver: %d rows", tb.NumRows())
-	}
-	if got := kept.ToRows()[1][0]; got != "c" {
-		t.Fatalf("filtered rows out of order: %q", got)
-	}
-	// Mutating the filtered copy must not leak back.
-	if err := kept.SetCell(0, 0, "zz"); err != nil {
-		t.Fatal(err)
-	}
-	if tb.ToRows()[0][0] != "a" {
-		t.Fatal("filtered table shares row storage with the original")
-	}
-}
-
-// TestTableDropColumn: the column disappears from header and rows; the
-// receiver is untouched; out-of-range columns error.
-func TestTableDropColumn(t *testing.T) {
-	tb := NewTable("a", "b", "c")
-	tb.AddRow(1.0, 2.0, 3.0)
-	dropped, err := tb.DropColumn(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(dropped.Header(), ","); got != "a,c" {
-		t.Fatalf("dropped header = %q", got)
-	}
-	if got := dropped.ToRows()[0]; len(got) != 2 || got[1] != "3.00" {
-		t.Fatalf("dropped row = %v", got)
-	}
-	if tb.NumCols() != 3 {
-		t.Fatal("DropColumn mutated the receiver")
-	}
-	if _, err := tb.DropColumn(5); err == nil {
-		t.Fatal("DropColumn accepted an out-of-range column")
-	}
-}

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -78,7 +77,8 @@ func ParseObjectives(s string) ([]string, error) {
 // executor calls it from concurrent pool workers and the store assumes a
 // point's metrics never change under a fixed StoreVersion.
 type Adapter interface {
-	// Name is the registry key ("banks", "cache", "bus", "memhier", "memtech").
+	// Name is the lookup key ("banks", "bus", "cache", "memhier",
+	// "memtech", "nuca").
 	Name() string
 	// Describe is a one-line summary for listings.
 	Describe() string
@@ -114,41 +114,19 @@ func runOne(a ColumnAdapter, p Point) (Metrics, error) {
 	return ms[0], nil
 }
 
-// registry holds the built-in adapters, keyed by name.
-var registry = map[string]Adapter{}
-
-// register adds an adapter at package init.
-func register(a Adapter) {
-	if _, dup := registry[a.Name()]; dup {
-		//lint:allow panicfree duplicate registration is a compile-time wiring bug, caught by any test that imports the package
-		panic("sweep: duplicate adapter " + a.Name())
-	}
-	registry[a.Name()] = a
-}
-
-// Adapters lists the registered adapters sorted by name.
+// Adapters lists the built-in adapters sorted by name.
 func Adapters() []Adapter {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Adapter, len(names))
-	for i, n := range names {
-		out[i] = registry[n]
-	}
-	return out
+	return []Adapter{banksAdapter{}, busAdapter{}, cacheAdapter{}, memhierAdapter{}, memtechAdapter{}, nucaAdapter{}}
 }
 
 // ByName resolves an adapter, listing the known names on failure.
 func ByName(name string) (Adapter, error) {
-	if a, ok := registry[name]; ok {
-		return a, nil
+	var names []string
+	for _, a := range Adapters() {
+		if a.Name() == name {
+			return a, nil
+		}
+		names = append(names, a.Name())
 	}
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	return nil, fmt.Errorf("sweep: unknown space %q (known: %s)", name, strings.Join(names, ","))
 }

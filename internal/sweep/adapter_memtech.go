@@ -10,13 +10,10 @@ import (
 	"lpmem/internal/trace"
 )
 
-func init() {
-	register(memtechAdapter{})
-}
-
 // memtechNodes maps the technology axis labels to process nodes in µm.
-// Enum labels (not a float axis) keep the grid on the three calibrated
-// ITRS nodes instead of meaningless geometric intermediates.
+// Enum labels keep the grid on the three calibrated ITRS nodes, where a
+// stepped integer axis over 65..180 nm would land on uncalibrated
+// geometric intermediates.
 var memtechNodes = map[string]float64{
 	"180": 0.18,
 	"90":  0.09,
@@ -99,7 +96,7 @@ func (memtechAdapter) Space() Space {
 		{Name: "tech", Kind: EnumAxis, Values: []string{"180", "90", "65"}},
 		{Name: "cell", Kind: EnumAxis, Values: []string{"hp", "lop", "lstp"}},
 		{Name: "gating", Kind: EnumAxis, Values: []string{"off", "array", "full"}},
-		{Name: "banks", Kind: IntAxis, Min: 1, Max: 8, Steps: 4, Log: true},
+		{Name: "banks", Kind: IntAxis, Min: 1, Max: 8, Steps: 4},
 	}}
 }
 

@@ -8,10 +8,6 @@ import (
 	"lpmem/internal/trace"
 )
 
-func init() {
-	register(nucaAdapter{})
-}
-
 // nucaTraceCache holds one interleaved reference trace per core count,
 // built on first use. Guarded by a mutex because the executor calls Run
 // from concurrent pool workers; the traces themselves are read-only
@@ -62,8 +58,8 @@ func (nucaAdapter) Describe() string {
 
 func (nucaAdapter) Space() Space {
 	return Space{Axes: []Axis{
-		{Name: "cores", Kind: IntAxis, Min: 1, Max: 8, Steps: 4, Log: true},
-		{Name: "banks", Kind: IntAxis, Min: 1, Max: 16, Steps: 5, Log: true},
+		{Name: "cores", Kind: IntAxis, Min: 1, Max: 8, Steps: 4},
+		{Name: "banks", Kind: IntAxis, Min: 1, Max: 16, Steps: 5},
 		{Name: "compression", Kind: EnumAxis, Values: []string{"none", "diff", "ideal"}},
 		{Name: "mapping", Kind: EnumAxis, Values: []string{"static", "distance"}},
 	}}

@@ -48,13 +48,6 @@ type refWorkload struct {
 // refills against (a 1 MiB off-chip-class SRAM in the energy model).
 const mainMemoryBytes = 1 << 20
 
-func init() {
-	register(banksAdapter{})
-	register(cacheAdapter{})
-	register(busAdapter{})
-	register(memhierAdapter{})
-}
-
 // banksAdapter sweeps the multi-bank partitioning substrate of E1
 // (DATE'03 1B.1): the bank budget and the partition block granularity.
 // Energy comes from the exact DP optimizer; the latency proxy charges
@@ -71,7 +64,7 @@ func (banksAdapter) Describe() string {
 func (banksAdapter) Space() Space {
 	return Space{Axes: []Axis{
 		{Name: "banks", Kind: IntAxis, Min: 1, Max: 32},
-		{Name: "block", Kind: IntAxis, Min: 16, Max: 1024, Steps: 7, Log: true},
+		{Name: "block", Kind: IntAxis, Min: 16, Max: 1024, Steps: 7},
 	}}
 }
 
@@ -152,9 +145,9 @@ func (cacheAdapter) Describe() string {
 func (cacheAdapter) Space() Space {
 	return Space{
 		Axes: []Axis{
-			{Name: "sets", Kind: IntAxis, Min: 16, Max: 512, Steps: 6, Log: true},
-			{Name: "ways", Kind: IntAxis, Min: 1, Max: 8, Steps: 4, Log: true},
-			{Name: "line", Kind: IntAxis, Min: 16, Max: 64, Steps: 3, Log: true},
+			{Name: "sets", Kind: IntAxis, Min: 16, Max: 512, Steps: 6},
+			{Name: "ways", Kind: IntAxis, Min: 1, Max: 8, Steps: 4},
+			{Name: "line", Kind: IntAxis, Min: 16, Max: 64, Steps: 3},
 		},
 		Constraints: []Constraint{{
 			Name:  "capacity <= 64 KiB",
@@ -319,8 +312,8 @@ func (memhierAdapter) Describe() string {
 
 func (memhierAdapter) Space() Space {
 	return Space{Axes: []Axis{
-		{Name: "sets", Kind: IntAxis, Min: 16, Max: 256, Steps: 5, Log: true},
-		{Name: "ways", Kind: IntAxis, Min: 1, Max: 4, Steps: 3, Log: true},
+		{Name: "sets", Kind: IntAxis, Min: 16, Max: 256, Steps: 5},
+		{Name: "ways", Kind: IntAxis, Min: 1, Max: 4, Steps: 3},
 		{Name: "banks", Kind: IntAxis, Min: 1, Max: 8},
 	}}
 }

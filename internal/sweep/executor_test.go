@@ -89,14 +89,8 @@ func TestRunFreshThenResume(t *testing.T) {
 			t.Fatalf("outcome %d: metrics differ across runs", i)
 		}
 	}
-	ft1, err := FrontierTable(axes, Frontier(res1.Outcomes, objs), objs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft2, err := FrontierTable(axes, Frontier(res2.Outcomes, objs), objs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ft1 := FrontierTable(axes, Frontier(res1.Outcomes, objs), objs)
+	ft2 := FrontierTable(axes, Frontier(res2.Outcomes, objs), objs)
 	if ft1.String() != ft2.String() {
 		t.Fatalf("frontier differs between fresh and resumed run:\n%s\nvs\n%s", ft1, ft2)
 	}
@@ -180,10 +174,7 @@ func TestSweepRecoversFromInjectedFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	objs := MetricNames()
-	refFront, err := FrontierTable(ad.Space().Axes, Frontier(ref.Outcomes, objs), objs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refFront := FrontierTable(ad.Space().Axes, Frontier(ref.Outcomes, objs), objs)
 
 	// Faulted run: half the points die (transient errors and panics that
 	// never heal within the run). Successes still land in the store.
@@ -248,17 +239,14 @@ func TestSweepRecoversFromInjectedFaults(t *testing.T) {
 			t.Fatalf("outcome %d: recovered metrics differ from the clean run", i)
 		}
 	}
-	front2, err := FrontierTable(ad.Space().Axes, Frontier(res2.Outcomes, objs), objs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	front2 := FrontierTable(ad.Space().Axes, Frontier(res2.Outcomes, objs), objs)
 	if refFront.String() != front2.String() {
 		t.Fatalf("recovered frontier differs from the clean run:\n%s\nvs\n%s", refFront, front2)
 	}
 }
 
 func TestAdaptersRunOnePoint(t *testing.T) {
-	// Every registered adapter must evaluate the first point of its own
+	// Every built-in adapter must evaluate the first point of its own
 	// grid without error and produce positive metrics.
 	for _, ad := range Adapters() {
 		pts, err := ad.Space().Grid()

@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"fmt"
+	"sort"
+	"strconv"
 
 	"lpmem/internal/stats"
 )
@@ -58,17 +60,8 @@ func Frontier(outs []Outcome, objectives []string) []Outcome {
 // "cached" or the error). All sweep serialisation flows through this so
 // sweeps ride the same JSON envelope as the experiments.
 func ResultsTable(axes []Axis, outs []Outcome) *stats.Table {
-	header := make([]string, 0, len(axes)+4)
-	for _, a := range axes {
-		header = append(header, a.Name)
-	}
-	header = append(header, "energy_pj", "latency", "area", "status")
-	t := stats.NewTable(header...)
+	t := stats.NewTable(append(tableHeader(axes), "status")...)
 	for _, o := range outs {
-		row := make([]interface{}, 0, len(header))
-		for _, a := range axes {
-			row = append(row, o.Point[a.Name].String())
-		}
 		status := "ok"
 		switch {
 		case o.Err != nil:
@@ -76,42 +69,56 @@ func ResultsTable(axes []Axis, outs []Outcome) *stats.Table {
 		case o.Cached:
 			status = "cached"
 		}
-		row = append(row, o.Metrics.EnergyPJ, o.Metrics.Latency, o.Metrics.Area, status)
-		t.AddRow(row...)
+		t.AddRow(append(tableRow(axes, o), status)...)
 	}
 	return t
 }
 
-// FrontierTable renders the frontier sorted by the first objective
-// (ascending), dropping failed rows. The output is a pure function of
-// the outcomes' points and metrics — cached and freshly evaluated runs
-// of the same sweep produce byte-identical tables, which is what the
-// resume gate in CI diffs.
-func FrontierTable(axes []Axis, front []Outcome, objectives []string) (*stats.Table, error) {
-	t := ResultsTable(axes, front)
-	statusCol := t.NumCols() - 1
-	t = t.FilterRows(func(row []string) bool { return row[statusCol] == "ok" || row[statusCol] == "cached" })
-	// The status column distinguishes cache hits for humans but would
-	// break run-to-run byte identity; the frontier is status-free.
-	t, err := t.DropColumn(statusCol)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: frontier table: %w", err)
+// FrontierTable renders the successful frontier outcomes like
+// ResultsTable but without the status column, stably sorted by the
+// first objective as printed: cells that tie at two decimals keep point
+// order. The output is a pure function of the outcomes' points and
+// metrics — cached and freshly evaluated runs of the same sweep produce
+// byte-identical tables, which is what the resume gate in CI diffs.
+func FrontierTable(axes []Axis, front []Outcome, objectives []string) *stats.Table {
+	var ok []Outcome
+	for _, o := range front {
+		if o.Err == nil {
+			ok = append(ok, o)
+		}
 	}
 	if len(objectives) > 0 {
-		col := -1
-		for i, h := range t.Header() {
-			if h == objectives[0] {
-				col = i
-				break
-			}
+		printed := func(o Outcome) float64 {
+			v, _ := o.Metrics.Get(objectives[0])
+			f, _ := strconv.ParseFloat(fmt.Sprintf("%.2f", v), 64)
+			return f
 		}
-		if col >= 0 {
-			if err := t.SortBy(col); err != nil {
-				return nil, fmt.Errorf("sweep: frontier table: %w", err)
-			}
-		}
+		sort.SliceStable(ok, func(i, j int) bool { return printed(ok[i]) < printed(ok[j]) })
 	}
-	return t, nil
+	t := stats.NewTable(tableHeader(axes)...)
+	for _, o := range ok {
+		t.AddRow(tableRow(axes, o)...)
+	}
+	return t
+}
+
+// tableHeader names the axis columns in declared order, then the
+// objectives.
+func tableHeader(axes []Axis) []string {
+	header := make([]string, 0, len(axes)+4)
+	for _, a := range axes {
+		header = append(header, a.Name)
+	}
+	return append(header, MetricNames()...)
+}
+
+// tableRow is an outcome's cells under tableHeader.
+func tableRow(axes []Axis, o Outcome) []interface{} {
+	row := make([]interface{}, 0, len(axes)+4)
+	for _, a := range axes {
+		row = append(row, o.Point[a.Name].String())
+	}
+	return append(row, o.Metrics.EnergyPJ, o.Metrics.Latency, o.Metrics.Area)
 }
 
 // Sensitivity summarises how much each axis moves each objective: for

@@ -1,10 +1,12 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -144,16 +146,37 @@ func TestFrontierTableByteIdenticalForCached(t *testing.T) {
 		cached[i] = o
 	}
 	objs := MetricNames()
-	ft1, err := FrontierTable(axes, Frontier(fresh, objs), objs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft2, err := FrontierTable(axes, Frontier(cached, objs), objs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ft1 := FrontierTable(axes, Frontier(fresh, objs), objs)
+	ft2 := FrontierTable(axes, Frontier(cached, objs), objs)
 	if ft1.String() != ft2.String() {
 		t.Fatalf("frontier table differs between fresh and cached runs:\n%s\nvs\n%s", ft1, ft2)
+	}
+}
+
+// TestFrontierTableSortsByPrintedValue: the frontier is ordered by the
+// first objective as printed, so points that tie at two decimals keep
+// point order even when their raw values differ; failed outcomes and
+// the status column are left out.
+func TestFrontierTableSortsByPrintedValue(t *testing.T) {
+	axes := []Axis{{Name: "i", Kind: IntAxis, Min: 0, Max: 9}}
+	outs := []Outcome{
+		{Point: Point{"i": IntValue(0)}, Metrics: Metrics{EnergyPJ: 2.004, Latency: 1, Area: 9}},
+		{Point: Point{"i": IntValue(1)}, Metrics: Metrics{EnergyPJ: 2.001, Latency: 2, Area: 8}},
+		{Point: Point{"i": IntValue(2)}, Metrics: Metrics{EnergyPJ: 1.5, Latency: 3, Area: 7}},
+		{Point: Point{"i": IntValue(3)}, Metrics: Metrics{EnergyPJ: 0.5}, Err: errors.New("boom")},
+	}
+	ft := FrontierTable(axes, outs, MetricNames())
+	if got, want := strings.Join(ft.Header(), ","), "i,energy_pj,latency,area"; got != want {
+		t.Fatalf("header %q, want %q", got, want)
+	}
+	var order []string
+	for _, row := range ft.ToRows() {
+		order = append(order, row[0])
+	}
+	// 2.004 and 2.001 both print as 2.00: points 0 and 1 tie and stay in
+	// point order behind point 2.
+	if got, want := strings.Join(order, ","), "2,0,1"; got != want {
+		t.Fatalf("frontier order %s, want %s", got, want)
 	}
 }
 

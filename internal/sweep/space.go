@@ -8,9 +8,10 @@
 //
 // The pieces mirror the methodology of the papers:
 //
-//   - Space/Axis describe the design space: named int/float/enum axes with
-//     linear or logarithmic spacing, plus Constraint filters that remove
-//     illegal points (e.g. caches larger than the die budget).
+//   - Space/Axis describe the design space: named integer axes, every
+//     integer of a range or geometric steps across it, and enum axes,
+//     plus Constraint filters that remove illegal points (e.g. caches
+//     larger than the die budget).
 //   - Adapter exposes a sweepable substrate (bank partitioning, cache
 //     geometry, bus encoding, a two-level hierarchy) as Run(point) →
 //     Metrics, where Metrics carries the energy/latency/area triple every
@@ -35,18 +36,18 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// AxisKind discriminates the three axis value domains.
+// AxisKind discriminates the two axis value domains.
 type AxisKind int
 
-// Axis kinds: integer ranges, real ranges, and enumerated categories.
+// Axis kinds: integer ranges and enumerated categories.
 const (
 	IntAxis AxisKind = iota
-	FloatAxis
 	EnumAxis
 )
 
@@ -55,8 +56,6 @@ func (k AxisKind) String() string {
 	switch k {
 	case IntAxis:
 		return "int"
-	case FloatAxis:
-		return "float"
 	case EnumAxis:
 		return "enum"
 	default:
@@ -70,17 +69,14 @@ type Axis struct {
 	Name string
 	// Kind selects the value domain.
 	Kind AxisKind
-	// Min and Max bound numeric axes (inclusive).
-	Min, Max float64
-	// Steps is the grid resolution of a numeric axis: the number of
-	// samples placed across [Min, Max]. For IntAxis, 0 means every
-	// integer in the range; sampled values are rounded to integers and
-	// deduplicated. FloatAxis requires Steps >= 1.
+	// Min and Max bound an IntAxis (inclusive).
+	Min, Max int
+	// Steps is the grid resolution of an IntAxis. 0 means every integer
+	// in [Min, Max]. Steps > 0 places that many samples geometrically
+	// from Min to Max (bank sizes, set counts and line sizes are
+	// power-of-two shaped), rounded to integers and deduplicated; it
+	// requires Min > 0.
 	Steps int
-	// Log spaces numeric samples geometrically instead of linearly
-	// (bank sizes, set counts and line sizes are power-of-two shaped).
-	// Requires Min > 0.
-	Log bool
 	// Values enumerates an EnumAxis, in canonical (reported) order.
 	Values []string
 }
@@ -102,15 +98,12 @@ func (a Axis) validate() error {
 			}
 			seen[v] = true
 		}
-	case IntAxis, FloatAxis:
+	case IntAxis:
 		if a.Max < a.Min {
-			return fmt.Errorf("sweep: axis %q has max %g < min %g", a.Name, a.Max, a.Min)
+			return fmt.Errorf("sweep: axis %q has max %d < min %d", a.Name, a.Max, a.Min)
 		}
-		if a.Log && a.Min <= 0 {
-			return fmt.Errorf("sweep: log axis %q needs min > 0, got %g", a.Name, a.Min)
-		}
-		if a.Kind == FloatAxis && a.Steps < 1 {
-			return fmt.Errorf("sweep: float axis %q needs steps >= 1", a.Name)
+		if a.Steps > 0 && a.Min <= 0 {
+			return fmt.Errorf("sweep: stepped axis %q needs min > 0, got %d", a.Name, a.Min)
 		}
 	default:
 		return fmt.Errorf("sweep: axis %q has unknown kind %d", a.Name, int(a.Kind))
@@ -121,139 +114,70 @@ func (a Axis) validate() error {
 // gridValues enumerates the axis' grid samples in ascending (enum:
 // declared) order.
 func (a Axis) gridValues() []Value {
-	switch a.Kind {
-	case EnumAxis:
+	if a.Kind == EnumAxis {
 		out := make([]Value, len(a.Values))
 		for i, v := range a.Values {
 			out[i] = EnumValue(v)
 		}
 		return out
-	case IntAxis:
-		if a.Steps <= 0 {
-			lo, hi := int(math.Ceil(a.Min)), int(math.Floor(a.Max))
-			//lint:allow boundedbuf axis geometry is compiled-in adapter config, not request input
-			out := make([]Value, 0, hi-lo+1)
-			for v := lo; v <= hi; v++ {
-				out = append(out, IntValue(v))
-			}
-			return out
-		}
-		var out []Value
-		last := math.Inf(-1)
-		for i := 0; i < a.Steps; i++ {
-			v := math.Round(a.at(fraction(i, a.Steps)))
-			//lint:allow floatcompare both sides are math.Round outputs; exact compare deduplicates identical grid samples
-			if v != last {
-				out = append(out, IntValue(int(v)))
-				last = v
-			}
-		}
-		return out
-	default: // FloatAxis
+	}
+	if a.Steps <= 0 {
 		//lint:allow boundedbuf axis geometry is compiled-in adapter config, not request input
-		out := make([]Value, a.Steps)
-		for i := 0; i < a.Steps; i++ {
-			out[i] = FloatValue(a.at(fraction(i, a.Steps)))
+		out := make([]Value, 0, a.Max-a.Min+1)
+		for v := a.Min; v <= a.Max; v++ {
+			out = append(out, IntValue(v))
 		}
 		return out
 	}
-}
-
-// fraction maps sample i of n onto [0,1], hitting both endpoints.
-func fraction(i, n int) float64 {
-	if n <= 1 {
-		return 0
+	var out []Value
+	lo, hi := math.Log(float64(a.Min)), math.Log(float64(a.Max))
+	for i := 0; i < a.Steps; i++ {
+		u := 0.0
+		if a.Steps > 1 {
+			u = float64(i) / float64(a.Steps-1)
+		}
+		v := int(math.Round(math.Exp(lo + u*(hi-lo))))
+		if len(out) == 0 || v != out[len(out)-1].num {
+			out = append(out, IntValue(v))
+		}
 	}
-	return float64(i) / float64(n-1)
-}
-
-// at maps u in [0,1] onto the numeric range, linearly or geometrically.
-func (a Axis) at(u float64) float64 {
-	if a.Log {
-		return math.Exp(math.Log(a.Min) + u*(math.Log(a.Max)-math.Log(a.Min)))
-	}
-	return a.Min + u*(a.Max-a.Min)
+	return out
 }
 
 // value snaps u in [0,1) to an axis value (Latin-hypercube sampling).
+// Enum and stepped axes pick a grid value by index, so substrate
+// validity (e.g. power-of-two set counts) holds under sampling; a
+// contiguous axis rounds its linear position instead.
 func (a Axis) value(u float64) Value {
-	switch a.Kind {
-	case EnumAxis:
-		i := int(u * float64(len(a.Values)))
-		if i >= len(a.Values) {
-			i = len(a.Values) - 1
-		}
-		return EnumValue(a.Values[i])
-	case IntAxis:
-		// A stepped int axis is a discrete grid (typically powers of
-		// two); samples snap to its values so substrate validity (e.g.
-		// power-of-two set counts) is preserved under sampling.
-		if a.Steps > 0 {
-			vals := a.gridValues()
-			i := int(u * float64(len(vals)))
-			if i >= len(vals) {
-				i = len(vals) - 1
-			}
-			return vals[i]
-		}
-		v := int(math.Round(a.at(u)))
-		if float64(v) < a.Min {
-			v = int(math.Ceil(a.Min))
-		}
-		if float64(v) > a.Max {
-			v = int(math.Floor(a.Max))
-		}
-		return IntValue(v)
-	default:
-		return FloatValue(a.at(u))
+	if a.Kind == IntAxis && a.Steps <= 0 {
+		v := int(math.Round(float64(a.Min) + u*float64(a.Max-a.Min)))
+		return IntValue(min(max(v, a.Min), a.Max))
 	}
+	vals := a.gridValues()
+	return vals[min(int(u*float64(len(vals))), len(vals)-1)]
 }
 
-// Value is one coordinate of a point: a number or an enum label.
+// Value is one coordinate of a point: an integer or an enum label.
 type Value struct {
-	num  float64
+	num  int
 	str  string
 	enum bool
 }
 
 // IntValue makes an integer coordinate.
-func IntValue(v int) Value { return Value{num: float64(v)} }
-
-// FloatValue makes a real coordinate.
-func FloatValue(v float64) Value { return Value{num: v} }
+func IntValue(v int) Value { return Value{num: v} }
 
 // EnumValue makes a categorical coordinate.
 func EnumValue(v string) Value { return Value{str: v, enum: true} }
 
-// Int returns the numeric coordinate rounded to an integer.
-func (v Value) Int() int { return int(math.Round(v.num)) }
-
-// String returns the canonical text form: the enum label, or the
-// shortest exact decimal of the number. This form is what point hashes,
-// store records and tables are built from, so it must stay stable.
+// String returns the canonical text form: the enum label or the decimal
+// integer. This form is what point hashes, store records and tables are
+// built from, so it must stay stable.
 func (v Value) String() string {
 	if v.enum {
 		return v.str
 	}
-	return strconv.FormatFloat(v.num, 'g', -1, 64)
-}
-
-// ParseValue reconstructs a Value from its canonical text form under the
-// given axis (store records round-trip through this).
-func ParseValue(a Axis, s string) (Value, error) {
-	if a.Kind == EnumAxis {
-		for _, v := range a.Values {
-			if v == s {
-				return EnumValue(s), nil
-			}
-		}
-		return Value{}, fmt.Errorf("sweep: %q is not a value of enum axis %q", s, a.Name)
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return Value{}, fmt.Errorf("sweep: axis %q: bad numeric value %q: %w", a.Name, s, err)
-	}
-	return Value{num: f}, nil
+	return strconv.Itoa(v.num)
 }
 
 // Point is one design-space coordinate assignment, keyed by axis name.
@@ -262,7 +186,7 @@ type Point map[string]Value
 // Int returns the named coordinate as an integer (0 when absent; the
 // executor validates points against the adapter's space before running,
 // so adapters may use the plain accessors).
-func (p Point) Int(name string) int { return p[name].Int() }
+func (p Point) Int(name string) int { return p[name].num }
 
 // Enum returns the named categorical coordinate ("" when absent).
 func (p Point) Enum(name string) string {
@@ -349,7 +273,8 @@ func (s Space) Validate() error {
 }
 
 // Contains checks that the point assigns exactly the space's axes with
-// in-domain values and satisfies every constraint.
+// in-domain values (a stepped axis' value must be one of its grid
+// values) and satisfies every constraint.
 func (s Space) Contains(p Point) error {
 	if len(p) != len(s.Axes) {
 		return fmt.Errorf("sweep: point %q assigns %d axes, space has %d", p.Canonical(), len(p), len(s.Axes))
@@ -359,18 +284,17 @@ func (s Space) Contains(p Point) error {
 		if !ok {
 			return fmt.Errorf("sweep: point %q misses axis %q", p.Canonical(), a.Name)
 		}
-		switch a.Kind {
-		case EnumAxis:
-			if _, err := ParseValue(a, v.String()); err != nil {
-				return err
+		switch {
+		case a.Kind == EnumAxis:
+			if !slices.Contains(a.Values, v.String()) {
+				return fmt.Errorf("sweep: %q is not a value of enum axis %q", v.String(), a.Name)
 			}
-		default:
-			if v.enum {
-				return fmt.Errorf("sweep: axis %q: enum value %q on numeric axis", a.Name, v.str)
-			}
-			if v.num < a.Min || v.num > a.Max {
-				return fmt.Errorf("sweep: axis %q: value %g outside [%g,%g]", a.Name, v.num, a.Min, a.Max)
-			}
+		case v.enum:
+			return fmt.Errorf("sweep: axis %q: enum value %q on numeric axis", a.Name, v.str)
+		case v.num < a.Min || v.num > a.Max:
+			return fmt.Errorf("sweep: axis %q: value %d outside [%d,%d]", a.Name, v.num, a.Min, a.Max)
+		case a.Steps > 0 && !slices.Contains(a.gridValues(), v):
+			return fmt.Errorf("sweep: axis %q: value %d is off the stepped grid", a.Name, v.num)
 		}
 	}
 	if !s.allowed(p) {
@@ -484,7 +408,7 @@ func axisRand(seed int64, axis, role string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-// SortPoints orders points by axis value in declared axis order: numeric
+// SortPoints orders points by axis value in declared axis order: integer
 // axes numerically, enum axes by declaration index. The executor and
 // every report iterate points in this order, which is what makes sweep
 // output byte-reproducible.
@@ -509,7 +433,6 @@ func SortPoints(axes []Axis, pts []Point) {
 				}
 				continue
 			}
-			//lint:allow floatcompare tie-break on the next axis requires exact equality; both values come from the same enumeration
 			if vi.num != vj.num {
 				return vi.num < vj.num
 			}

@@ -30,10 +30,10 @@
 # and a few kernel dumps are converted text -> binary -> text and must
 # come back byte-identical, and both formats must replay through the
 # cache to identical statistics under two geometries.
-# `sweep` runs the banks, memtech and nuca design-space sweeps twice
-# against one result store each and fails unless the second run re-executes zero
-# points and prints a byte-identical Pareto frontier — the
-# incremental-sweep contract.
+# `sweep` runs every design space (banks, bus, cache, memhier, memtech,
+# nuca) twice against one result store each and fails unless the second
+# run re-executes zero points and prints a byte-identical Pareto
+# frontier — the incremental-sweep contract.
 # `serve` boots a real lpmemd (shared result store, admission control,
 # access log), drives a short `lpmem loadgen` burst against it with
 # -verify, and requires zero failed requests, shed accounting that
@@ -252,7 +252,7 @@ stage_sweep() {
     dir=$(mktemp -d)
     # Cold run populates each store; the resumed run must re-execute
     # nothing and reproduce the frontier byte-for-byte.
-    for space in banks memhier memtech nuca; do
+    for space in banks bus cache memhier memtech nuca; do
         "$BIN/lpmem" sweep -space "$space" -resume "$dir/$space.jsonl" -pareto \
             >"$dir/front1.txt" 2>"$dir/sum1.txt"
         "$BIN/lpmem" sweep -space "$space" -resume "$dir/$space.jsonl" -pareto \

@@ -17,9 +17,12 @@
 // Functions are represented by truth tables (up to 16 variables), and a
 // hash-consed node-based ROBDD can be built for any order to cross-check
 // the counting-based size computation.
+//
+//lint:hotpath
 package bdd
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -65,94 +68,120 @@ func FromFunc(n int, f func(m int) bool) (*TruthTable, error) {
 	return t, nil
 }
 
-// subfunction extracts the cofactor of f where the variables in
-// `fixedMask` are fixed to the bits of `fixedVal`, flattened over the
-// remaining (free) variables in ascending variable order. The result is
-// returned as a canonical key (hex of the packed bits plus length).
-func (t *TruthTable) subfunction(fixedMask, fixedVal int) string {
-	freeVars := make([]int, 0, t.N)
-	for v := 0; v < t.N; v++ {
-		if fixedMask>>uint(v)&1 == 0 {
-			freeVars = append(freeVars, v)
-		}
+// lowHalf[i] has the bits m of a word whose bit i is clear: the
+// positions of the x_i = 0 halves of a cofactor's x_i pairs.
+var lowHalf = [6]uint64{
+	0x5555555555555555,
+	0x3333333333333333,
+	0x0F0F0F0F0F0F0F0F,
+	0x00FF00FF00FF00FF,
+	0x0000FFFF0000FFFF,
+	0x00000000FFFFFFFF,
+}
+
+// scratch is the working memory of the cofactor kernels. The top-level
+// calls (SizeForOrder, Sift, Minimize) each own one, so no state is
+// shared between concurrent calls and a level allocates only the keys of
+// the classes it finds.
+type scratch struct {
+	cof  []uint64
+	key  []byte
+	seen map[string]struct{}
+}
+
+// newScratch sizes the buffers for t's widest cofactor, t itself.
+func newScratch(t *TruthTable) *scratch {
+	return &scratch{
+		cof:  make([]uint64, len(t.bits)),
+		key:  make([]byte, 0, 8*len(t.bits)),
+		seen: make(map[string]struct{}),
 	}
-	n := len(freeVars)
-	words := (1<<uint(n) + 63) / 64
-	out := make([]uint64, words)
-	for m := 0; m < 1<<uint(n); m++ {
-		full := fixedVal
-		for i, v := range freeVars {
-			if m>>uint(i)&1 == 1 {
-				full |= 1 << uint(v)
+}
+
+// cofactor extracts into sc.cof the cofactor of f where the variables in
+// fixed are fixed to the bits of val, flattened over the remaining (free)
+// variables in ascending variable order: bit m of the result is f at the
+// m-th free assignment. The masked increment visits the free assignments
+// in ascending order, so each output bit costs one table read.
+func (sc *scratch) cofactor(t *TruthTable, fixed, val int) []uint64 {
+	n := t.N - bits.OnesCount(uint(fixed))
+	cof := sc.cof[:(1<<n+63)/64]
+	clear(cof)
+	full := val
+	for m := 0; m < 1<<n; m++ {
+		cof[m>>6] |= t.bits[full>>6] >> (uint(full) & 63) & 1 << (uint(m) & 63)
+		full = ((full|fixed)+1)&^fixed | val
+	}
+	return cof
+}
+
+// dependsOn reports whether a cofactor depends on its free variable of
+// index i: whether some pair of bits m and m|1<<i differs.
+func dependsOn(cof []uint64, i int) bool {
+	if i < 6 {
+		for _, w := range cof {
+			if (w^w>>(1<<i))&lowHalf[i] != 0 {
+				return true
 			}
 		}
-		if t.Get(full) {
-			out[m/64] |= 1 << (uint(m) % 64)
+		return false
+	}
+	stride := 1 << (i - 6)
+	for w := range cof {
+		if w&stride == 0 && cof[w] != cof[w+stride] {
+			return true
 		}
 	}
-	return keyOf(out, n)
+	return false
 }
 
-func keyOf(words []uint64, n int) string {
-	b := make([]byte, 0, len(words)*8+1)
-	b = append(b, byte(n))
-	for _, w := range words {
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(w>>uint(s)))
+// classes counts the distinct cofactors of f w.r.t. the variables in
+// set; with dep >= 0, only those that depend on their free variable of
+// index dep.
+func (sc *scratch) classes(t *TruthTable, set, dep int) int {
+	clear(sc.seen)
+	count := 0
+	for val := 0; ; {
+		cof := sc.cofactor(t, set, val)
+		sc.key = sc.key[:0]
+		for _, w := range cof {
+			sc.key = binary.LittleEndian.AppendUint64(sc.key, w)
+		}
+		if _, ok := sc.seen[string(sc.key)]; !ok {
+			sc.seen[string(sc.key)] = struct{}{}
+			if dep < 0 || dependsOn(cof, dep) {
+				count++
+			}
+		}
+		// Next subset of set in ascending order; wraps to 0 after the last.
+		if val = (val - set) & set; val == 0 {
+			return count
 		}
 	}
-	return string(b)
 }
 
-// dependsOn reports whether the cofactor class keyed by fixing fixedMask
-// to fixedVal essentially depends on variable v (v must be free).
-func (t *TruthTable) dependsOn(fixedMask, fixedVal, v int) bool {
-	k0 := t.subfunction(fixedMask|1<<uint(v), fixedVal)
-	k1 := t.subfunction(fixedMask|1<<uint(v), fixedVal|1<<uint(v))
-	return k0 != k1
-}
-
-// LevelNodes returns the number of BDD nodes labeled with variable v when
-// the set `above` (bitmask) of variables occupies the levels above v:
-// the count of distinct cofactors w.r.t. `above` that essentially depend
-// on v. This is the Friedman-Supowit characterization — it depends only
-// on the set, not on the order within it.
-func (t *TruthTable) LevelNodes(above int, v int) int {
+// levelNodes returns the number of BDD nodes labeled with variable v
+// when the set `above` (bitmask) of variables occupies the levels above
+// v: the count of distinct cofactors w.r.t. `above` that essentially
+// depend on v. This is the Friedman-Supowit characterization — it
+// depends only on the set, not on the order within it.
+func (sc *scratch) levelNodes(t *TruthTable, above int, v int) int {
 	if above>>uint(v)&1 == 1 {
 		//lint:allow panicfree documented precondition; callers enumerate sets that exclude v by construction
 		panic("bdd: v must not be in the set above it")
 	}
-	seen := make(map[string]bool)
-	count := 0
-	// Enumerate assignments to `above`.
-	vars := make([]int, 0, t.N)
-	for i := 0; i < t.N; i++ {
-		if above>>uint(i)&1 == 1 {
-			vars = append(vars, i)
-		}
-	}
-	for a := 0; a < 1<<uint(len(vars)); a++ {
-		val := 0
-		for i, vv := range vars {
-			if a>>uint(i)&1 == 1 {
-				val |= 1 << uint(vv)
-			}
-		}
-		k := t.subfunction(above, val)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if t.dependsOn(above, val, v) {
-			count++
-		}
-	}
-	return count
+	above &= 1<<uint(t.N) - 1
+	// v's index among the free variables.
+	return sc.classes(t, above, bits.OnesCount(uint(^above&(1<<uint(v)-1))))
 }
 
 // SizeForOrder returns the ROBDD node count (internal nodes, excluding
 // terminals) for the given variable order (order[0] is the top level).
 func (t *TruthTable) SizeForOrder(order []int) (int, error) {
+	return t.sizeForOrder(newScratch(t), order)
+}
+
+func (t *TruthTable) sizeForOrder(sc *scratch, order []int) (int, error) {
 	if len(order) != t.N {
 		return 0, fmt.Errorf("bdd: order has %d variables, want %d", len(order), t.N)
 	}
@@ -162,7 +191,7 @@ func (t *TruthTable) SizeForOrder(order []int) (int, error) {
 		if v < 0 || v >= t.N || seen>>uint(v)&1 == 1 {
 			return 0, fmt.Errorf("bdd: order is not a permutation")
 		}
-		total += t.LevelNodes(seen, v)
+		total += sc.levelNodes(t, seen, v)
 		seen |= 1 << uint(v)
 	}
 	return total, nil

@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -47,42 +48,20 @@ type MinimizeResult struct {
 }
 
 // essentialVars returns the mask of variables the function depends on.
+// With nothing fixed, the cofactor is the truth table itself.
 func (t *TruthTable) essentialVars() int {
 	mask := 0
 	for v := 0; v < t.N; v++ {
-		if t.dependsOn(0, 0, v) {
+		if dependsOn(t.bits, v) {
 			mask |= 1 << uint(v)
 		}
 	}
 	return mask
 }
 
-// classesAfter counts distinct cofactor classes w.r.t. the subset S
-// (including classes that are constants or depend on no further
-// variable).
-func (t *TruthTable) classesAfter(s int) int {
-	vars := make([]int, 0, t.N)
-	for i := 0; i < t.N; i++ {
-		if s>>uint(i)&1 == 1 {
-			vars = append(vars, i)
-		}
-	}
-	seen := make(map[string]bool)
-	for a := 0; a < 1<<uint(len(vars)); a++ {
-		val := 0
-		for i, vv := range vars {
-			if a>>uint(i)&1 == 1 {
-				val |= 1 << uint(vv)
-			}
-		}
-		seen[t.subfunction(s, val)] = true
-	}
-	return len(seen)
-}
-
 // lowerBound computes the configured combined lower bound for the
 // remaining variables after subset s.
-func (t *TruthTable) lowerBound(s int, bounds BoundSet, essential int) int {
+func (sc *scratch) lowerBound(t *TruthTable, s int, bounds BoundSet, essential int) int {
 	remaining := essential &^ s
 	if remaining == 0 {
 		return 0
@@ -92,7 +71,7 @@ func (t *TruthTable) lowerBound(s int, bounds BoundSet, essential int) int {
 		lb = popcount16(remaining)
 	}
 	if bounds.MaxLevel {
-		// The variable placed next contributes LevelNodes(s, v); every
+		// The variable placed next contributes levelNodes(s, v); every
 		// order must pick one of them, so the minimum over v is a valid
 		// bound for the next level, plus one node for each variable
 		// after it.
@@ -101,7 +80,7 @@ func (t *TruthTable) lowerBound(s int, bounds BoundSet, essential int) int {
 			if remaining>>uint(v)&1 == 0 {
 				continue
 			}
-			if n := t.LevelNodes(s, v); n < min {
+			if n := sc.levelNodes(t, s, v); n < min {
 				min = n
 			}
 		}
@@ -116,7 +95,7 @@ func (t *TruthTable) lowerBound(s int, bounds BoundSet, essential int) int {
 		// 2 only through its nodes, so at least classes-2 nodes remain
 		// in total below the boundary (every non-terminal class needs at
 		// least one node somewhere below).
-		classes := t.classesAfter(s)
+		classes := sc.classes(t, s, -1)
 		if b := classes - 2; b > lb {
 			lb = b
 		}
@@ -131,9 +110,10 @@ func Minimize(t *TruthTable, bounds BoundSet) (*MinimizeResult, error) {
 		return nil, fmt.Errorf("bdd: exact minimization limited to 14 variables, got %d", t.N)
 	}
 	essential := t.essentialVars()
+	sc := newScratch(t)
 
 	// Incumbent from the identity order.
-	best, err := t.SizeForOrder(IdentityOrder(t.N))
+	best, err := t.sizeForOrder(sc, IdentityOrder(t.N))
 	if err != nil {
 		return nil, err
 	}
@@ -149,15 +129,17 @@ func Minimize(t *TruthTable, bounds BoundSet) (*MinimizeResult, error) {
 	frontier := []int{0}
 	for size := 0; size < t.N; size++ {
 		// Deterministic expansion order: by g then subset value.
+		//lint:allow hotalloc search bookkeeping: one sort per subset size, not per level
 		sort.Slice(frontier, func(i, j int) bool {
 			if g[frontier[i]] != g[frontier[j]] {
 				return g[frontier[i]] < g[frontier[j]]
 			}
 			return frontier[i] < frontier[j]
 		})
+		//lint:allow hotalloc search bookkeeping: one successor set per subset size
 		next := map[int]bool{}
 		for _, s := range frontier {
-			if g[s]+t.lowerBound(s, bounds, essential) >= best {
+			if g[s]+sc.lowerBound(t, s, bounds, essential) >= best {
 				continue // pruned
 			}
 			expanded++
@@ -166,7 +148,7 @@ func Minimize(t *TruthTable, bounds BoundSet) (*MinimizeResult, error) {
 					continue
 				}
 				ns := s | 1<<uint(v)
-				cost := g[s] + t.LevelNodes(s, v)
+				cost := g[s] + sc.levelNodes(t, s, v)
 				if old, ok := g[ns]; !ok || cost < old {
 					g[ns] = cost
 					lastVar[ns] = v
@@ -195,6 +177,7 @@ func Minimize(t *TruthTable, bounds BoundSet) (*MinimizeResult, error) {
 
 // reconstruct rebuilds the order from the lastVar chain.
 func reconstruct(lastVar map[int]int, full, n int) []int {
+	//lint:allow hotalloc the result order, built once per improved incumbent
 	order := make([]int, n)
 	s := full
 	for i := n - 1; i >= 0; i-- {
@@ -209,7 +192,8 @@ func reconstruct(lastVar map[int]int, full, n int) []int {
 // moved to the position minimizing total size, holding the others fixed.
 func Sift(t *TruthTable, order []int) ([]int, int, error) {
 	cur := append([]int(nil), order...)
-	size, err := t.SizeForOrder(cur)
+	sc := newScratch(t)
+	size, err := t.sizeForOrder(sc, cur)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -228,7 +212,7 @@ func Sift(t *TruthTable, order []int) ([]int, int, error) {
 				continue
 			}
 			cand := moveVar(cur, pos, p)
-			s, err := t.SizeForOrder(cand)
+			s, err := t.sizeForOrder(sc, cand)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -244,14 +228,9 @@ func Sift(t *TruthTable, order []int) ([]int, int, error) {
 
 // moveVar returns a copy of order with the element at from moved to to.
 func moveVar(order []int, from, to int) []int {
+	//lint:allow hotalloc the candidate order Sift prices with a whole SizeForOrder
 	out := make([]int, 0, len(order))
-	v := order[from]
-	for i, x := range order {
-		if i == from {
-			continue
-		}
-		out = append(out, x)
-	}
-	out = append(out[:to], append([]int{v}, out[to:]...)...)
-	return out
+	out = append(out, order[:from]...)
+	out = append(out, order[from+1:]...)
+	return slices.Insert(out, to, order[from])
 }

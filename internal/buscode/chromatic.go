@@ -54,8 +54,8 @@ func (c *Chromatic) EncodePixel(dst []uint64, px RGB) []uint64 {
 
 	best := uint64(0)
 	bestCost := -1
-	for _, g := range []uint64{gDirect, gRecip} {
-		for _, b := range []uint64{bDirect, bRecip} {
+	for _, g := range [2]uint64{gDirect, gRecip} {
+		for _, b := range [2]uint64{bDirect, bRecip} {
 			pat := r | (g&0xFF)<<8 | (b&0xFF)<<16 | (g &^ 0xFF) | (b &^ 0xFF)
 			cost := 0
 			if c.started {

@@ -28,7 +28,9 @@ import (
 type Field struct {
 	// Shift is the bit offset of the field's LSB.
 	Shift uint
-	// Width is the field width in bits (<= 16 so tables stay small).
+	// Width is the field width in bits, 1..8: training keeps a dense
+	// count for every pair of values, 4^Width of them, and its chain
+	// greedy scores as many.
 	Width uint
 }
 
@@ -76,35 +78,42 @@ func Train(stream []uint32, fields []Field) (*Encoder, error) {
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("imem: no fields to train")
 	}
-	e := &Encoder{}
+	var widest uint
 	for _, f := range fields {
-		if f.Width == 0 || f.Width > 16 {
-			return nil, fmt.Errorf("imem: field width %d out of range (1..16)", f.Width)
+		if f.Width == 0 || f.Width > 8 {
+			return nil, fmt.Errorf("imem: field width %d out of range (1..8)", f.Width)
 		}
-		e.maps = append(e.maps, trainField(stream, f))
+		widest = max(widest, f.Width)
+	}
+	e := &Encoder{}
+	aff := make([]uint64, 1<<(2*widest))
+	for _, f := range fields {
+		e.maps = append(e.maps, trainField(stream, f, aff))
 	}
 	return e, nil
 }
 
-// trainField builds the bijection for one field.
-func trainField(stream []uint32, f Field) fieldMap {
+// trainField builds the bijection for one field. aff is the caller's
+// count table, at least 4^Width long; it is cleared first.
+func trainField(stream []uint32, f Field, aff []uint64) fieldMap {
 	n := 1 << f.Width
-	// Dynamic bigram affinity between successive field values.
-	aff := make(map[[2]uint32]uint64)
+	// Dynamic bigram affinity between successive distinct field values,
+	// counted per unordered pair at aff[lo*n+hi], lo < hi.
+	aff = aff[:n*n]
+	clear(aff)
 	freq := make([]uint64, n)
+	var p uint32
 	for i, w := range stream {
 		v := f.Extract(w)
 		freq[v]++
 		if i > 0 {
-			p := f.Extract(stream[i-1])
-			if p != v {
-				k := [2]uint32{p, v}
-				if p > v {
-					k = [2]uint32{v, p}
-				}
-				aff[k]++
+			if p < v {
+				aff[p<<f.Width|v]++
+			} else if p > v {
+				aff[v<<f.Width|p]++
 			}
 		}
+		p = v
 	}
 	// Greedy chain: start from the most frequent value, extend by best
 	// affinity to the chain tail (frequency as tie-break).
@@ -132,11 +141,8 @@ func trainField(stream []uint32, f Field) fieldMap {
 			if used[cand] {
 				continue
 			}
-			k := [2]uint32{tail, cand}
-			if tail > cand {
-				k = [2]uint32{cand, tail}
-			}
-			score := aff[k]*1000 + freq[cand]
+			lo, hi := min(tail, cand), max(tail, cand)
+			score := aff[lo<<f.Width|hi]*1000 + freq[cand]
 			if !found || score > bestScore {
 				found = true
 				best = cand

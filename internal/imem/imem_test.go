@@ -54,8 +54,13 @@ func TestTrainRejectsBadFields(t *testing.T) {
 	if _, err := Train([]uint32{1}, nil); err == nil {
 		t.Error("empty fields must error")
 	}
-	if _, err := Train([]uint32{1}, []Field{{Shift: 0, Width: 20}}); err == nil {
-		t.Error("over-wide field must error")
+	for _, w := range []uint{0, 9, 16, 20} {
+		if _, err := Train([]uint32{1}, []Field{{Shift: 0, Width: w}}); err == nil {
+			t.Errorf("width %d must error", w)
+		}
+	}
+	if _, err := Train([]uint32{1}, []Field{{Shift: 24, Width: 8}}); err != nil {
+		t.Errorf("width 8 must be accepted: %v", err)
 	}
 }
 

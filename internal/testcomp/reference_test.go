@@ -27,6 +27,36 @@ func refMaxOverlap(a, b Pattern) int {
 	return 0
 }
 
+// maxOverlap is the care-list scan the conflict bitsets replaced: it
+// tries k from min(len(a), bLen) down, checking only b's specified cells
+// below k, in ascending position.
+func maxOverlap(a Pattern, bLen int, care []careCell) int {
+	for k := min(len(a), bLen); k > 0; k-- {
+		off := len(a) - k
+		ok := true
+		for _, c := range care {
+			if c.pos >= k {
+				break
+			}
+			if ca := a[off+c.pos]; ca != X && ca != c.val {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return k
+		}
+	}
+	return 0
+}
+
+// overlap runs the conflict-bitset scan for one (response, pattern) pair.
+func overlap(a, b Pattern) int {
+	var c conflicts
+	c.reset(a)
+	return c.maxOverlap(len(b), careCells(b))
+}
+
 // refStitch is the greedy nearest-neighbour chaining over refMaxOverlap.
 func refStitch(patterns, responses []Pattern) StitchResult {
 	n := len(patterns)
@@ -74,18 +104,57 @@ func randomPattern(r *rand.Rand, length int, care float64) Pattern {
 
 var careDensities = []float64{0, 0.02, 0.5, 1}
 
+// wordEdges are the lengths at which an overlap meets or crosses a 64-bit
+// word boundary.
+var wordEdges = []int{63, 64, 65, 128, 129}
+
+// randomLength draws a length in 0..200, or a word edge one time in four.
+func randomLength(r *rand.Rand) int {
+	if r.Intn(4) == 0 {
+		return wordEdges[r.Intn(len(wordEdges))]
+	}
+	return r.Intn(201)
+}
+
 // TestMaxOverlapMatchesReference: on patterns of unequal lengths where
-// both sides may hold X, the care-list scan finds the brute-force
-// overlap at every pair of care densities.
+// both sides may hold X, the conflict-bitset scan and the care-list scan
+// find the brute-force overlap at every pair of care densities.
 func TestMaxOverlapMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, da := range careDensities {
 		for _, db := range careDensities {
 			for trial := 0; trial < 200; trial++ {
-				a := randomPattern(r, r.Intn(40), da)
-				b := randomPattern(r, r.Intn(40), db)
-				if got, want := maxOverlap(a, len(b), careCells(b)), refMaxOverlap(a, b); got != want {
-					t.Fatalf("density %v/%v: maxOverlap(%v, %v) = %d, reference %d", da, db, a, b, got, want)
+				a := randomPattern(r, randomLength(r), da)
+				b := randomPattern(r, randomLength(r), db)
+				want := refMaxOverlap(a, b)
+				if got := overlap(a, b); got != want {
+					t.Fatalf("density %v/%v: overlap(%v, %v) = %d, reference %d", da, db, a, b, got, want)
+				}
+				if got := maxOverlap(a, len(b), careCells(b)); got != want {
+					t.Fatalf("density %v/%v: care-list maxOverlap(%v, %v) = %d, reference %d", da, db, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMaxOverlapAtWordEdges: every pair of word-edge lengths against a
+// pattern with a single care cell, whose ruled-out overlaps then spread
+// across every word of the scan.
+func TestMaxOverlapAtWordEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, la := range wordEdges {
+		for _, lb := range wordEdges {
+			for trial := 0; trial < 50; trial++ {
+				a := randomPattern(r, la, 1)
+				b := make(Pattern, lb)
+				for i := range b {
+					b[i] = X
+				}
+				p := r.Intn(lb)
+				b[p] = Cell(r.Intn(2))
+				if got, want := overlap(a, b), refMaxOverlap(a, b); got != want {
+					t.Fatalf("lengths %d/%d, care at %d: overlap = %d, reference %d", la, lb, p, got, want)
 				}
 			}
 		}
@@ -99,7 +168,7 @@ func TestStitchMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, care := range careDensities {
 		for trial := 0; trial < 20; trial++ {
-			n, length := 1+r.Intn(30), 1+r.Intn(48)
+			n, length := 1+r.Intn(30), randomLength(r)
 			patterns := make([]Pattern, n)
 			responses := make([]Pattern, n)
 			for i := range patterns {

@@ -17,6 +17,7 @@ package testcomp
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -242,26 +243,75 @@ func careCells(p Pattern) []careCell {
 	return cells
 }
 
-// maxOverlap returns the largest k such that the last k cells of a are
-// compatible with the first k cells of a pattern b of length bLen whose
-// specified cells are care: equal wherever both are specified. It tries
-// k from min(len(a), bLen) down, checking only b's specified cells below
-// k, in ascending position.
-func maxOverlap(a Pattern, bLen int, care []careCell) int {
-	for k := min(len(a), bLen); k > 0; k-- {
-		off := len(a) - k
-		ok := true
-		for _, c := range care {
-			if c.pos >= k {
-				break
-			}
-			if ca := a[off+c.pos]; ca != X && ca != c.val {
-				ok = false
-				break
-			}
+// conflicts holds one response's conflict bitsets over t in [1, len]:
+// bit t of m[v] is set iff response[len-t] is specified and differs from
+// v. A care cell (p, v) of the next pattern meets response cell len-t
+// exactly when the overlap is k = t+p, so it rules out the overlaps
+// {t+p : bit t of m[v] set}.
+type conflicts struct {
+	n int
+	m [2][]uint64
+}
+
+// reset rebuilds the bitsets for response a, reusing their storage.
+func (c *conflicts) reset(a Pattern) {
+	c.n = len(a)
+	words := len(a)/64 + 1
+	for v := range c.m {
+		if cap(c.m[v]) < words {
+			c.m[v] = make([]uint64, words)
 		}
-		if ok {
-			return k
+		c.m[v] = c.m[v][:words]
+		clear(c.m[v])
+	}
+	for t := 1; t <= len(a); t++ {
+		switch a[len(a)-t] {
+		case Zero:
+			c.m[One][t>>6] |= 1 << (t & 63)
+		case One:
+			c.m[Zero][t>>6] |= 1 << (t & 63)
+		}
+	}
+}
+
+// window returns bits [s, s+64) of b, for s below 64*len(b); bits below
+// 0 or past the end read as zero.
+func window(b []uint64, s int) uint64 {
+	if s < 0 {
+		return b[0] << uint(-s)
+	}
+	i, o := s>>6, uint(s&63)
+	w := b[i] >> o
+	if i+1 < len(b) {
+		w |= b[i+1] << (64 - o)
+	}
+	return w
+}
+
+// maxOverlap returns the largest k such that the last k cells of the
+// response are compatible with the first k cells of a pattern b of
+// length bLen whose specified cells are care: equal wherever both are
+// specified. It scans the candidates k in 64-wide words from the top
+// down. A word starts with its candidates 1 <= k <= min(len, bLen) live;
+// the care cells below the word's top candidate, in ascending position,
+// each clear the overlaps they rule out, until none is left. The first
+// word with a live candidate gives its highest.
+func (c *conflicts) maxOverlap(bLen int, care []careCell) int {
+	kmax := min(c.n, bLen)
+	for base := kmax &^ 63; base >= 0; base -= 64 {
+		top := min(kmax, base+63)
+		live := ^uint64(0) >> uint(63-(top-base))
+		if base == 0 {
+			live &^= 1
+		}
+		for _, cc := range care {
+			if cc.pos >= top || live == 0 {
+				break
+			}
+			live &^= window(c.m[cc.val], base-cc.pos)
+		}
+		if live != 0 {
+			return base + 63 - bits.LeadingZeros64(live)
 		}
 	}
 	return 0
@@ -319,6 +369,7 @@ func Stitch(patterns, responses []Pattern) StitchResult {
 	for i, p := range patterns {
 		care[i] = careCells(p)
 	}
+	var resp conflicts
 	used := make([]bool, n)
 	cur := 0
 	used[0] = true
@@ -326,11 +377,12 @@ func Stitch(patterns, responses []Pattern) StitchResult {
 	total := length
 	for placed := 1; placed < n; placed++ {
 		best, bestOv := -1, -1
+		resp.reset(responses[cur])
 		for j := 0; j < n; j++ {
 			if used[j] {
 				continue
 			}
-			ov := maxOverlap(responses[cur], len(patterns[j]), care[j])
+			ov := resp.maxOverlap(len(patterns[j]), care[j])
 			if ov > bestOv {
 				best, bestOv = j, ov
 			}

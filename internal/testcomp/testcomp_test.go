@@ -138,11 +138,11 @@ func TestMaxOverlap(t *testing.T) {
 	// Suffix of a of length 4: (1,0,X,1) vs prefix of b (X,1,0,0):
 	// position 1: 0 vs 1 conflict -> not 4. k=3: (0,X,1) vs (X,1,0):
 	// last cell 1 vs 0 conflict. k=2: (X,1) vs (X,1) ok.
-	if got := maxOverlap(a, len(b), careCells(b)); got != 2 {
+	if got := overlap(a, b); got != 2 {
 		t.Fatalf("overlap = %d, want 2", got)
 	}
 	full := Pattern{X, X, X}
-	if got := maxOverlap(full, len(full), careCells(full)); got != 3 {
+	if got := overlap(full, full); got != 3 {
 		t.Fatalf("all-X overlap = %d, want 3", got)
 	}
 }

@@ -56,7 +56,7 @@ func benchExperiment(b *testing.B, id string) {
 // BenchmarkRunnerAll compares a sequential full-registry run against the
 // parallel worker pool; the ratio of the two is the engine's speedup and
 // is tracked as part of the perf trajectory. The cache is disabled so
-// both variants execute all twenty experiments every iteration.
+// both variants execute every registered experiment every iteration.
 func BenchmarkRunnerAll(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

@@ -58,17 +58,12 @@ func traceKernel(args []string, stdout, stderr io.Writer) int {
 		}
 		seed = s
 	}
-	k, err := workloads.ByName(args[0])
+	runs, err := workloads.Traces(seed, args[0])
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	res, err := workloads.Run(k.Build(seed))
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if err := res.Trace.WriteText(stdout); err != nil {
+	if err := runs[0].Trace.WriteText(stdout); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lpmem/internal/trace"
+	"lpmem/internal/workloads"
 )
 
 // TestExperimentsBinaryRoundTripEquivalence is the registry-wide proof
@@ -21,7 +22,7 @@ import (
 // would perturb. Equal inputs and TestExperimentsAreDeterministic
 // together imply equal tables.
 func TestExperimentsBinaryRoundTripEquivalence(t *testing.T) {
-	kernels, err := kernelTraces(1)
+	kernels, err := workloads.Traces(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestExperimentsBinaryRoundTripEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources := map[string][]appTrace{
+	sources := map[string][]*workloads.Result{
 		"kernels":    kernels,
 		"composites": comps,
 		"profiles":   profileApps(),
@@ -48,21 +49,22 @@ func TestExperimentsBinaryRoundTripEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				sources[group] = append(sources[group],
-					appTrace{name: fmt.Sprintf("%s-%s-%dc", group, pattern, cores), trace: tr})
+					&workloads.Result{Name: fmt.Sprintf("%s-%s-%dc", group, pattern, cores), Trace: tr})
 			}
 		}
 	}
 	verdicts := make(map[string]error)
 	for _, group := range sources {
 		for _, src := range group {
-			verdicts[src.name] = binaryRoundTrip(src.trace)
+			verdicts[src.Name] = binaryRoundTrip(src.Trace)
 		}
 	}
 	t.Logf("%d traces round-tripped", len(verdicts))
 
-	// The source groups each experiment reads. E2 (on its mips platform)
-	// runs every kernel through workloads.Run and E8, E19, E21 and E23 run
-	// a subset; the experiments with no groups read no trace at all.
+	// The source groups each experiment reads. E2 reads every kernel
+	// through workloads.Traces, and E8, E19, E21 and E23 read a subset of
+	// them the same way; the experiments with no groups read no trace at
+	// all.
 	reads := map[string][]string{
 		"E1": {"kernels", "composites", "profiles"},
 		"E2": {"kernels"}, "E3": {"kernels"}, "E5": {"kernels"},
@@ -86,8 +88,8 @@ func TestExperimentsBinaryRoundTripEquivalence(t *testing.T) {
 					t.Fatalf("%s reads unknown source group %q", exp.ID, g)
 				}
 				for _, src := range srcs {
-					if err := verdicts[src.name]; err != nil {
-						t.Errorf("%s reads %s: %v", exp.ID, src.name, err)
+					if err := verdicts[src.Name]; err != nil {
+						t.Errorf("%s reads %s: %v", exp.ID, src.Name, err)
 					}
 				}
 			}

@@ -19,39 +19,26 @@ import (
 	"lpmem/internal/core"
 	"lpmem/internal/energy"
 	"lpmem/internal/hier"
-	"lpmem/internal/trace"
 	"lpmem/internal/workloads"
 )
 
 func main() {
 	// Build the codec application: FIR front end, DCT transform, ADPCM
 	// coder, running back to back in one address space.
-	parts := []string{"fir", "dct", "adpcm"}
-	merged := trace.New(1 << 16)
-	var regions []hier.Region
-	var cycles uint64
-	for _, p := range parts {
-		k, err := workloads.ByName(p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		inst := k.Build(7)
-		res, err := workloads.Run(inst)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, a := range res.Trace.Accesses {
-			merged.Append(a)
-		}
-		for _, arr := range inst.Arrays {
-			regions = append(regions, hier.Region{Name: p + "." + arr.Name, Base: arr.Base, Size: arr.Size})
-		}
-		cycles += res.Cycles
+	parts, err := workloads.Traces(7, "fir", "dct", "adpcm")
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("codec app: %d accesses over %d arrays\n\n", merged.Len(), len(regions))
+	var app workloads.Result
+	app.Append(parts...)
+	regions := make([]hier.Region, len(app.Arrays))
+	for i, arr := range app.Arrays {
+		regions[i] = hier.Region(arr)
+	}
+	fmt.Printf("codec app: %d accesses over %d arrays\n\n", app.Trace.Len(), len(regions))
 
 	// --- 1. Scratchpad banking with address clustering.
-	rep, err := core.Optimize(merged, cycles, core.DefaultOptions())
+	rep, err := core.Optimize(app.Trace, app.Cycles, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +50,7 @@ func main() {
 
 	// --- 2. Write-back compression on the D-cache boundary.
 	cfg := cache.Config{Sets: 128, Ways: 4, LineSize: 32, WriteBack: true, WriteAllocate: true}
-	traffic, stats, err := compress.MeasureTraffic(merged, cfg, compress.Differential{})
+	traffic, stats, err := compress.MeasureTraffic(app.Trace, cfg, compress.Differential{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +60,7 @@ func main() {
 		traffic.RawBytes, traffic.CompressedBytes, 100*traffic.Saving())
 
 	// --- 3. Layer assignment across scratchpad / SRAM / off-chip.
-	infos := hier.Profile(merged, regions)
+	infos := hier.Profile(app.Trace, regions)
 	layers := hier.DefaultLayers(energy.DefaultMemoryModel())
 	off, static, lifetime, err := hier.Evaluate(infos, layers)
 	if err != nil {

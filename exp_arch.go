@@ -8,6 +8,7 @@ import (
 	"lpmem/internal/reconfig"
 	"lpmem/internal/stats"
 	"lpmem/internal/waycache"
+	"lpmem/internal/workloads"
 )
 
 // runE4 regenerates the reconfigurable-array data-scheduling comparison
@@ -48,7 +49,7 @@ func runE4() (*Result, error) {
 // runE7 regenerates the way-determination table (10E.4): average cache
 // power reduction at 8/16/32 ways over the kernel suite.
 func runE7() (*Result, error) {
-	apps, err := kernelTraces(1)
+	apps, err := workloads.Traces(1)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +60,7 @@ func runE7() (*Result, error) {
 		cfg := cache.Config{Sets: 16, Ways: ways, LineSize: 32, WriteBack: true, WriteAllocate: true}
 		var savings, coverages []float64
 		for _, app := range apps {
-			r, err := waycache.Simulate(app.trace, cfg, 16, cm)
+			r, err := waycache.Simulate(app.Trace, cfg, 16, cm)
 			if err != nil {
 				return nil, err
 			}

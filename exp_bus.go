@@ -9,13 +9,14 @@ import (
 	"lpmem/internal/imem"
 	"lpmem/internal/stats"
 	"lpmem/internal/trace"
+	"lpmem/internal/workloads"
 )
 
 // runE3 regenerates the instruction-memory transformation table (1B.3):
 // per benchmark, fetch-path bus transitions before and after the trained
 // field re-encoding.
 func runE3() (*Result, error) {
-	apps, err := kernelTraces(1)
+	apps, err := workloads.Traces(1)
 	if err != nil {
 		return nil, err
 	}
@@ -23,7 +24,7 @@ func runE3() (*Result, error) {
 	var savings []float64
 	for _, app := range apps {
 		var stream []uint32
-		for _, a := range app.trace.Accesses {
+		for _, a := range app.Trace.Accesses {
 			if a.Kind == trace.Fetch {
 				stream = append(stream, a.Value)
 			}
@@ -34,7 +35,7 @@ func runE3() (*Result, error) {
 		}
 		s := stats.PercentSaving(float64(base), float64(xf))
 		savings = append(savings, s)
-		table.AddRow(app.name, base, xf, s)
+		table.AddRow(app.Name, base, xf, s)
 	}
 	return &Result{
 		Table: table,
@@ -61,7 +62,7 @@ func fetchAddrs(t *trace.Trace) []uint32 {
 // refill traffic is overwhelmingly sequential (code is laid out and first
 // touched in address order), which is why its cycle overhead is tiny.
 func runE5() (*Result, error) {
-	apps, err := kernelTraces(1)
+	apps, err := workloads.Traces(1)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +70,7 @@ func runE5() (*Result, error) {
 	var refills []uint32
 	for _, app := range apps {
 		ic := cache.MustNew(cache.Config{Sets: 32, Ways: 2, LineSize: lineSize, WriteBack: false, WriteAllocate: true}, nil)
-		for _, fa := range fetchAddrs(app.trace) {
+		for _, fa := range fetchAddrs(app.Trace) {
 			if ic.Lookup(fa) == -1 {
 				refills = append(refills, fa&^uint32(lineSize-1))
 			}

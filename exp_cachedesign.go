@@ -23,15 +23,11 @@ func runE19() (*Result, error) {
 		{"matmul", 0.03}, {"histogram", 0.03}, {"fir", 0.03},
 		{"listchase", 0.15}, {"hashlookup", 0.10}, {"qsort", 0.03},
 	} {
-		k, err := workloads.ByName(bench.kernel)
+		runs, err := workloads.Traces(1, bench.kernel)
 		if err != nil {
 			return nil, err
 		}
-		res, err := workloads.Run(k.Build(1))
-		if err != nil {
-			return nil, err
-		}
-		e := cachedesign.NewExplorer(res.Trace)
+		e := cachedesign.NewExplorer(runs[0].Trace)
 		space := cachedesign.DefaultSpace()
 		ex, err := e.Exhaustive(space, bench.target)
 		if err != nil {

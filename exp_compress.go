@@ -7,7 +7,6 @@ import (
 	"lpmem/internal/compress"
 	"lpmem/internal/energy"
 	"lpmem/internal/stats"
-	"lpmem/internal/vliw"
 	"lpmem/internal/workloads"
 )
 
@@ -20,7 +19,9 @@ const (
 	e2CodecPerLine = energy.PJ(8.0)
 )
 
-// e2Platform describes one evaluation platform of the 1B.2 experiment.
+// e2Platform describes one evaluation platform of the 1B.2 experiment by
+// its D-cache geometry, the only platform parameter the energy model
+// reads: every platform replays the same scalar kernel trace.
 type e2Platform struct {
 	name  string
 	cache cache.Config
@@ -62,26 +63,19 @@ func runE2() (*Result, error) {
 		"fir": true, "dct": true, "adpcm": true, "matmul": true,
 		"histogram": true, "crc32": true, "strsearch": true,
 	}
+	// Each kernel is interpreted once and its trace measured against
+	// every platform's D-cache, so one trace is live at a time; rows are
+	// buffered per platform so the table lists platform by platform.
+	platforms := e2Platforms()
+	rows := make([][][]interface{}, len(platforms))
 	savings := map[string][]float64{}
-	for _, p := range e2Platforms() {
-		for _, k := range workloads.All() {
-			inst := k.Build(1)
-			var traceRes *workloads.Result
-			if p.name == "lx-vliw" {
-				// Run under the VLIW engine (identical trace, Lx-like timing).
-				vr, err := vliw.Run(vliw.LxConfig(), inst.Prog, inst.Init, inst.MaxSteps)
-				if err != nil {
-					return nil, err
-				}
-				traceRes = &workloads.Result{Trace: vr.Trace, Cycles: vr.Cycles}
-			} else {
-				r, err := workloads.Run(inst)
-				if err != nil {
-					return nil, err
-				}
-				traceRes = r
-			}
-			tr, st, err := compress.MeasureTraffic(traceRes.Trace, p.cache, codec)
+	for _, k := range workloads.All() {
+		runs, err := workloads.Traces(1, k.Name)
+		if err != nil {
+			return nil, err
+		}
+		for i, p := range platforms {
+			tr, st, err := compress.MeasureTraffic(runs[0].Trace, p.cache, codec)
 			if err != nil {
 				return nil, err
 			}
@@ -91,7 +85,12 @@ func runE2() (*Result, error) {
 			if mediaSet[k.Name] {
 				savings[p.name] = append(savings[p.name], s)
 			}
-			table.AddRow(p.name, k.Name, st.HitRate(), 100*tr.Saving(), float64(base), float64(comp), s)
+			rows[i] = append(rows[i], []interface{}{p.name, k.Name, st.HitRate(), 100 * tr.Saving(), float64(base), float64(comp), s})
+		}
+	}
+	for _, platform := range rows {
+		for _, row := range platform {
+			table.AddRow(row...)
 		}
 	}
 	return &Result{

@@ -9,7 +9,6 @@ import (
 	"lpmem/internal/isa"
 	"lpmem/internal/stackmem"
 	"lpmem/internal/stats"
-	"lpmem/internal/trace"
 	"lpmem/internal/workloads"
 
 	icache "lpmem/internal/cache"
@@ -19,7 +18,7 @@ import (
 // application, memory energy monolithic vs optimally partitioned vs
 // clustered-then-partitioned.
 func runE1() (*Result, error) {
-	apps, err := kernelTraces(1)
+	apps, err := workloads.Traces(1)
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +33,7 @@ func runE1() (*Result, error) {
 	table := stats.NewTable("app", "monolithic", "partitioned", "clustered", "vs-part %", "vs-mono %")
 	var savings, appSavings []float64
 	for _, app := range apps {
-		rep, err := core.Optimize(app.trace, app.cycles, opt)
+		rep, err := core.Optimize(app.Trace, app.Cycles, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -43,10 +42,10 @@ func runE1() (*Result, error) {
 		// The paper evaluates full embedded applications; the composite
 		// apps and profile apps are our equivalents of that class, while
 		// single kernels are a harder (already-compact) setting.
-		if len(app.name) > 4 && (app.name[:4] == "app-" || app.name[:5] == "prof-") {
+		if len(app.Name) > 4 && (app.Name[:4] == "app-" || app.Name[:5] == "prof-") {
 			appSavings = append(appSavings, s)
 		}
-		table.AddRow(app.name, float64(rep.MonolithicE), float64(rep.PartitionedE),
+		table.AddRow(app.Name, float64(rep.MonolithicE), float64(rep.PartitionedE),
 			float64(rep.ClusteredE), s, rep.SavingVsMonolithic())
 	}
 	return &Result{
@@ -68,26 +67,21 @@ func runE8() (*Result, error) {
 	table := stats.NewTable("app", "off-chip", "static", "lifetime", "lifetime/static")
 	var ratios []float64
 	for i, parts := range combos {
-		merged := trace.New(1 << 16)
-		var regions []hier.Region
+		// One part at a time, so no more than one kernel trace is live
+		// beside the application being built.
+		var app workloads.Result
 		for _, p := range parts {
-			k, err := workloads.ByName(p)
+			part, err := workloads.Traces(1, p)
 			if err != nil {
 				return nil, err
 			}
-			inst := k.Build(1)
-			res, err := workloads.Run(inst)
-			if err != nil {
-				return nil, err
-			}
-			for _, a := range res.Trace.Accesses {
-				merged.Append(a)
-			}
-			for _, arr := range inst.Arrays {
-				regions = append(regions, hier.Region{Name: p + "." + arr.Name, Base: arr.Base, Size: arr.Size})
-			}
+			app.Append(part...)
 		}
-		infos := hier.Profile(merged, regions)
+		regions := make([]hier.Region, len(app.Arrays))
+		for j, arr := range app.Arrays {
+			regions[j] = hier.Region(arr)
+		}
+		infos := hier.Profile(app.Trace, regions)
 		off, static, lifetime, err := hier.Evaluate(infos, layers)
 		if err != nil {
 			return nil, err
@@ -115,7 +109,7 @@ func runE9() (*Result, error) {
 	}
 	cm := energy.DefaultCacheModel()
 	mm := energy.DefaultMemoryModel()
-	apps, err := kernelTraces(1)
+	apps, err := workloads.Traces(1)
 	if err != nil {
 		return nil, err
 	}
@@ -130,14 +124,14 @@ func runE9() (*Result, error) {
 	table := stats.NewTable("workload", "stack frac %", "cache saving %", "net saving %", "misses base", "misses split")
 	var best float64
 	for _, app := range apps {
-		r, err := stackmem.Simulate(app.trace, cfg, cm, mm)
+		r, err := stackmem.Simulate(app.Trace, cfg, cm, mm)
 		if err != nil {
 			return nil, err
 		}
 		if r.CacheSaving() > best && r.StackFraction < 0.99 {
 			best = r.CacheSaving()
 		}
-		table.AddRow(app.name, 100*r.StackFraction, r.CacheSaving(), r.TotalSaving(),
+		table.AddRow(app.Name, 100*r.StackFraction, r.CacheSaving(), r.TotalSaving(),
 			r.BaseMisses, r.SplitMisses)
 	}
 	return &Result{

@@ -20,30 +20,13 @@ import (
 // DRAM questions are sensitive to, kept small so E21–E23 stay cheap.
 var memtechKernels = []string{"fir", "dct", "crc32", "listchase", "qsort"}
 
-// memtechTraces runs the subset once at the shared seed.
-func memtechTraces() ([]appTrace, error) {
-	var out []appTrace
-	for _, name := range memtechKernels {
-		k, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		res, err := workloads.Run(k.Build(1))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, appTrace{name: name, trace: res.Trace, cycles: res.Cycles})
-	}
-	return out, nil
-}
-
 // runE21 prices the kernel suite's data traffic against one 64 KiB SRAM
 // built from each ITRS cell type at the 65 nm node, splitting dynamic
 // from leakage energy. The question the table answers is the modern
 // inversion of every DATE'03 trade-off: once leakage dominates, the
 // cell library — not the access count — decides total energy.
 func runE21() (*Result, error) {
-	apps, err := memtechTraces()
+	apps, err := workloads.Traces(1, memtechKernels...)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +48,7 @@ func runE21() (*Result, error) {
 	var savings, leakShares []float64
 	for _, app := range apps {
 		var reads, writes uint64
-		for _, a := range app.trace.Accesses {
+		for _, a := range app.Trace.Accesses {
 			switch a.Kind {
 			case trace.Read:
 				reads++
@@ -77,18 +60,18 @@ func runE21() (*Result, error) {
 		best := memtech.CellHP
 		for _, cell := range memtech.CellTypes() {
 			m := models[cell]
-			total[cell] = m.TotalEnergy(arrayBytes, reads, writes, app.cycles)
+			total[cell] = m.TotalEnergy(arrayBytes, reads, writes, app.Cycles)
 			if total[cell] < total[best] {
 				best = cell
 			}
 		}
 		hp := models[memtech.CellHP]
-		leakShare := 100 * float64(hp.LeakageEnergy(arrayBytes, app.cycles)) /
+		leakShare := 100 * float64(hp.LeakageEnergy(arrayBytes, app.Cycles)) /
 			float64(total[memtech.CellHP])
 		saving := stats.PercentSaving(float64(total[memtech.CellHP]), float64(total[memtech.CellLSTP]))
 		savings = append(savings, saving)
 		leakShares = append(leakShares, leakShare)
-		table.AddRow(app.name, float64(total[memtech.CellHP]), float64(total[memtech.CellLOP]),
+		table.AddRow(app.Name, float64(total[memtech.CellHP]), float64(total[memtech.CellLOP]),
 			float64(total[memtech.CellLSTP]), string(best), leakShare, saving)
 	}
 	return &Result{
@@ -173,34 +156,13 @@ func runE22() (*Result, error) {
 	}, nil
 }
 
-// e23MissTraffic replays an app through a small L1 and returns the
-// line-granular miss traffic (refills as reads, write-backs as writes)
-// plus the replay stats — the stream a main memory actually serves.
-func e23MissTraffic(app appTrace, lineSize int) (*trace.Trace, icache.Stats, error) {
-	c, err := icache.New(icache.Config{
-		Sets: 64, Ways: 4, LineSize: lineSize, WriteBack: true, WriteAllocate: true,
-	}, nil)
-	if err != nil {
-		return nil, icache.Stats{}, err
-	}
-	miss := trace.New(4096)
-	c.OnRefill = func(addr uint32, data []byte) {
-		miss.Append(trace.Access{Addr: addr, Width: uint8(len(data)), Kind: trace.Read})
-	}
-	c.OnWriteBack = func(addr uint32, data []byte) {
-		miss.Append(trace.Access{Addr: addr, Width: uint8(len(data)), Kind: trace.Write})
-	}
-	st := c.Replay(app.trace)
-	return miss, st, nil
-}
-
 // runE23 drives each app's L1 miss traffic into the banked DRAM model at
 // 1–8 banks and reports row-buffer behaviour and energy: banking turns
 // row conflicts back into hits (each bank keeps its own row open) at the
 // cost of per-bank background power, so the energy-optimal bank count is
 // a property of the traffic's row locality, not a constant.
 func runE23() (*Result, error) {
-	apps, err := memtechTraces()
+	apps, err := workloads.Traces(1, memtechKernels...)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +177,9 @@ func runE23() (*Result, error) {
 	table := stats.NewTable("app", "banks", "lines", "row hit %", "conflicts", "energy", "vs 1 bank %")
 	var bestSavings []float64
 	for _, app := range apps {
-		miss, cst, err := e23MissTraffic(app, 32)
+		miss, cst, err := icache.MissTraffic(app.Trace, icache.Config{
+			Sets: 64, Ways: 4, LineSize: 32, WriteBack: true, WriteAllocate: true,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +200,7 @@ func runE23() (*Result, error) {
 				return nil, err
 			}
 			st := d.Replay(miss)
-			e := float64(d.Energy(st, app.cycles))
+			e := float64(d.Energy(st, app.Cycles))
 			if banks == 1 {
 				oneBank = e
 			}
@@ -244,7 +208,7 @@ func runE23() (*Result, error) {
 			if saving > best {
 				best = saving
 			}
-			table.AddRow(app.name, banks, cst.Refills+cst.WriteBacks,
+			table.AddRow(app.Name, banks, cst.Refills+cst.WriteBacks,
 				100*st.HitRate(), st.RowConflicts, e, saving)
 		}
 		bestSavings = append(bestSavings, best)

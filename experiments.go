@@ -1,7 +1,9 @@
-// Package lpmem ties the library's subsystems into the eleven reproducible
-// experiments of the DATE'03 low-power track (see DESIGN.md for the full
-// index). Each experiment regenerates one abstract's headline table; the
-// benchmarks in bench_test.go and the lpmem CLI both drive this registry.
+// Package lpmem ties the library's subsystems into the twenty-six
+// reproducible experiments E1..E26: the DATE'03 low-power track's
+// abstracts and the memory-technology and NUCA extensions (see DESIGN.md
+// for the full index). Each experiment regenerates one abstract's
+// headline table; the benchmarks in bench_test.go and the lpmem CLI both
+// drive this registry.
 package lpmem
 
 import (
@@ -22,7 +24,7 @@ type Result struct {
 
 // Experiment is one reproducible table/figure.
 type Experiment struct {
-	// ID is the experiment identifier from DESIGN.md (E1..E11).
+	// ID is the experiment identifier from DESIGN.md (E1..E26).
 	ID string
 	// Title is a human-readable name.
 	Title string
@@ -204,31 +206,11 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("lpmem: unknown experiment %q", id)
 }
 
-// appTrace is a named workload trace shared by several experiments.
-type appTrace struct {
-	name   string
-	trace  *trace.Trace
-	cycles uint64
-}
-
-// kernelTraces runs every kernel once and returns the traces.
-func kernelTraces(seed int64) ([]appTrace, error) {
-	var out []appTrace
-	for _, k := range workloads.All() {
-		res, err := workloads.Run(k.Build(seed))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, appTrace{name: k.Name, trace: res.Trace, cycles: res.Cycles})
-	}
-	return out, nil
-}
-
 // compositeApps merges kernels into multi-phase applications, the setting
 // of the 1B.1 evaluation (full embedded programs with many data
 // structures of diverse heat). The parts are picked by name from the
 // kernel traces the caller already ran, so no kernel is interpreted twice.
-func compositeApps(kernels []appTrace) ([]appTrace, error) {
+func compositeApps(kernels []*workloads.Result) ([]*workloads.Result, error) {
 	combos := []struct {
 		name  string
 		parts []string
@@ -239,23 +221,25 @@ func compositeApps(kernels []appTrace) ([]appTrace, error) {
 		{"app-rtos", []string{"fibcall", "qsort", "listchase", "histogram"}},
 		{"app-dsp", []string{"fft", "autocorr", "huffman", "bitcount"}},
 	}
-	byName := make(map[string]appTrace, len(kernels))
+	byName := make(map[string]*workloads.Result, len(kernels))
 	for _, k := range kernels {
-		byName[k.name] = k
+		byName[k.Name] = k
 	}
-	var out []appTrace
+	var out []*workloads.Result
 	for _, c := range combos {
-		merged := trace.New(1 << 16)
-		var cycles uint64
+		// Each composite starts from a 64 Ki-access trace and grows part
+		// by part. Sizing it exactly (one Append call on a zero Result)
+		// allocates less but moves E1's garbage collections, so that its
+		// peak RSS, the suite's peak, reads about 3 MiB higher.
+		app := &workloads.Result{Name: c.name, Trace: trace.New(1 << 16)}
 		for _, p := range c.parts {
 			k, ok := byName[p]
 			if !ok {
 				return nil, fmt.Errorf("lpmem: composite %s: no kernel trace %q", c.name, p)
 			}
-			merged.Accesses = append(merged.Accesses, k.trace.Accesses...)
-			cycles += k.cycles
+			app.Append(k)
 		}
-		out = append(out, appTrace{name: c.name, trace: merged, cycles: cycles})
+		out = append(out, app)
 	}
 	return out, nil
 }
@@ -263,8 +247,8 @@ func compositeApps(kernels []appTrace) ([]appTrace, error) {
 // profileApps synthesizes address profiles with the statistical shape of
 // large embedded applications (a small hot working set scattered through
 // a large cold image), where the 1B.1 abstract reports its biggest wins.
-func profileApps() []appTrace {
-	mk := func(name string, seed int64, image uint32, hotEvery int, hotWeight float64, n int) appTrace {
+func profileApps() []*workloads.Result {
+	mk := func(name string, seed int64, image uint32, hotEvery int, hotWeight float64, n int) *workloads.Result {
 		var regions []trace.Region
 		const blk = 1024
 		for i := uint32(0); i < image/blk; i++ {
@@ -283,9 +267,9 @@ func profileApps() []appTrace {
 			}
 		}
 		tr := trace.Synthesize(trace.SynthConfig{Seed: seed, N: n, Regions: regions, WriteFraction: 0.3})
-		return appTrace{name: name, trace: tr, cycles: uint64(n) * 3}
+		return &workloads.Result{Name: name, Trace: tr, Cycles: uint64(n) * 3}
 	}
-	return []appTrace{
+	return []*workloads.Result{
 		mk("prof-sparse", 11, 128<<10, 16, 150, 100_000),
 		mk("prof-medium", 12, 128<<10, 8, 50, 100_000),
 		mk("prof-dense", 13, 64<<10, 4, 8, 100_000),

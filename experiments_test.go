@@ -4,26 +4,32 @@ import (
 	"testing"
 
 	"lpmem/internal/trace"
+	"lpmem/internal/workloads"
 )
 
-// TestKernelTracesCoverSuite: the shared builder must return one trace per
-// registered kernel, each non-empty.
+// TestKernelTracesCoverSuite: the kernel traces every suite-wide
+// experiment reads must be one per registered kernel, in registry order,
+// each named and non-empty.
 func TestKernelTracesCoverSuite(t *testing.T) {
-	apps, err := kernelTraces(1)
+	apps, err := workloads.Traces(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(apps) < 15 {
-		t.Fatalf("only %d kernel traces", len(apps))
+	kernels := workloads.All()
+	if len(apps) != len(kernels) || len(apps) < 15 {
+		t.Fatalf("%d kernel traces for %d kernels", len(apps), len(kernels))
 	}
 	seen := map[string]bool{}
-	for _, a := range apps {
-		if seen[a.name] {
-			t.Fatalf("duplicate kernel %q", a.name)
+	for i, a := range apps {
+		if a.Name != kernels[i].Name {
+			t.Fatalf("trace %d is %q, want %q", i, a.Name, kernels[i].Name)
 		}
-		seen[a.name] = true
-		if a.trace.Len() == 0 || a.cycles == 0 {
-			t.Fatalf("%s: empty trace or zero cycles", a.name)
+		if seen[a.Name] {
+			t.Fatalf("duplicate kernel %q", a.Name)
+		}
+		seen[a.Name] = true
+		if a.Trace.Len() == 0 || a.Cycles == 0 {
+			t.Fatalf("%s: empty trace or zero cycles", a.Name)
 		}
 	}
 }
@@ -32,7 +38,7 @@ func TestKernelTracesCoverSuite(t *testing.T) {
 // traces must contain both data reads and writes, and a part missing
 // from the kernel traces must be an error, not a shorter composite.
 func TestCompositeAppsMergeCleanly(t *testing.T) {
-	kernels, err := kernelTraces(1)
+	kernels, err := workloads.Traces(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +46,9 @@ func TestCompositeAppsMergeCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var noFir []appTrace
+	var noFir []*workloads.Result
 	for _, k := range kernels {
-		if k.name != "fir" {
+		if k.Name != "fir" {
 			noFir = append(noFir, k)
 		}
 	}
@@ -54,7 +60,7 @@ func TestCompositeAppsMergeCleanly(t *testing.T) {
 	}
 	for _, c := range comps {
 		var reads, writes int
-		for _, a := range c.trace.Accesses {
+		for _, a := range c.Trace.Accesses {
 			switch a.Kind {
 			case trace.Read:
 				reads++
@@ -63,7 +69,7 @@ func TestCompositeAppsMergeCleanly(t *testing.T) {
 			}
 		}
 		if reads == 0 || writes == 0 {
-			t.Errorf("%s: missing data traffic (r=%d w=%d)", c.name, reads, writes)
+			t.Errorf("%s: missing data traffic (r=%d w=%d)", c.Name, reads, writes)
 		}
 	}
 }
@@ -77,12 +83,12 @@ func TestProfileAppsDeterministic(t *testing.T) {
 		t.Fatal("length mismatch")
 	}
 	for i := range a {
-		if a[i].name != b[i].name || a[i].trace.Len() != b[i].trace.Len() {
+		if a[i].Name != b[i].Name || a[i].Trace.Len() != b[i].Trace.Len() {
 			t.Fatalf("profile %d differs", i)
 		}
-		for j := range a[i].trace.Accesses {
-			if a[i].trace.Accesses[j] != b[i].trace.Accesses[j] {
-				t.Fatalf("%s: access %d differs", a[i].name, j)
+		for j := range a[i].Trace.Accesses {
+			if a[i].Trace.Accesses[j] != b[i].Trace.Accesses[j] {
+				t.Fatalf("%s: access %d differs", a[i].Name, j)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"lpmem/internal/trace"
 )
@@ -379,6 +380,29 @@ func (c *Cache) Replay(t *trace.Trace) Stats {
 	// A SliceCursor cannot fail, so the error is structurally nil here.
 	st, _ := c.ReplayCursor(t.Cursor())
 	return st
+}
+
+// MissTraffic replays t through a fresh cache of geometry cfg and returns
+// the line-granular traffic below it, the stream a main memory behind the
+// cache serves: each refill as a read and each write-back as a write, in
+// order, with the line base as address and the line size as width. The
+// replay's statistics come with it.
+func MissTraffic(t *trace.Trace, cfg Config) (*trace.Trace, Stats, error) {
+	if cfg.LineSize > math.MaxUint8 {
+		return nil, Stats{}, fmt.Errorf("cache: line size %d does not fit a trace access width", cfg.LineSize)
+	}
+	c, err := New(cfg, nil)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	miss := trace.New(4096)
+	c.OnRefill = func(addr uint32, data []byte) {
+		miss.Append(trace.Access{Addr: addr, Width: uint8(len(data)), Kind: trace.Read})
+	}
+	c.OnWriteBack = func(addr uint32, data []byte) {
+		miss.Append(trace.Access{Addr: addr, Width: uint8(len(data)), Kind: trace.Write})
+	}
+	return miss, c.Replay(t), nil
 }
 
 // ReplayCursor streams an access cursor (loads and stores; fetches are

@@ -206,3 +206,61 @@ func TestReplaySkipsFetches(t *testing.T) {
 		t.Fatalf("accesses = %d, want 1", st.Accesses)
 	}
 }
+
+// TestMissTraffic replays a hand-built trace through a one-line cache:
+// the miss traffic is every refill as a line-wide read and every
+// write-back as a line-wide write, in the order the cache issued them
+// (a dirty victim is written back before its replacement is refilled),
+// and fetches and hits add nothing.
+func TestMissTraffic(t *testing.T) {
+	tr := &trace.Trace{Accesses: []trace.Access{
+		{Addr: 0x04, Kind: trace.Read, Width: 4},  // cold miss: refill 0x00
+		{Addr: 0x08, Kind: trace.Write, Width: 4}, // hit, line 0x00 dirty
+		{Addr: 0x40, Kind: trace.Fetch, Width: 4}, // skipped
+		{Addr: 0x12, Kind: trace.Read, Width: 2},  // miss: write back 0x00, refill 0x10
+		{Addr: 0x1c, Kind: trace.Read, Width: 4},  // hit
+		{Addr: 0x20, Kind: trace.Write, Width: 1}, // clean victim: refill 0x20 only
+	}}
+	cfg := Config{Sets: 1, Ways: 1, LineSize: 16, WriteBack: true, WriteAllocate: true}
+	miss, st, err := MissTraffic(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []trace.Access{
+		{Addr: 0x00, Kind: trace.Read, Width: 16},
+		{Addr: 0x00, Kind: trace.Write, Width: 16},
+		{Addr: 0x10, Kind: trace.Read, Width: 16},
+		{Addr: 0x20, Kind: trace.Read, Width: 16},
+	}
+	if len(miss.Accesses) != len(want) {
+		t.Fatalf("miss traffic %+v, want %+v", miss.Accesses, want)
+	}
+	for i := range want {
+		if miss.Accesses[i] != want[i] {
+			t.Errorf("miss access %d = %+v, want %+v", i, miss.Accesses[i], want[i])
+		}
+	}
+	if st != (Stats{Accesses: 5, Hits: 2, Misses: 3, Refills: 3, WriteBacks: 1}) {
+		t.Errorf("stats = %+v", st)
+	}
+	// The same geometry replayed directly must agree: the capture only
+	// observes the cache.
+	if direct := MustNew(cfg, nil).Replay(tr); direct != st {
+		t.Errorf("capture stats %+v differ from a plain replay's %+v", st, direct)
+	}
+}
+
+// TestMissTrafficRejectsBadGeometry: an invalid configuration, or a line
+// too wide for an access's width field, is an error, not a truncated
+// trace.
+func TestMissTrafficRejectsBadGeometry(t *testing.T) {
+	tr := &trace.Trace{Accesses: []trace.Access{{Addr: 0, Kind: trace.Read, Width: 4}}}
+	for _, cfg := range []Config{
+		{Sets: 3, Ways: 1, LineSize: 16, WriteBack: true, WriteAllocate: true},
+		{Sets: 1, Ways: 1, LineSize: 256, WriteBack: true, WriteAllocate: true},
+	} {
+		if _, _, err := MissTraffic(tr, cfg); err == nil {
+			t.Errorf("%+v: no error", cfg)
+		}
+	}
+}

@@ -147,9 +147,6 @@ func Encode(in Instr) uint32 {
 		uint32(in.Imm)&0x3FFF
 }
 
-// Halted reports whether the CPU has executed Halt.
-func (c *CPU) Halted() bool { return c.halted }
-
 // ErrRunaway is returned by Run when the step budget is exhausted before
 // the program halts.
 var ErrRunaway = fmt.Errorf("isa: step budget exhausted before halt")

@@ -146,12 +146,3 @@ func (o Op) isLoad() bool {
 	}
 	return false
 }
-
-// IsMem reports whether the op accesses data memory.
-func (o Op) IsMem() bool {
-	switch o {
-	case OpLw, OpLh, OpLb, OpSw, OpSh, OpSb, OpPush, OpPop:
-		return true
-	}
-	return false
-}

@@ -41,20 +41,12 @@ var memtechRef = sync.OnceValues(func() (*memtechWorkload, error) {
 	// The DRAM behind the SRAM serves line-granular miss traffic of a
 	// fixed L1 geometry (the same organization E23 prices), so the banks
 	// axis sees realistic row-locality, not raw word accesses.
-	c, err := cache.New(cache.Config{
+	w.miss, _, err = cache.MissTraffic(ref.data, cache.Config{
 		Sets: 64, Ways: 4, LineSize: 32, WriteBack: true, WriteAllocate: true,
-	}, nil)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("sweep: memtech reference cache: %w", err)
 	}
-	w.miss = trace.New(4096)
-	c.OnRefill = func(addr uint32, data []byte) {
-		w.miss.Append(trace.Access{Addr: addr, Width: uint8(len(data)), Kind: trace.Read})
-	}
-	c.OnWriteBack = func(addr uint32, data []byte) {
-		w.miss.Append(trace.Access{Addr: addr, Width: uint8(len(data)), Kind: trace.Write})
-	}
-	c.Replay(ref.data)
 	// Idle intervals for the gating machine: exponential gaps (mean 400
 	// cycles, around the lstp break-even scale) drawn until they tile the
 	// run, from an order-independent seeded source.

@@ -19,24 +19,13 @@ import (
 // a few interpreter runs, so it is computed once and shared; the trace is
 // read-only after construction.
 var referenceTrace = sync.OnceValues(func() (*refWorkload, error) {
-	kernels := []string{"fir", "dct", "adpcm", "crc32"}
-	merged := trace.New(1 << 16)
-	var cycles uint64
-	for _, name := range kernels {
-		k, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		res, err := workloads.Run(k.Build(1))
-		if err != nil {
-			return nil, fmt.Errorf("sweep: reference workload %s: %w", name, err)
-		}
-		for _, a := range res.Trace.Accesses {
-			merged.Append(a)
-		}
-		cycles += res.Cycles
+	parts, err := workloads.Traces(1, "fir", "dct", "adpcm", "crc32")
+	if err != nil {
+		return nil, fmt.Errorf("sweep: reference workload: %w", err)
 	}
-	return &refWorkload{data: merged.Data(), cycles: cycles}, nil
+	var app workloads.Result
+	app.Append(parts...)
+	return &refWorkload{data: app.Trace.Data(), cycles: app.Cycles}, nil
 })
 
 type refWorkload struct {

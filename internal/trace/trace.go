@@ -2,10 +2,11 @@
 // optimization in this repository.
 //
 // A Trace is an ordered sequence of Access records (address, kind, width,
-// value). Traces are produced by the µRISC interpreter (internal/isa), the
-// VLIW engine (internal/vliw) or by the synthetic generators in this
-// package, and consumed by the partitioning, clustering, caching, encoding
-// and scheduling passes.
+// value). Traces are produced by the µRISC interpreter (internal/isa, run
+// per kernel by internal/workloads), by the synthetic generators in this
+// package, or below a cache as its line-granular miss traffic
+// (internal/cache), and consumed by the partitioning, clustering, caching,
+// encoding and scheduling passes.
 //
 //lint:hotpath
 package trace
@@ -64,7 +65,9 @@ type Access struct {
 	Addr uint32
 	// Value is the datum transferred (zero-extended for narrow widths).
 	Value uint32
-	// Width is the transfer size in bytes (1, 2 or 4).
+	// Width is the transfer size in bytes: 1, 2 or 4 for a core's load,
+	// store or fetch, the line size for a cache's miss traffic (refills
+	// and write-backs), which the DRAM model reads.
 	Width uint8
 	// Kind is the access type.
 	Kind Kind

@@ -9,6 +9,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"lpmem/internal/isa"
 	"lpmem/internal/trace"
@@ -72,15 +73,21 @@ func ByName(name string) (Kernel, error) {
 	return Kernel{}, fmt.Errorf("workloads: unknown kernel %q", name)
 }
 
-// Result bundles the outputs of a kernel run.
+// Result bundles the outputs of a kernel run: the kernel's name and data
+// regions, its memory trace and its cycle and retired-instruction counts.
+// Results are shared (a name repeated in one Traces call, the parts of
+// several applications), so treat one as read-only; Append builds a
+// multi-kernel application into a Result of its own.
 type Result struct {
+	Name    string
 	Trace   *trace.Trace
 	Cycles  uint64
 	Retired uint64
+	Arrays  []Array
 }
 
 // Run executes the instance on a fresh CPU with tracing enabled, verifies
-// the result and returns the trace and cycle count.
+// the result and returns the run's Result.
 func Run(inst *Instance) (*Result, error) {
 	cpu := isa.NewCPU(inst.Prog)
 	if inst.Init != nil {
@@ -95,7 +102,60 @@ func Run(inst *Instance) (*Result, error) {
 			return nil, fmt.Errorf("workloads: %s: check failed: %w", inst.Name, err)
 		}
 	}
-	return &Result{Trace: t, Cycles: cpu.Cycles, Retired: cpu.Instructions}, nil
+	return &Result{Name: inst.Name, Trace: t, Cycles: cpu.Cycles, Retired: cpu.Instructions, Arrays: inst.Arrays}, nil
+}
+
+// Traces builds and runs the named kernels at seed and returns their
+// results in request order. Each distinct name is interpreted once per
+// call: a repeated name returns the same *Result. With no names it runs
+// every kernel, in All order.
+func Traces(seed int64, names ...string) ([]*Result, error) {
+	if len(names) == 0 {
+		all := All()
+		names = make([]string, len(all))
+		for i, k := range all {
+			names[i] = k.Name
+		}
+	}
+	out := make([]*Result, len(names))
+	for i, name := range names {
+		if j := slices.Index(names[:i], name); j >= 0 {
+			out[i] = out[j]
+			continue
+		}
+		k, err := ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		if out[i], err = Run(k.Build(seed)); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// Append concatenates parts onto r as phases of one application running
+// back to back in one address space: their traces follow r's, cycles and
+// retired counts add up, and each part's arrays join r's named
+// "<kernel>.<array>". The parts are not modified. The zero Result is an
+// empty application: its first Append allocates the trace at that call's
+// combined length, so parts appended in one call are copied once.
+func (r *Result) Append(parts ...*Result) {
+	if r.Trace == nil {
+		n := 0
+		for _, p := range parts {
+			n += p.Trace.Len()
+		}
+		r.Trace = trace.New(n)
+	}
+	for _, p := range parts {
+		r.Trace.Accesses = append(r.Trace.Accesses, p.Trace.Accesses...)
+		r.Cycles += p.Cycles
+		r.Retired += p.Retired
+		for _, a := range p.Arrays {
+			r.Arrays = append(r.Arrays, Array{Name: p.Name + "." + a.Name, Base: a.Base, Size: a.Size})
+		}
+	}
 }
 
 // rng returns the deterministic random source used by all kernels.

@@ -4,11 +4,9 @@ import (
 	"testing"
 
 	"lpmem/internal/cache"
-	"lpmem/internal/cluster"
 	"lpmem/internal/compress"
 	"lpmem/internal/core"
 	"lpmem/internal/energy"
-	"lpmem/internal/partition"
 	"lpmem/internal/stats"
 	"lpmem/internal/testutil"
 	"lpmem/internal/waycache"
@@ -103,41 +101,6 @@ func BenchmarkAblationLineSize(b *testing.B) {
 		}
 		if i == 0 {
 			b.Logf("line-size ablation (adpcm, 4KiB cache):\n%s", tb.String())
-		}
-	}
-}
-
-// BenchmarkAblationClusterVsIdentity verifies the identity clustering is a
-// true no-op baseline: partitioning the identity-remapped trace equals
-// partitioning the original.
-func BenchmarkAblationClusterVsIdentity(b *testing.B) {
-	k, _ := workloads.ByName("histogram")
-	res := testutil.MustRun(k.Build(1))
-	m := energy.DefaultMemoryModel()
-	for i := 0; i < b.N; i++ {
-		data := res.Trace.Data()
-		id, err := cluster.IdentityBaseline(data, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		specA, _, err := partition.SpecFromTrace(id.Remap(data), 64, res.Cycles)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, eA, err := partition.Optimal(specA, 4, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		specB, _, err := partition.SpecFromTrace(data, 64, res.Cycles)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, eB, err := partition.Optimal(specB, 4, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if eA != eB {
-			b.Fatalf("identity remap changed optimal energy: %v != %v", eA, eB)
 		}
 	}
 }

@@ -88,9 +88,7 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 	var sweeps []chaosSweep
 	for i := 0; i < *runs; i++ {
 		sweep, deadlocked := chaosOnce(exps, plan, runner.Options{
-			Workers: *parallel, Timeout: *timeout, NoCache: true,
-			Retries: *retries, RetryBaseDelay: 5 * time.Millisecond,
-			RetrySeed:        *seed,
+			Workers: *parallel, Timeout: *timeout, NoCache: true, Retries: *retries,
 			BreakerThreshold: 5, BreakerCooldown: time.Second,
 		}, *maxTime)
 		if deadlocked {

@@ -57,13 +57,17 @@ type config struct {
 
 // report is the -json envelope of a check run.
 type report struct {
-	OK           bool                  `json:"ok"`
-	Mode         string                `json:"mode"`
-	Iterations   int                   `json:"iterations"`
-	TolerancePct float64               `json:"tolerance_pct"`
-	Scale        float64               `json:"scale,omitempty"`
-	Drifts       []regress.Drift       `json:"drifts"`
-	Measurements []regress.Measurement `json:"measurements"`
+	OK           bool    `json:"ok"`
+	Mode         string  `json:"mode"`
+	Iterations   int     `json:"iterations"`
+	TolerancePct float64 `json:"tolerance_pct"`
+	Scale        float64 `json:"scale,omitempty"`
+	// LiveCalibrationNS and RecordedCalibrationNS are the two calibration
+	// times whose ratio is Scale: this run's and the baseline file's.
+	LiveCalibrationNS     int64                 `json:"live_calibration_ns,omitempty"`
+	RecordedCalibrationNS int64                 `json:"recorded_calibration_ns,omitempty"`
+	Drifts                []regress.Drift       `json:"drifts"`
+	Measurements          []regress.Measurement `json:"measurements"`
 }
 
 // run is the testable entry point; it returns the process exit code.
@@ -201,8 +205,10 @@ func doCheck(cfg config, exps []lpmem.Experiment, progress func(string), stdout,
 	}
 
 	var scale float64
+	var liveCal int64
 	if len(drifts) == 0 {
-		scale = regress.Scale(base.CalibrationNS, regress.Calibrate(cfg.iterations))
+		liveCal = regress.Calibrate(cfg.iterations)
+		scale = regress.Scale(base.CalibrationNS, liveCal)
 		tol := regress.DefaultTolerances()
 		tol.Pct = cfg.tolerance
 		selected := make(map[string]bool, len(exps))
@@ -248,6 +254,9 @@ func doCheck(cfg config, exps []lpmem.Experiment, progress func(string), stdout,
 	if cfg.jsonOut {
 		rep := report{OK: ok, Mode: "check", Iterations: cfg.iterations,
 			TolerancePct: cfg.tolerance, Scale: scale, Drifts: drifts, Measurements: meas}
+		if liveCal > 0 {
+			rep.LiveCalibrationNS, rep.RecordedCalibrationNS = liveCal, base.CalibrationNS
+		}
 		if rep.Drifts == nil {
 			rep.Drifts = []regress.Drift{}
 		}
@@ -263,16 +272,20 @@ func doCheck(cfg config, exps []lpmem.Experiment, progress func(string), stdout,
 	for _, m := range meas {
 		fmt.Fprintf(stdout, "  %-4s %8.1fms %9d allocs\n", m.ID, float64(m.WallNS)/1e6, m.Allocs)
 	}
+	var calibration string
+	if liveCal > 0 {
+		calibration = fmt.Sprintf(" (scale %.2f: calibration %.1fms live, %.1fms recorded)",
+			scale, float64(liveCal)/1e6, float64(base.CalibrationNS)/1e6)
+	}
 	if !ok {
-		fmt.Fprintf(stderr, "lpmembench: %d drift(s) from committed baselines:\n", len(drifts))
+		fmt.Fprintf(stderr, "lpmembench: %d drift(s) from committed baselines%s:\n", len(drifts), calibration)
 		for _, d := range drifts {
 			fmt.Fprintf(stderr, "  %s\n", d)
 		}
 		fmt.Fprintln(stderr, "lpmembench: if the change is deliberate, re-record with `go run ./cmd/lpmembench -record` and commit")
 		return 1
 	}
-	fmt.Fprintf(stdout, "lpmembench: %d experiments match goldens and perf baseline (scale %.2f)\n",
-		len(meas), scale)
+	fmt.Fprintf(stdout, "lpmembench: %d experiments match goldens and perf baseline%s\n", len(meas), calibration)
 	return 0
 }
 

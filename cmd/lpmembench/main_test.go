@@ -41,7 +41,8 @@ func TestRecordThenCheck(t *testing.T) {
 	if code := run(append(fastArgs(dir), "-check"), &out, &errOut); code != 0 {
 		t.Fatalf("check after record exit %d, stderr: %s", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "match goldens and perf baseline") {
+	if !strings.Contains(out.String(), "match goldens and perf baseline (scale") ||
+		!strings.Contains(out.String(), "ms recorded)") {
 		t.Fatalf("check output: %s", out.String())
 	}
 }
@@ -151,6 +152,17 @@ func TestCheckJSONReport(t *testing.T) {
 	}
 	if !chk.OK || chk.Mode != "check" || len(chk.Drifts) != 0 || len(chk.Measurements) != 2 {
 		t.Fatalf("check report: %+v", chk)
+	}
+	// The report carries both calibrations behind its scale, so a CI
+	// artifact shows which calibration regime a run landed in.
+	base, err := regress.ReadBaseline(filepath.Join(dir, "bench.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chk.RecordedCalibrationNS != base.CalibrationNS || chk.LiveCalibrationNS <= 0 ||
+		chk.Scale != regress.Scale(chk.RecordedCalibrationNS, chk.LiveCalibrationNS) {
+		t.Fatalf("check report calibration: scale %v, live %d ns, recorded %d ns, baseline file %d ns",
+			chk.Scale, chk.LiveCalibrationNS, chk.RecordedCalibrationNS, base.CalibrationNS)
 	}
 }
 

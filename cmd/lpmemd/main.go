@@ -38,9 +38,12 @@
 //
 // Failed experiments degrade responses instead of killing them: batch
 // bodies carry a per-ID error envelope and a status of ok/partial/failed,
-// transient failures are retried with seeded backoff, and repeatedly
-// failing experiments trip a per-ID circuit breaker that fails fast
-// until its cooldown expires.
+// a failed attempt is retried at once up to -retries times, and
+// repeatedly failing experiments trip a per-ID circuit breaker that
+// fails fast until its cooldown expires.
+//
+// Accepted sweeps run one at a time, in acceptance order, on -parallel
+// workers.
 //
 // The server drains in-flight requests and exits cleanly on SIGINT or
 // SIGTERM.

@@ -19,11 +19,12 @@
 //  2. Order blocks greedily: start from the hottest block, then repeatedly
 //     append the unplaced block with the best combination of affinity to
 //     the recently placed blocks and own frequency.
-//  3. Emit the block permutation and remap the trace through it.
+//  3. Emit the block order: the permutation of the memory image. Package
+//     core applies it to the block profile, placing each block's access
+//     counts at its clustered position, so no trace is rewritten.
 //
 // The permutation is realized in hardware as a small block-index
-// translation table; its per-access energy cost is charged by the
-// experiment harness.
+// translation table; core charges its per-access energy.
 //
 //lint:hotpath
 package cluster
@@ -34,18 +35,6 @@ import (
 
 	"lpmem/internal/trace"
 )
-
-// Clustering is a computed block permutation.
-type Clustering struct {
-	// BlockSize is the clustering granularity in bytes (power of two).
-	BlockSize uint32
-	// NewIndex maps an original block base address to its position in
-	// the clustered image.
-	NewIndex map[uint32]int
-	// Order lists original block base addresses in clustered order:
-	// Order[i] is the block placed at clustered index i.
-	Order []uint32
-}
 
 // Config tunes the clustering heuristic.
 type Config struct {
@@ -70,10 +59,12 @@ func DefaultConfig() Config {
 	return Config{BlockSize: 256, AffinityWeight: 0.05, Window: 2}
 }
 
-// Cluster computes a clustering of the data accesses of t. A block size
-// that is not a power of two is reported as an error so callers driven
-// by external configuration can recover.
-func Cluster(t *trace.Trace, cfg Config) (*Clustering, error) {
+// Cluster orders the blocks touched by the data accesses of t: it
+// returns their base addresses in clustered order, so the i-th entry is
+// the block placed at clustered index i. A block size that is not a power
+// of two is reported as an error so callers driven by external
+// configuration can recover.
+func Cluster(t *trace.Trace, cfg Config) ([]uint32, error) {
 	if cfg.BlockSize == 0 || cfg.BlockSize&(cfg.BlockSize-1) != 0 {
 		return nil, fmt.Errorf("cluster: block size %d is not a power of two", cfg.BlockSize)
 	}
@@ -114,16 +105,7 @@ func Cluster(t *trace.Trace, cfg Config) (*Clustering, error) {
 		return blocks[i] < blocks[j]
 	})
 
-	placed := greedyOrder(blocks, freq, affinity, cfg)
-	c := &Clustering{
-		BlockSize: cfg.BlockSize,
-		NewIndex:  make(map[uint32]int, len(placed)),
-		Order:     placed,
-	}
-	for i, b := range placed {
-		c.NewIndex[b] = i
-	}
-	return c, nil
+	return greedyOrder(blocks, freq, affinity, cfg), nil
 }
 
 // greedyOrder runs the greedy placement on dense indices into blocks:
@@ -231,59 +213,4 @@ func pairKey(a, b uint32) [2]uint32 {
 		a, b = b, a
 	}
 	return [2]uint32{a, b}
-}
-
-// MapAddr translates an original address into the clustered image. An
-// address whose block was never profiled maps to a fresh index appended
-// after all profiled blocks, keeping the function total.
-func (c *Clustering) MapAddr(addr uint32) uint32 {
-	mask := ^(c.BlockSize - 1)
-	base := addr & mask
-	idx, ok := c.NewIndex[base]
-	if !ok {
-		// Unprofiled block: append deterministically.
-		idx = len(c.Order) + int(base/c.BlockSize)%1024
-	}
-	return uint32(idx)*c.BlockSize + (addr & (c.BlockSize - 1))
-}
-
-// Remap returns a copy of t with every data address passed through
-// MapAddr. Fetches are left untouched: clustering applies to the data
-// memory only.
-func (c *Clustering) Remap(t *trace.Trace) *trace.Trace {
-	out := trace.New(t.Len())
-	for _, a := range t.Accesses {
-		if a.Kind != trace.Fetch {
-			a.Addr = c.MapAddr(a.Addr)
-		}
-		out.Append(a)
-	}
-	return out
-}
-
-// IdentityBaseline returns the compacted-but-unclustered image of the same
-// trace: blocks in ascending address order, exactly what the linker would
-// produce without clustering hardware. Comparing Optimal(baseline) with
-// Optimal(clustered) isolates the clustering benefit.
-func IdentityBaseline(t *trace.Trace, blockSize uint32) (*Clustering, error) {
-	if blockSize == 0 || blockSize&(blockSize-1) != 0 {
-		return nil, fmt.Errorf("cluster: block size %d is not a power of two", blockSize)
-	}
-	mask := ^(blockSize - 1)
-	seen := make(map[uint32]bool)
-	for _, a := range t.Accesses {
-		if a.Kind != trace.Fetch {
-			seen[a.Addr&mask] = true
-		}
-	}
-	order := make([]uint32, 0, len(seen))
-	for b := range seen {
-		order = append(order, b)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	c := &Clustering{BlockSize: blockSize, NewIndex: make(map[uint32]int, len(order)), Order: order}
-	for i, b := range order {
-		c.NewIndex[b] = i
-	}
-	return c, nil
 }

@@ -121,17 +121,17 @@ func TestClusterMatchesReference(t *testing.T) {
 		for window := 1; window <= 4; window++ {
 			for _, w := range []float64{0, 0.05, 1, -0.5} {
 				cfg := Config{BlockSize: 256, AffinityWeight: w, Window: window}
-				c, err := Cluster(tr, cfg)
+				order, err := Cluster(tr, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := refOrder(tr, cfg)
-				if len(c.Order) != len(want) {
-					t.Fatalf("trial %d %+v: %d blocks, reference %d", trial, cfg, len(c.Order), len(want))
+				if len(order) != len(want) {
+					t.Fatalf("trial %d %+v: %d blocks, reference %d", trial, cfg, len(order), len(want))
 				}
 				for i := range want {
-					if c.Order[i] != want[i] {
-						t.Fatalf("trial %d %+v: order differs at %d:\n got %x\nwant %x", trial, cfg, i, c.Order, want)
+					if order[i] != want[i] {
+						t.Fatalf("trial %d %+v: order differs at %d:\n got %x\nwant %x", trial, cfg, i, order, want)
 					}
 				}
 			}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lpmem/internal/cluster"
 	"lpmem/internal/energy"
@@ -54,11 +55,8 @@ type Report struct {
 	// ClusteredE is the energy after clustering then partitioning,
 	// including the remap-table overhead if charged.
 	ClusteredE energy.PJ
-	// BasePartition and ClusteredPartition are the two bank layouts.
-	BasePartition      *partition.Partition
+	// ClusteredPartition is the bank layout of the clustered image.
 	ClusteredPartition *partition.Partition
-	// Clustering is the computed block permutation.
-	Clustering *cluster.Clustering
 }
 
 // SavingVsPartitioned returns the headline metric of the paper: percent
@@ -91,39 +89,32 @@ func (r *Report) String() string {
 // size that is not a power of two, a bank budget below 1) are reported
 // as errors rather than panics, so services driving the flow from
 // external configuration fail one request instead of the process.
+//
+// The trace is profiled once. The baseline is the profile in address
+// order, the compacted image a linker gives. Clustering permutes whole
+// blocks, so the clustered image's profile is the same block statistics
+// placed in cluster order.
 func Optimize(t *trace.Trace, cycles uint64, opt Options) (*Report, error) {
-	if opt.BlockSize == 0 {
-		opt = DefaultOptions()
-	}
 	opt.Cluster.BlockSize = opt.BlockSize
-	data := t.Data()
-
-	// Baseline image: compacted, address order (what the linker gives).
-	base, err := cluster.IdentityBaseline(data, opt.BlockSize)
+	base, bases, err := partition.SpecFromTrace(t, opt.BlockSize, cycles)
 	if err != nil {
 		return nil, err
 	}
-	baseTrace := base.Remap(data)
-	baseSpec, _, err := partition.SpecFromTrace(baseTrace, opt.BlockSize, cycles)
+	monoE := partition.Energy(base, partition.Monolithic(base), opt.Model)
+	_, baseE, err := partition.Optimal(base, opt.MaxBanks, opt.Model)
 	if err != nil {
 		return nil, err
 	}
 
-	monoE := partition.Energy(baseSpec, partition.Monolithic(baseSpec), opt.Model)
-	basePart, baseE, err := partition.Optimal(baseSpec, opt.MaxBanks, opt.Model)
+	order, err := cluster.Cluster(t, opt.Cluster)
 	if err != nil {
 		return nil, err
 	}
-
-	// Clustered image.
-	cl, err := cluster.Cluster(data, opt.Cluster)
-	if err != nil {
-		return nil, err
-	}
-	clTrace := cl.Remap(data)
-	clSpec, _, err := partition.SpecFromTrace(clTrace, opt.BlockSize, cycles)
-	if err != nil {
-		return nil, err
+	clSpec := &partition.Spec{BlockSize: opt.BlockSize, Blocks: make([]partition.BlockStats, len(order)), Cycles: cycles}
+	for i, b := range order {
+		// Both calls profile the same accesses: b is among the bases.
+		j, _ := slices.BinarySearch(bases, b)
+		clSpec.Blocks[i] = base.Blocks[j]
 	}
 	clPart, clE, err := partition.Optimal(clSpec, opt.MaxBanks, opt.Model)
 	if err != nil {
@@ -135,8 +126,6 @@ func Optimize(t *trace.Trace, cycles uint64, opt Options) (*Report, error) {
 		MonolithicE:        monoE,
 		PartitionedE:       baseE,
 		ClusteredE:         clE,
-		BasePartition:      basePart,
 		ClusteredPartition: clPart,
-		Clustering:         cl,
 	}, nil
 }

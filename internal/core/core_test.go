@@ -71,3 +71,22 @@ func TestOptimizeOnKernels(t *testing.T) {
 		})
 	}
 }
+
+// TestOptimizeRejectsBadOptions: a block size that is not a power of two
+// (zero included) or a bank budget below one is an error, not a silent
+// fallback to other options.
+func TestOptimizeRejectsBadOptions(t *testing.T) {
+	tr := trace.New(1)
+	tr.Append(trace.Access{Addr: 0x100, Width: 4, Kind: trace.Read})
+	for _, mutate := range []func(*Options){
+		func(o *Options) { o.BlockSize = 0 },
+		func(o *Options) { o.BlockSize = 48 },
+		func(o *Options) { o.MaxBanks = 0 },
+	} {
+		opt := DefaultOptions()
+		mutate(&opt)
+		if rep, err := Optimize(tr, 10, opt); err == nil {
+			t.Errorf("block size %d, %d banks: got %v, want an error", opt.BlockSize, opt.MaxBanks, rep)
+		}
+	}
+}

@@ -210,8 +210,7 @@ func TestRequestTimeout(t *testing.T) {
 func TestRetriesThroughHTTP(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	eng := lpmem.NewEngine(runner.Options{
-		Workers: 1, NoCache: true,
-		Retries: 2, RetryBaseDelay: time.Millisecond,
+		Workers: 1, NoCache: true, Retries: 2,
 	})
 	fails := 2
 	exps := []lpmem.Experiment{

@@ -21,13 +21,17 @@ const maxSweepPoints = 4096
 // sweepManager owns the asynchronous sweeps a server has accepted. All
 // sweeps share one in-memory store, so repeated sweeps of the same space
 // are incremental across requests exactly like `lpmem sweep -resume`.
+// Sweeps run one at a time in acceptance order, so however many are
+// accepted, the server runs at most workers sweep evaluations at once.
 type sweepManager struct {
 	workers int
 
 	mu sync.Mutex
 	// jobs holds every accepted sweep in acceptance order: jobs[i] has
 	// ID "S<i+1>". It only grows, so a copied header stays valid.
-	jobs  []*sweepJob
+	jobs []*sweepJob
+	// turn is closed once the last accepted sweep has settled.
+	turn  chan struct{}
 	store *sweep.Store
 }
 
@@ -112,7 +116,9 @@ func newSweepManager(workers int, store *sweep.Store) *sweepManager {
 		// OpenStore("") cannot fail: memory-only stores touch no file.
 		store, _ = sweep.OpenStore("")
 	}
-	return &sweepManager{workers: workers, store: store}
+	turn := make(chan struct{})
+	close(turn)
+	return &sweepManager{workers: workers, store: store, turn: turn}
 }
 
 // sweepRequest is the POST /sweeps body.
@@ -164,9 +170,8 @@ func (j *sweepJob) statusLocked() sweepStatus {
 	}
 }
 
-// start validates the request, enumerates the points, and launches the
-// executor in the background. It returns the accepted job or an error
-// suitable for a 400.
+// start validates the request and enumerates the points, then accepts
+// the sweep. It returns the accepted job or an error suitable for a 400.
 func (m *sweepManager) start(req sweepRequest) (*sweepJob, error) {
 	ad, err := sweep.ByName(req.Space)
 	if err != nil {
@@ -201,6 +206,12 @@ func (m *sweepManager) start(req sweepRequest) (*sweepJob, error) {
 		return nil, fmt.Errorf("httpapi: sweep of %d points exceeds the %d-point cap; use \"points\" to sample", len(pts), maxSweepPoints)
 	}
 
+	return m.accept(ad, sp, objs, pts), nil
+}
+
+// accept registers a validated sweep and starts it in the background
+// once every sweep accepted before it has settled.
+func (m *sweepManager) accept(ad sweep.Adapter, sp sweep.Space, objs []string, pts []sweep.Point) *sweepJob {
 	m.mu.Lock()
 	job := &sweepJob{
 		id:     fmt.Sprintf("S%d", len(m.jobs)+1),
@@ -208,18 +219,23 @@ func (m *sweepManager) start(req sweepRequest) (*sweepJob, error) {
 		status: "running", objectives: objs, total: len(pts),
 	}
 	m.jobs = append(m.jobs, job)
+	prev, done := m.turn, make(chan struct{})
+	m.turn = done
 	m.mu.Unlock()
 
 	//lint:allow goroutine an accepted sweep deliberately outlives its request; run settles the job and exits, and the store keeps partial results if the server dies
-	go m.run(job, ad, sp, pts)
-	return job, nil
+	go m.run(job, ad, sp, pts, prev, done)
+	return job
 }
 
-// run executes the sweep and settles the job. It deliberately uses a
-// background context: an accepted sweep outlives the request that
-// submitted it (that is the point of the async surface), and the shared
-// store keeps whatever a dying server managed to compute.
-func (m *sweepManager) run(job *sweepJob, ad sweep.Adapter, sp sweep.Space, pts []sweep.Point) {
+// run waits for its turn (prev), executes the sweep, settles the job and
+// passes the turn on (done). It deliberately uses a background context:
+// an accepted sweep outlives the request that submitted it (that is the
+// point of the async surface), and the shared store keeps whatever a
+// dying server managed to compute.
+func (m *sweepManager) run(job *sweepJob, ad sweep.Adapter, sp sweep.Space, pts []sweep.Point, prev <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	<-prev
 	res, err := sweep.Run(context.Background(), ad, pts, sweep.Config{
 		Workers: m.workers,
 		Store:   m.store,
@@ -309,7 +325,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The admission slot covers acceptance, not the sweep itself (which
-	// runs on the bounded engine pool) nor a long SSE watch.
+	// waits for the sweeps accepted before it, then runs on a pool of its
+	// own) nor a long SSE watch.
 	release()
 	if wantsStream(r) {
 		sse, ok := startSSE(w)

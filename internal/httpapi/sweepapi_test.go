@@ -11,8 +11,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"lpmem/internal/sweep"
+	"lpmem/internal/testutil"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -209,6 +213,76 @@ func TestSweepListNewestFirst(t *testing.T) {
 }
 
 // TestSweepSampledRequest: "points" samples instead of sweeping the grid.
+// probeAdapter is a built-in adapter whose Run calls enter first.
+type probeAdapter struct {
+	sweep.Adapter
+	enter func()
+}
+
+func (a probeAdapter) Run(p sweep.Point) (sweep.Metrics, error) {
+	a.enter()
+	return a.Adapter.Run(p)
+}
+
+// TestSweepsRunOneAtATime: a second accepted sweep evaluates no point
+// until the first has settled, and reports "running" with nothing done
+// while it waits, so accepted sweeps never share the CPU.
+func TestSweepsRunOneAtATime(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	m := newSweepManager(2, nil)
+	accept := func(name string, enter func()) *sweepJob {
+		ad, err := sweep.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := ad.Space()
+		pts, err := sp.Sample(4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.accept(probeAdapter{ad, enter}, sp, sweep.MetricNames(), pts)
+	}
+	settled := func(j *sweepJob) sweepStatus {
+		ch, _ := j.subscribe()
+		for range ch {
+		}
+		return j.snapshot()
+	}
+
+	started, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	var once sync.Once
+	first := accept("bus", func() {
+		once.Do(func() { close(started) })
+		<-gate
+	})
+	var calls atomic.Int64
+	second := accept("banks", func() {
+		calls.Add(1)
+		if s := first.snapshot().Status; s == "running" {
+			t.Error("the second sweep evaluated a point while the first was running")
+		}
+	})
+
+	<-started
+	// A second sweep running beside the first would evaluate its points
+	// in this window, failing the check in its enter.
+	time.Sleep(50 * time.Millisecond)
+	if s := second.snapshot(); s.Status != "running" || s.Done != 0 {
+		t.Fatalf("waiting sweep reports %q with %d done, want running with 0", s.Status, s.Done)
+	}
+	release()
+	for _, j := range []*sweepJob{first, second} {
+		if s := settled(j); s.Status != "ok" || s.Done != 4 {
+			t.Fatalf("%s settled %q with %d done, want ok with 4", s.ID, s.Status, s.Done)
+		}
+	}
+	if calls.Load() == 0 {
+		t.Fatal("the second sweep never ran")
+	}
+}
+
 func TestSweepSampledRequest(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var accepted sweepStatusJSON

@@ -41,9 +41,8 @@ type Optimization struct {
 // Baseline is the committed perf file (BENCH_*.json).
 type Baseline struct {
 	Schema string `json:"schema"`
-	// GoVersion and Host are informational: where the record was taken.
+	// GoVersion is informational: the toolchain the record was taken with.
 	GoVersion string `json:"go_version"`
-	Host      string `json:"host,omitempty"`
 	// Iterations is the N of the min-of-N timings.
 	Iterations int `json:"iterations"`
 	// TolerancePct is the ±% timing tolerance the file was recorded to be

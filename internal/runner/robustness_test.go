@@ -16,7 +16,7 @@ import (
 // succeeds within the retry budget, and the metrics count the retries.
 func TestRetryHealsTransient(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	e := New[int](Options{Workers: 1, NoCache: true, Retries: 3, RetryBaseDelay: time.Millisecond})
+	e := New[int](Options{Workers: 1, NoCache: true, Retries: 3})
 	var attempts atomic.Int64
 	out := e.Run(context.Background(), []Job[int]{job("flaky", func(context.Context) (int, error) {
 		if attempts.Add(1) <= 2 {
@@ -40,7 +40,7 @@ func TestRetryHealsTransient(t *testing.T) {
 // error after Retries+1 attempts.
 func TestRetryBudgetExhausted(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	e := New[int](Options{Workers: 1, NoCache: true, Retries: 2, RetryBaseDelay: time.Millisecond})
+	e := New[int](Options{Workers: 1, NoCache: true, Retries: 2})
 	var attempts atomic.Int64
 	out := e.Run(context.Background(), []Job[int]{job("doomed", func(context.Context) (int, error) {
 		return 0, fmt.Errorf("failure %d", attempts.Add(1))
@@ -61,7 +61,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 func TestRetryStopsOnBatchCancel(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	e := New[int](Options{Workers: 1, NoCache: true, Retries: 10, RetryBaseDelay: time.Millisecond})
+	e := New[int](Options{Workers: 1, NoCache: true, Retries: 10})
 	var attempts atomic.Int64
 	out := e.Run(ctx, []Job[int]{job("J", func(context.Context) (int, error) {
 		attempts.Add(1)
@@ -81,8 +81,7 @@ func TestRetryStopsOnBatchCancel(t *testing.T) {
 func TestRetryPerAttemptTimeout(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	e := New[int](Options{
-		Workers: 1, NoCache: true, Timeout: 30 * time.Millisecond,
-		Retries: 1, RetryBaseDelay: time.Millisecond,
+		Workers: 1, NoCache: true, Timeout: 30 * time.Millisecond, Retries: 1,
 	})
 	var attempts atomic.Int64
 	out := e.Run(context.Background(), []Job[int]{job("slow-once", func(ctx context.Context) (int, error) {
@@ -94,37 +93,6 @@ func TestRetryPerAttemptTimeout(t *testing.T) {
 	})})
 	if out[0].Err != nil || out[0].Value != 9 {
 		t.Fatalf("outcome: %+v", out[0])
-	}
-}
-
-// TestBackoffDeterministic: the jittered schedule is a pure function of
-// (seed, id, attempt), and grows exponentially up to the cap.
-func TestBackoffDeterministic(t *testing.T) {
-	mk := func(seed int64) *Engine[int] {
-		return New[int](Options{
-			Retries: 5, RetryBaseDelay: 10 * time.Millisecond,
-			RetryMaxDelay: 80 * time.Millisecond, RetrySeed: seed,
-		})
-	}
-	a, b := mk(1), mk(1)
-	for attempt := 1; attempt <= 5; attempt++ {
-		da, db := a.backoff("E1", attempt), b.backoff("E1", attempt)
-		if da != db {
-			t.Fatalf("attempt %d: %v vs %v", attempt, da, db)
-		}
-		// Jitter is bounded to [0.5, 1.5) of the capped exponential step.
-		step := 10 * time.Millisecond << uint(attempt-1)
-		if step > 80*time.Millisecond {
-			step = 80 * time.Millisecond
-		}
-		if da < step/2 || da > step*3/2 {
-			t.Fatalf("attempt %d: %v outside jitter band of %v", attempt, da, step)
-		}
-	}
-	if mk(1).backoff("E1", 1) == mk(2).backoff("E1", 1) &&
-		mk(1).backoff("E1", 2) == mk(2).backoff("E1", 2) &&
-		mk(1).backoff("E1", 3) == mk(2).backoff("E1", 3) {
-		t.Fatal("different seeds produced an identical schedule")
 	}
 }
 
@@ -198,8 +166,7 @@ func TestBreakerLifecycle(t *testing.T) {
 func TestBreakerRetriesCountAsOneOutcome(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	e := New[int](Options{
-		Workers: 1, NoCache: true,
-		Retries: 2, RetryBaseDelay: time.Millisecond,
+		Workers: 1, NoCache: true, Retries: 2,
 		BreakerThreshold: 2, BreakerCooldown: time.Minute,
 	})
 	var attempts atomic.Int64
@@ -241,7 +208,7 @@ func TestPanicStackReachesError(t *testing.T) {
 // panics, a timeout) leaves no goroutines behind once outcomes settle.
 func TestEngineShutdownLeaksNothing(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	e := New[int](Options{Workers: 4, NoCache: true, Timeout: 20 * time.Millisecond, Retries: 1, RetryBaseDelay: time.Millisecond})
+	e := New[int](Options{Workers: 4, NoCache: true, Timeout: 20 * time.Millisecond, Retries: 1})
 	jobs := []Job[int]{
 		constJob("ok", 1),
 		job("err", func(context.Context) (int, error) { return 0, errors.New("nope") }),

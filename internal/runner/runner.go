@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -83,19 +82,13 @@ type Options struct {
 	// re-execution.
 	NoCache bool
 
-	// Retries is the number of re-attempts after a failed execution.
-	// Each attempt gets its own Timeout window. A job is not retried
-	// once the batch context is cancelled. 0 disables retries.
+	// Retries is the number of re-attempts after a failed execution. A
+	// failed attempt is re-run at once: jobs are deterministic, and the
+	// only failures that heal do so by attempt count, so waiting between
+	// attempts would buy nothing. Each attempt gets its own Timeout
+	// window. A job is not retried once the batch context is cancelled.
+	// 0 disables retries.
 	Retries int
-	// RetryBaseDelay is the first backoff; it doubles per attempt.
-	// <= 0 defaults to 10ms.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the backoff growth. <= 0 defaults to 1s.
-	RetryMaxDelay time.Duration
-	// RetrySeed seeds the backoff jitter. Jitter is derived from
-	// (seed, job ID, attempt), so a fixed seed yields a bit-identical
-	// retry schedule — chaos runs stay replayable.
-	RetrySeed int64
 
 	// BreakerThreshold opens a per-job-ID circuit breaker after this many
 	// consecutive execution failures; while open, runs of that ID fail
@@ -177,14 +170,6 @@ type Engine[T any] struct {
 func New[T any](opts Options) *Engine[T] {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Retries > 0 {
-		if opts.RetryBaseDelay <= 0 {
-			opts.RetryBaseDelay = 10 * time.Millisecond
-		}
-		if opts.RetryMaxDelay <= 0 {
-			opts.RetryMaxDelay = time.Second
-		}
 	}
 	if opts.BreakerThreshold > 0 && opts.BreakerCooldown <= 0 {
 		opts.BreakerCooldown = 5 * time.Second
@@ -305,21 +290,6 @@ func (e *Engine[T]) breakerResult(id string, ok bool) {
 	}
 }
 
-// backoff computes the capped exponential retry delay with deterministic
-// jitter: the jitter factor in [0.5, 1.5) is derived from
-// (RetrySeed, job ID, attempt), not from a shared PRNG, so concurrent
-// batches cannot perturb each other's schedules.
-func (e *Engine[T]) backoff(id string, attempt int) time.Duration {
-	d := e.opts.RetryBaseDelay << uint(attempt-1)
-	if d <= 0 || d > e.opts.RetryMaxDelay {
-		d = e.opts.RetryMaxDelay
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", e.opts.RetrySeed, id, attempt)
-	jitter := 0.5 + float64(h.Sum64()%1024)/1024.0
-	return time.Duration(float64(d) * jitter)
-}
-
 // Run executes the batch on the pool and returns one outcome per job, in
 // input order. Cancelling ctx stops dispatch: running jobs are given the
 // cancelled context, and jobs not yet started are reported with the
@@ -430,9 +400,8 @@ func (e *Engine[T]) runOne(ctx context.Context, j Job[T]) Outcome[T] {
 		e.breakerFastFails.Add(1)
 		err = fmt.Errorf("%w: job %s is cooling down", ErrCircuitOpen, j.ID)
 	} else {
-		// Each attempt gets a fresh deadline window; retries back off
-		// exponentially with seeded jitter and stop as soon as the batch
-		// context dies.
+		// Each attempt gets a fresh deadline window; retries stop as soon
+		// as the batch context dies.
 		for attempt := 0; ; attempt++ {
 			jctx, cancel := ctx, context.CancelFunc(func() {})
 			if e.opts.Timeout > 0 {
@@ -445,9 +414,6 @@ func (e *Engine[T]) runOne(ctx context.Context, j Job[T]) Outcome[T] {
 				break
 			}
 			e.retries.Add(1)
-			if sleepErr := sleepCtx(ctx, e.backoff(j.ID, attempt+1)); sleepErr != nil {
-				break
-			}
 		}
 		e.breakerResult(j.ID, err == nil)
 	}
@@ -479,21 +445,6 @@ func (e *Engine[T]) settle(key string, fl *flight[T], v T, err error) {
 	delete(e.inflight, key)
 	e.mu.Unlock()
 	close(fl.done)
-}
-
-// sleepCtx waits for d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // join waits for an identical in-flight job instead of re-executing it.

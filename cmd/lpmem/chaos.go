@@ -69,19 +69,10 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "chaos: rate %v outside [0,1]\n", *rate)
 		return 2
 	}
-	ids := fs.Args()
-	var exps []lpmem.Experiment
-	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
-		exps = lpmem.Experiments()
-	} else {
-		for _, id := range ids {
-			exp, err := lpmem.ByID(id)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			exps = append(exps, exp)
-		}
+	exps, err := selectExperiments(fs.Args())
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	plan := faultinject.Plan{Seed: *seed, Rate: *rate, Kinds: kinds, MaxDelay: *maxDelay}
@@ -99,7 +90,11 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 	}
 	violations := crossRunViolations(sweeps)
 
+	// Under -json stdout carries the one JSON document; the verdict line
+	// goes to stderr.
+	verdict := stdout
 	if *jsonOut {
+		verdict = stderr
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(map[string]interface{}{
@@ -118,7 +113,7 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "chaos: %d invariant violation(s)\n", bad)
 		return 1
 	}
-	fmt.Fprintf(stdout, "chaos OK: %d sweep(s) of %d experiments under seed %d, zero leaks, deterministic placement\n",
+	fmt.Fprintf(verdict, "chaos OK: %d sweep(s) of %d experiments under seed %d, zero leaks, deterministic placement\n",
 		len(sweeps), len(exps), *seed)
 	return 0
 }
@@ -128,19 +123,9 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 func chaosOnce(exps []lpmem.Experiment, plan faultinject.Plan, opts runner.Options, maxTime time.Duration) (chaosSweep, bool) {
 	in := faultinject.New(plan)
 	eng := lpmem.NewEngine(opts)
-	jobs := make([]runner.Job[*lpmem.Result], len(exps))
-	for i, e := range exps {
-		e := e
-		base := func(ctx context.Context) (*lpmem.Result, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return e.Run()
-		}
-		jobs[i] = runner.Job[*lpmem.Result]{
-			ID:  e.ID,
-			Run: faultinject.Wrap(in, e.ID, base, corruptResult),
-		}
+	jobs := lpmem.Jobs(exps)
+	for i := range jobs {
+		jobs[i].Run = faultinject.Wrap(in, jobs[i].ID, jobs[i].Run, corruptResult)
 	}
 
 	var outs []runner.Outcome[*lpmem.Result]

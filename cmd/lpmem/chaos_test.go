@@ -34,11 +34,14 @@ func TestChaosSubsetDeterministic(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s\nstdout: %s", code, errOut.String(), out.String())
 	}
-	// stdout is the JSON document followed by the OK line; decode greedily.
-	dec := json.NewDecoder(bytes.NewReader(out.Bytes()))
+	// stdout is exactly one JSON document (Unmarshal rejects trailing
+	// data); the OK line goes to stderr.
 	var rep chaosJSON
-	if err := dec.Decode(&rep); err != nil {
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("report JSON: %v\n%s", err, out.String())
+	}
+	if !strings.HasPrefix(errOut.String(), "chaos OK: ") {
+		t.Fatalf("stderr %q, want the chaos OK line", errOut.String())
 	}
 	if len(rep.Sweeps) != 2 || len(rep.Violations) != 0 {
 		t.Fatalf("report: %+v", rep)

@@ -70,6 +70,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 }
 
+// selectExperiments resolves command-line experiment IDs against the
+// registry: no IDs, or the single word "all", selects every experiment.
+func selectExperiments(ids []string) ([]lpmem.Experiment, error) {
+	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
+		return lpmem.Experiments(), nil
+	}
+	exps := make([]lpmem.Experiment, len(ids))
+	for i, id := range ids {
+		exp, err := lpmem.ByID(id)
+		if err != nil {
+			return nil, err
+		}
+		exps[i] = exp
+	}
+	return exps, nil
+}
+
 // runExperiments implements `lpmem run`: resolve IDs, execute the batch
 // on the engine, render text or JSON, and report failures via exit code.
 func runExperiments(args []string, stdout, stderr io.Writer) int {
@@ -81,19 +98,10 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	ids := fs.Args()
-	var exps []lpmem.Experiment
-	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
-		exps = lpmem.Experiments()
-	} else {
-		for _, id := range ids {
-			exp, err := lpmem.ByID(id)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			exps = append(exps, exp)
-		}
+	exps, err := selectExperiments(fs.Args())
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	eng := lpmem.NewEngine(runner.Options{Workers: *parallel, Timeout: *timeout})
@@ -148,7 +156,6 @@ usage:
   lpmem trace <kernel> [seed]     dump a kernel memory trace (text format)
   lpmem trace convert [flags]     interconvert text and binary traces losslessly
   lpmem trace info FILE           header, access counts and density of a trace
-  lpmem trace cat FILE            print a trace (either format) as text
   lpmem trace replay [flags] FILE stream a trace through a cache, print stats
 
 run flags:
@@ -162,7 +169,7 @@ chaos flags:
   -rate R        fraction of experiments faulted (default 0.6)
   -runs N        identical sweeps compared for determinism (default 2)
   -retries N     per-experiment retry budget (default 2)
-  -json          emit sweep reports as JSON
+  -json          emit sweep reports as JSON (the OK line goes to stderr)
 
 loadgen flags:
   -addr URLS     comma list of lpmemd base URLs, round-robined
@@ -190,7 +197,8 @@ sweep flags:
 trace convert flags:
   -i FILE        input trace, text or binary, sniffed (- = stdin)
   -o FILE        output path (- = stdout)
-  -to FMT        text | binary | auto (default: the opposite of the input)
+  -to FMT        text | binary | auto (default: the opposite of the input);
+                 -to text prints a trace of either format as text
 
 trace replay flags:
   -sets N -ways N -line N         cache geometry (default 64x4, 32B lines)

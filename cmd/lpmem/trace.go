@@ -4,8 +4,8 @@ package main
 //
 //	lpmem trace <kernel> [seed]       run a kernel, dump its trace as text
 //	lpmem trace convert -i IN -o OUT  interconvert text and binary losslessly
+//	                                  (-to text prints either format as text)
 //	lpmem trace info FILE             header, counts and density of a trace
-//	lpmem trace cat FILE              print any trace as text
 //	lpmem trace replay FILE           stream a trace through a cache, print stats
 //
 // Formats are sniffed from the 4-byte LPMT magic, so every subcommand
@@ -31,7 +31,7 @@ import (
 // argument is a kernel name (the original `lpmem trace <kernel>` form).
 func runTrace(args []string, stdout, stderr io.Writer) int {
 	if len(args) < 1 {
-		fmt.Fprintln(stderr, "usage: lpmem trace <kernel> [seed] | convert | info | cat | replay (see lpmem trace -h)")
+		fmt.Fprintln(stderr, "usage: lpmem trace <kernel> [seed] | convert | info | replay (see lpmem trace -h)")
 		return 2
 	}
 	switch args[0] {
@@ -39,8 +39,6 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		return traceConvert(args[1:], stdout, stderr)
 	case "info":
 		return traceInfo(args[1:], stdout, stderr)
-	case "cat":
-		return traceCat(args[1:], stdout, stderr)
 	case "replay":
 		return traceReplay(args[1:], stdout, stderr)
 	}
@@ -266,31 +264,6 @@ func traceInfo(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// traceCat implements `lpmem trace cat FILE`: any format to text.
-func traceCat(args []string, stdout, stderr io.Writer) int {
-	if len(args) != 1 {
-		fmt.Fprintln(stderr, "usage: lpmem trace cat FILE")
-		return 2
-	}
-	r, err := openInput(args[0])
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	// Read-side close: the error carries nothing once the read succeeded.
-	defer func() { _ = r.Close() }()
-	t, _, err := readTrace(bufio.NewReader(r))
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if err := t.WriteText(stdout); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	return 0
-}
-
 // traceReplay implements `lpmem trace replay FILE`: run the trace's
 // data accesses through a cache and print the statistics on one
 // diff-friendly line. The CI trace stage replays each trace in both
@@ -314,7 +287,7 @@ func traceReplay(args []string, stdout, stderr io.Writer) int {
 		Sets: *sets, Ways: *ways, LineSize: *line,
 		WriteBack: !*writeThrough, WriteAllocate: !*noAllocate,
 	}
-	c, err := cache.New(cfg, nil)
+	c, err := cache.New(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

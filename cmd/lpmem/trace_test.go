@@ -87,8 +87,8 @@ func TestTraceConvertExplicitTarget(t *testing.T) {
 	}
 }
 
-// TestTraceCat prints both formats as identical text.
-func TestTraceCat(t *testing.T) {
+// TestTraceConvertToText prints both formats as identical text.
+func TestTraceConvertToText(t *testing.T) {
 	txt := writeTemp(t, "in.txt", []byte(sampleText))
 	bin := filepath.Join(t.TempDir(), "out.lpmt")
 	var out, errOut bytes.Buffer
@@ -96,14 +96,14 @@ func TestTraceCat(t *testing.T) {
 		t.Fatalf("convert exit %d: %s", code, errOut.String())
 	}
 	var fromText, fromBin bytes.Buffer
-	if code := run([]string{"trace", "cat", txt}, &fromText, &errOut); code != 0 {
-		t.Fatalf("cat text exit %d: %s", code, errOut.String())
+	if code := run([]string{"trace", "convert", "-i", txt, "-to", "text"}, &fromText, &errOut); code != 0 {
+		t.Fatalf("text to text exit %d: %s", code, errOut.String())
 	}
-	if code := run([]string{"trace", "cat", bin}, &fromBin, &errOut); code != 0 {
-		t.Fatalf("cat binary exit %d: %s", code, errOut.String())
+	if code := run([]string{"trace", "convert", "-i", bin, "-to", "text"}, &fromBin, &errOut); code != 0 {
+		t.Fatalf("binary to text exit %d: %s", code, errOut.String())
 	}
 	if fromText.String() != canonText || fromBin.String() != canonText {
-		t.Fatalf("cat output diverged:\n text %q\n bin  %q\nwant %q", fromText.String(), fromBin.String(), canonText)
+		t.Fatalf("text output diverged:\n text %q\n bin  %q\nwant %q", fromText.String(), fromBin.String(), canonText)
 	}
 }
 
@@ -190,9 +190,6 @@ func TestTraceUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"trace", "info"}, &out, &errOut); code != 2 {
 		t.Fatalf("info arity exit %d", code)
-	}
-	if code := run([]string{"trace", "cat"}, &out, &errOut); code != 2 {
-		t.Fatalf("cat arity exit %d", code)
 	}
 	if code := run([]string{"trace", "replay"}, &out, &errOut); code != 2 {
 		t.Fatalf("replay arity exit %d", code)

@@ -69,12 +69,14 @@ func runE5() (*Result, error) {
 	const lineSize = 32
 	var refills []uint32
 	for _, app := range apps {
-		ic := cache.MustNew(cache.Config{Sets: 32, Ways: 2, LineSize: lineSize, WriteBack: false, WriteAllocate: true}, nil)
+		ic, err := cache.New(cache.Config{Sets: 32, Ways: 2, LineSize: lineSize, WriteBack: false, WriteAllocate: true})
+		if err != nil {
+			return nil, err
+		}
 		for _, fa := range fetchAddrs(app.Trace) {
-			if ic.Lookup(fa) == -1 {
+			if !ic.Access(fa, false).Hit {
 				refills = append(refills, fa&^uint32(lineSize-1))
 			}
-			ic.Access(fa, false, 4, 0)
 		}
 	}
 	// Steady-state external traffic (refill bursts, DMA, frame scans):

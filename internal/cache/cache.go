@@ -1,10 +1,13 @@
-// Package cache implements a data-holding set-associative cache simulator
+// Package cache implements a tag-only set-associative cache simulator
 // with LRU replacement, write-back/write-through and write-allocate
 // policies, and hooks on refill and write-back. It is the substrate for
 // the compression (E2), way-determination (E7) and stack-memory (E9)
-// experiments: all of them need exact hit/miss behaviour, the way that
-// served each access, and — for compression — the actual line contents
-// crossing the cache/memory boundary.
+// experiments: all of them need exact hit/miss behaviour and the way that
+// served each access. No outcome depends on line contents, so the cache
+// holds none. A caller that needs the bytes crossing the cache/memory
+// boundary keeps them in a trace.Memory image and reads each refilled or
+// written-back line from it in the hooks, as compress.MeasureTraffic
+// does: with one writer, the image holds exactly what the line does.
 //
 //lint:hotpath
 package cache
@@ -12,6 +15,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lpmem/internal/trace"
 )
@@ -67,13 +71,12 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// line is one cache line with data.
+// line is one cache line's tag state.
 type line struct {
 	valid bool
 	dirty bool
 	tag   uint32
 	lru   uint64 // last-use timestamp
-	data  []byte
 }
 
 // Result describes the outcome of a single access.
@@ -82,10 +85,6 @@ type Result struct {
 	Hit bool
 	// Way is the way that served (or was filled by) the access.
 	Way int
-	// WroteBack reports whether a dirty line was evicted.
-	WroteBack bool
-	// WriteBackAddr is the base address of the written-back line.
-	WriteBackAddr uint32
 	// Evicted reports whether any valid line (clean or dirty) was
 	// displaced by this access.
 	Evicted bool
@@ -93,168 +92,52 @@ type Result struct {
 	EvictedAddr uint32
 }
 
-// Backing supplies refill data and absorbs write-backs. The zero-value
-// NullBacking can be used when contents don't matter.
-type Backing interface {
-	ReadLine(addr uint32, dst []byte)
-	WriteLine(addr uint32, src []byte)
-}
-
-// NullBacking ignores writes and refills zeroes.
-type NullBacking struct{}
-
-// ReadLine fills dst with zeroes.
-func (NullBacking) ReadLine(_ uint32, dst []byte) {
-	for i := range dst {
-		dst[i] = 0
-	}
-}
-
-// WriteLine discards the line.
-func (NullBacking) WriteLine(uint32, []byte) {}
-
-// pageSize is MapBacking's allocation unit in bytes.
-const pageSize = 1 << 12
-
-// MapBacking is a sparse, paged backing store. Bytes never written read
-// as zero; a page is allocated on the first write into it.
-type MapBacking struct {
-	pages map[uint32]*[pageSize]byte
-}
-
-// NewMapBacking returns an empty sparse backing store.
-func NewMapBacking() *MapBacking { return &MapBacking{pages: make(map[uint32]*[pageSize]byte)} }
-
-// ReadLine copies the line at addr into dst. A line may span pages, and
-// addresses wrap at 2³².
-func (b *MapBacking) ReadLine(addr uint32, dst []byte) {
-	for len(dst) > 0 {
-		off := addr & (pageSize - 1)
-		n := min(len(dst), pageSize-int(off))
-		if p := b.pages[addr-off]; p != nil {
-			copy(dst[:n], p[off:])
-		} else {
-			clear(dst[:n])
-		}
-		dst = dst[n:]
-		addr += uint32(n)
-	}
-}
-
-// WriteLine stores the line at addr. A line may span pages, and
-// addresses wrap at 2³².
-func (b *MapBacking) WriteLine(addr uint32, src []byte) {
-	for len(src) > 0 {
-		off := addr & (pageSize - 1)
-		p := b.pages[addr-off]
-		if p == nil {
-			p = new([pageSize]byte)
-			b.pages[addr-off] = p
-		}
-		n := copy(p[off:], src)
-		src = src[n:]
-		addr += uint32(n)
-	}
-}
-
 // Cache is the simulator proper.
 type Cache struct {
-	cfg     Config
-	sets    [][]line
-	stats   Stats
-	backing Backing
-	clock   uint64
+	cfg   Config
+	sets  [][]line
+	stats Stats
+	clock uint64
 	// OnWriteBack, when non-nil, observes every write-back with the line
-	// base address and its (pre-eviction) contents.
-	OnWriteBack func(addr uint32, data []byte)
+	// base address.
+	OnWriteBack func(addr uint32)
 	// OnRefill, when non-nil, observes every refill with the line base
-	// address and the refilled contents.
-	OnRefill func(addr uint32, data []byte)
+	// address.
+	OnRefill func(addr uint32)
 
 	offBits uint32
+	setBits uint32
 	setMask uint32
-	// scratch is the write-around line buffer, reused across misses so
-	// the no-allocate store path does not allocate per access. Safe
-	// because Backing implementations copy rather than retain the slice.
-	scratch []byte
 }
 
-// New builds a cache. A nil backing defaults to NullBacking.
-func New(cfg Config, backing Backing) (*Cache, error) {
+// New builds a cache.
+func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if backing == nil {
-		backing = NullBacking{}
-	}
-	c := &Cache{cfg: cfg, backing: backing}
-	// One flat allocation each for the way metadata and the line data,
-	// sliced up per set/way: 2 allocations instead of Sets*(Ways+1), and
-	// the replay loop walks contiguous memory.
+	c := &Cache{cfg: cfg}
+	// One flat allocation for the way metadata, sliced up per set: the
+	// replay loop walks contiguous memory.
 	c.sets = make([][]line, cfg.Sets)
 	lines := make([]line, cfg.Sets*cfg.Ways)
-	data := make([]byte, cfg.Sets*cfg.Ways*cfg.LineSize)
-	for i := range lines {
-		lines[i].data = data[i*cfg.LineSize : (i+1)*cfg.LineSize : (i+1)*cfg.LineSize]
-	}
 	for i := range c.sets {
 		c.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
-	c.scratch = make([]byte, cfg.LineSize)
-	for l := cfg.LineSize; l > 1; l >>= 1 {
-		c.offBits++
-	}
+	c.offBits = uint32(bits.TrailingZeros(uint(cfg.LineSize)))
+	c.setBits = uint32(bits.TrailingZeros(uint(cfg.Sets)))
 	c.setMask = uint32(cfg.Sets - 1)
 	return c, nil
-}
-
-// MustNew is New for static configurations; it panics on error.
-func MustNew(cfg Config, backing Backing) *Cache {
-	c, err := New(cfg, backing)
-	if err != nil {
-		//lint:allow panicfree Must* helper; panicking on a bad static config is the documented contract
-		panic(err)
-	}
-	return c
 }
 
 // Stats returns the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) index(addr uint32) (set uint32, tag uint32, lineBase uint32) {
-	lineBase = addr &^ (uint32(c.cfg.LineSize) - 1)
-	set = (addr >> c.offBits) & c.setMask
-	tag = addr >> c.offBits >> trailingBits(uint32(c.cfg.Sets))
-	return
-}
-
-func trailingBits(v uint32) uint32 {
-	var n uint32
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// Lookup reports whether addr is present, without disturbing LRU state or
-// statistics. It returns the way index, or -1.
-func (c *Cache) Lookup(addr uint32) int {
-	set, tag, _ := c.index(addr)
-	for w := range c.sets[set] {
-		if c.sets[set][w].valid && c.sets[set][w].tag == tag {
-			return w
-		}
-	}
-	return -1
-}
-
-// Access performs a read or write of width bytes at addr, with value used
-// to update line contents on writes.
-func (c *Cache) Access(addr uint32, isWrite bool, width uint8, value uint32) Result {
+// Access performs a read or write at addr.
+func (c *Cache) Access(addr uint32, isWrite bool) Result {
 	c.clock++
 	c.stats.Accesses++
-	set, tag, lineBase := c.index(addr)
+	set := (addr >> c.offBits) & c.setMask
+	tag := addr >> c.offBits >> c.setBits
 	ways := c.sets[set]
 
 	// Hit path.
@@ -263,13 +146,7 @@ func (c *Cache) Access(addr uint32, isWrite bool, width uint8, value uint32) Res
 			ways[w].lru = c.clock
 			c.stats.Hits++
 			if isWrite {
-				c.storeToLine(&ways[w], addr, width, value)
-				if c.cfg.WriteBack {
-					ways[w].dirty = true
-				} else {
-					c.stats.WriteThroughs++
-					c.backing.WriteLine(lineBase, ways[w].data)
-				}
+				c.write(&ways[w])
 			}
 			return Result{Hit: true, Way: w}
 		}
@@ -280,10 +157,6 @@ func (c *Cache) Access(addr uint32, isWrite bool, width uint8, value uint32) Res
 	if isWrite && !c.cfg.WriteAllocate {
 		// Write around: forward to memory, no allocation.
 		c.stats.WriteThroughs++
-		line := c.scratch
-		c.backing.ReadLine(lineBase, line)
-		storeBytes(line, addr-lineBase, width, value)
-		c.backing.WriteLine(lineBase, line)
 		return Result{Hit: false, Way: -1}
 	}
 
@@ -303,52 +176,43 @@ func (c *Cache) Access(addr uint32, isWrite bool, width uint8, value uint32) Res
 	if v.valid {
 		res.Evicted = true
 		res.EvictedAddr = c.rebuildAddr(v.tag, set)
-	}
-	if v.valid && v.dirty {
-		oldBase := res.EvictedAddr
-		c.stats.WriteBacks++
-		res.WroteBack = true
-		res.WriteBackAddr = oldBase
-		if c.OnWriteBack != nil {
-			c.OnWriteBack(oldBase, v.data)
+		if v.dirty {
+			c.writeBack(res.EvictedAddr)
 		}
-		c.backing.WriteLine(oldBase, v.data)
 	}
 	// Refill.
 	c.stats.Refills++
-	c.backing.ReadLine(lineBase, v.data)
 	if c.OnRefill != nil {
-		c.OnRefill(lineBase, v.data)
+		c.OnRefill(addr &^ (uint32(c.cfg.LineSize) - 1))
 	}
-	v.valid = true
-	v.dirty = false
-	v.tag = tag
-	v.lru = c.clock
+	*v = line{valid: true, tag: tag, lru: c.clock}
 	if isWrite {
-		c.storeToLine(v, addr, width, value)
-		if c.cfg.WriteBack {
-			v.dirty = true
-		} else {
-			c.stats.WriteThroughs++
-			c.backing.WriteLine(lineBase, v.data)
-		}
+		c.write(v)
 	}
 	return res
 }
 
-func (c *Cache) rebuildAddr(tag, set uint32) uint32 {
-	return (tag<<trailingBits(uint32(c.cfg.Sets))|set)<<c.offBits | 0
-}
-
-func (c *Cache) storeToLine(l *line, addr uint32, width uint8, value uint32) {
-	off := addr & (uint32(c.cfg.LineSize) - 1)
-	storeBytes(l.data, off, width, value)
-}
-
-func storeBytes(dst []byte, off uint32, width uint8, value uint32) {
-	for i := uint32(0); i < uint32(width) && off+i < uint32(len(dst)); i++ {
-		dst[off+i] = byte(value >> (8 * i))
+// write applies a store to a resident line: a write-back cache dirties
+// it, a write-through cache forwards the word to memory.
+func (c *Cache) write(l *line) {
+	if c.cfg.WriteBack {
+		l.dirty = true
+	} else {
+		c.stats.WriteThroughs++
 	}
+}
+
+// writeBack counts a dirty line leaving the cache and reports it to
+// OnWriteBack.
+func (c *Cache) writeBack(base uint32) {
+	c.stats.WriteBacks++
+	if c.OnWriteBack != nil {
+		c.OnWriteBack(base)
+	}
+}
+
+func (c *Cache) rebuildAddr(tag, set uint32) uint32 {
+	return (tag<<c.setBits | set) << c.offBits
 }
 
 // Flush writes back all dirty lines (invoking OnWriteBack) and invalidates
@@ -359,16 +223,10 @@ func (c *Cache) Flush() int {
 		for w := range c.sets[set] {
 			l := &c.sets[set][w]
 			if l.valid && l.dirty {
-				base := c.rebuildAddr(l.tag, uint32(set))
-				c.stats.WriteBacks++
-				if c.OnWriteBack != nil {
-					c.OnWriteBack(base, l.data)
-				}
-				c.backing.WriteLine(base, l.data)
+				c.writeBack(c.rebuildAddr(l.tag, uint32(set)))
 				n++
 			}
-			l.valid = false
-			l.dirty = false
+			*l = line{}
 		}
 	}
 	return n
@@ -391,16 +249,17 @@ func MissTraffic(t *trace.Trace, cfg Config) (*trace.Trace, Stats, error) {
 	if cfg.LineSize > math.MaxUint8 {
 		return nil, Stats{}, fmt.Errorf("cache: line size %d does not fit a trace access width", cfg.LineSize)
 	}
-	c, err := New(cfg, nil)
+	c, err := New(cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	miss := trace.New(4096)
-	c.OnRefill = func(addr uint32, data []byte) {
-		miss.Append(trace.Access{Addr: addr, Width: uint8(len(data)), Kind: trace.Read})
+	width := uint8(cfg.LineSize)
+	c.OnRefill = func(addr uint32) {
+		miss.Append(trace.Access{Addr: addr, Width: width, Kind: trace.Read})
 	}
-	c.OnWriteBack = func(addr uint32, data []byte) {
-		miss.Append(trace.Access{Addr: addr, Width: uint8(len(data)), Kind: trace.Write})
+	c.OnWriteBack = func(addr uint32) {
+		miss.Append(trace.Access{Addr: addr, Width: width, Kind: trace.Write})
 	}
 	return miss, c.Replay(t), nil
 }
@@ -417,7 +276,7 @@ func (c *Cache) ReplayCursor(cur trace.Cursor) (Stats, error) {
 		if a.Kind == trace.Fetch {
 			continue
 		}
-		c.Access(a.Addr, a.Kind == trace.Write, a.Width, a.Value)
+		c.Access(a.Addr, a.Kind == trace.Write)
 	}
 	return c.stats, cur.Err()
 }

@@ -53,7 +53,7 @@ func TestReplayStatsInvariants(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("trial %d: generator produced bad config: %v", trial, err)
 		}
-		c, err := cache.New(cfg, cache.NewMapBacking())
+		c, err := cache.New(cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

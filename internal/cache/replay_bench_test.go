@@ -51,7 +51,7 @@ func BenchmarkReplayBinaryCursor(b *testing.B) {
 	b.SetBytes(benchTraceLen)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := MustNew(benchCacheCfg, nil)
+		c := mustNew(b, benchCacheCfg)
 		r, err := trace.NewReader(bytes.NewReader(enc))
 		if err != nil {
 			b.Fatal(err)
@@ -78,7 +78,7 @@ func BenchmarkReplayTextMaterialised(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := MustNew(benchCacheCfg, nil)
+		c := mustNew(b, benchCacheCfg)
 		st := c.Replay(tr)
 		if st.Accesses != benchTraceLen {
 			b.Fatalf("replayed %d accesses, want %d", st.Accesses, benchTraceLen)

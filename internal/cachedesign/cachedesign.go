@@ -66,7 +66,7 @@ func (e *Explorer) simulate(cfg cache.Config) (float64, error) {
 	if mr, ok := e.memo[cfg]; ok {
 		return mr, nil
 	}
-	c, err := cache.New(cfg, nil)
+	c, err := cache.New(cfg)
 	if err != nil {
 		return 0, err
 	}

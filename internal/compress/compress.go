@@ -13,6 +13,10 @@
 // The codec is a real encoder/decoder pair, not a size estimator; a
 // property test verifies lossless round-trips.
 //
+// MeasureTraffic (traffic.go) prices a trace's boundary traffic: a
+// tag-only internal/cache decides which lines cross, and their bytes are
+// read from a trace.Memory image that the replay keeps up to date.
+//
 //lint:hotpath
 package compress
 

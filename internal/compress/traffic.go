@@ -27,24 +27,42 @@ func (t Traffic) Saving() float64 {
 	return 1 - float64(t.CompressedBytes)/float64(t.RawBytes)
 }
 
-// MeasureTraffic replays the data accesses of tr through a write-back
-// cache and measures boundary traffic under the codec. The cache is
-// flushed at the end so all dirty lines are accounted.
+// MeasureTraffic replays the data accesses of tr (fetches are skipped)
+// through a cache of geometry cfg and measures boundary traffic under the
+// codec. The cache tracks tags only; the bytes live in a memory image
+// that each store updates after the cache has seen it, so a refill the
+// store causes reads the line as it was before the store. Every refilled
+// and written-back line is read from the image, which, with the trace as
+// the one writer, holds exactly what the line does. The statistics are
+// taken before the cache is flushed at the end, so the flush's dirty
+// lines count in the traffic but not in the statistics.
 func MeasureTraffic(tr *trace.Trace, cfg cache.Config, codec Codec) (Traffic, cache.Stats, error) {
-	backing := cache.NewMapBacking()
-	c, err := cache.New(cfg, backing)
+	c, err := cache.New(cfg)
 	if err != nil {
 		return Traffic{}, cache.Stats{}, err
 	}
+	var mem trace.Memory
 	var t Traffic
-	count := func(_ uint32, data []byte) {
+	line := make([]byte, cfg.LineSize)
+	count := func(addr uint32) {
+		mem.ReadLine(addr, line)
 		t.Lines++
-		t.RawBytes += uint64(len(data))
-		t.CompressedBytes += uint64(len(codec.Compress(data)))
+		t.RawBytes += uint64(len(line))
+		t.CompressedBytes += uint64(len(codec.Compress(line)))
 	}
 	c.OnWriteBack = count
 	c.OnRefill = count
-	stats := c.Replay(tr)
+	for _, a := range tr.Accesses {
+		if a.Kind == trace.Fetch {
+			continue
+		}
+		isWrite := a.Kind == trace.Write
+		c.Access(a.Addr, isWrite)
+		if isWrite {
+			mem.Store(a.Addr, a.Width, a.Value)
+		}
+	}
+	stats := c.Stats()
 	c.Flush()
 	return t, stats, nil
 }

@@ -15,94 +15,13 @@ const (
 	DefaultStackSize = 0x0001_0000
 )
 
-const pageSize = 1 << 12
-
-// Memory is a sparse, paged, little-endian byte-addressable memory.
-// The zero value is ready to use.
-type Memory struct {
-	pages map[uint32]*[pageSize]byte
-}
-
-func (m *Memory) page(addr uint32) *[pageSize]byte {
-	if m.pages == nil {
-		m.pages = make(map[uint32]*[pageSize]byte)
-	}
-	base := addr &^ (pageSize - 1)
-	p, ok := m.pages[base]
-	if !ok {
-		p = new([pageSize]byte)
-		m.pages[base] = p
-	}
-	return p
-}
-
-// ReadByte returns the byte at addr (0 if never written).
-func (m *Memory) LoadByte(addr uint32) byte {
-	return m.page(addr)[addr&(pageSize-1)]
-}
-
-// WriteByte stores b at addr.
-func (m *Memory) StoreByte(addr uint32, b byte) {
-	m.page(addr)[addr&(pageSize-1)] = b
-}
-
-// ReadWord returns the little-endian 32-bit word at addr.
-func (m *Memory) ReadWord(addr uint32) uint32 {
-	return uint32(m.LoadByte(addr)) |
-		uint32(m.LoadByte(addr+1))<<8 |
-		uint32(m.LoadByte(addr+2))<<16 |
-		uint32(m.LoadByte(addr+3))<<24
-}
-
-// WriteWord stores v little-endian at addr.
-func (m *Memory) WriteWord(addr uint32, v uint32) {
-	m.StoreByte(addr, byte(v))
-	m.StoreByte(addr+1, byte(v>>8))
-	m.StoreByte(addr+2, byte(v>>16))
-	m.StoreByte(addr+3, byte(v>>24))
-}
-
-// ReadHalf returns the little-endian 16-bit value at addr.
-func (m *Memory) ReadHalf(addr uint32) uint16 {
-	return uint16(m.LoadByte(addr)) | uint16(m.LoadByte(addr+1))<<8
-}
-
-// WriteHalf stores v little-endian at addr.
-func (m *Memory) WriteHalf(addr uint32, v uint16) {
-	m.StoreByte(addr, byte(v))
-	m.StoreByte(addr+1, byte(v>>8))
-}
-
-// LoadBytes copies data into memory starting at addr.
-func (m *Memory) LoadBytes(addr uint32, data []byte) {
-	for i, b := range data {
-		m.StoreByte(addr+uint32(i), b)
-	}
-}
-
-// LoadWords copies 32-bit words into memory starting at addr.
-func (m *Memory) LoadWords(addr uint32, words []uint32) {
-	for i, w := range words {
-		m.WriteWord(addr+uint32(i)*4, w)
-	}
-}
-
-// ReadWords reads n consecutive words starting at addr.
-func (m *Memory) ReadWords(addr uint32, n int) []uint32 {
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = m.ReadWord(addr + uint32(i)*4)
-	}
-	return out
-}
-
 // CPU executes a µRISC program with a simple five-stage-pipeline cost
 // model: 1 cycle per instruction, +1 load-use bubble per load, +2 flush
 // per taken branch/jump, +2 for multiply, +16 for divide.
 type CPU struct {
 	// Mem is the backing memory, exposed so tests and workloads can
 	// pre-load data and inspect results.
-	Mem Memory
+	Mem trace.Memory
 	// Regs is the architectural register file.
 	Regs [NumRegs]uint32
 	// PC is the current program counter (byte address).
@@ -255,33 +174,33 @@ func (c *CPU) Step() error {
 		c.Regs[in.Rd] = uint32(in.Imm)
 	case OpLw:
 		addr := rs1 + uint32(in.Imm)
-		v := c.Mem.ReadWord(addr)
+		v := c.Mem.Load(addr, 4)
 		c.Regs[in.Rd] = v
 		c.record(trace.Access{Addr: addr, Value: v, Width: 4, Kind: trace.Read})
 		cycles++
 	case OpLh:
 		addr := rs1 + uint32(in.Imm)
-		v := uint32(c.Mem.ReadHalf(addr))
+		v := c.Mem.Load(addr, 2)
 		c.Regs[in.Rd] = v
 		c.record(trace.Access{Addr: addr, Value: v, Width: 2, Kind: trace.Read})
 		cycles++
 	case OpLb:
 		addr := rs1 + uint32(in.Imm)
-		v := uint32(c.Mem.LoadByte(addr))
+		v := c.Mem.Load(addr, 1)
 		c.Regs[in.Rd] = v
 		c.record(trace.Access{Addr: addr, Value: v, Width: 1, Kind: trace.Read})
 		cycles++
 	case OpSw:
 		addr := rs1 + uint32(in.Imm)
-		c.Mem.WriteWord(addr, rs2)
+		c.Mem.Store(addr, 4, rs2)
 		c.record(trace.Access{Addr: addr, Value: rs2, Width: 4, Kind: trace.Write})
 	case OpSh:
 		addr := rs1 + uint32(in.Imm)
-		c.Mem.WriteHalf(addr, uint16(rs2))
+		c.Mem.Store(addr, 2, rs2)
 		c.record(trace.Access{Addr: addr, Value: rs2 & 0xFFFF, Width: 2, Kind: trace.Write})
 	case OpSb:
 		addr := rs1 + uint32(in.Imm)
-		c.Mem.StoreByte(addr, byte(rs2))
+		c.Mem.Store(addr, 1, rs2)
 		c.record(trace.Access{Addr: addr, Value: rs2 & 0xFF, Width: 1, Kind: trace.Write})
 	case OpBeq:
 		if rs1 == rs2 {
@@ -313,11 +232,11 @@ func (c *CPU) Step() error {
 	case OpPush:
 		c.Regs[SP] -= 4
 		addr := c.Regs[SP]
-		c.Mem.WriteWord(addr, rs1)
+		c.Mem.Store(addr, 4, rs1)
 		c.record(trace.Access{Addr: addr, Value: rs1, Width: 4, Kind: trace.Write})
 	case OpPop:
 		addr := c.Regs[SP]
-		v := c.Mem.ReadWord(addr)
+		v := c.Mem.Load(addr, 4)
 		c.Regs[in.Rd] = v
 		c.Regs[SP] += 4
 		c.record(trace.Access{Addr: addr, Value: v, Width: 4, Kind: trace.Read})

@@ -7,7 +7,8 @@
 //
 // The package provides three pieces: an instruction set (this file), an
 // assembler with labels (asm.go) and an interpreter that executes programs
-// while emitting an instrumented memory trace (cpu.go).
+// over a trace.Memory image while emitting an instrumented memory trace
+// (cpu.go).
 package isa
 
 import "fmt"

@@ -3,59 +3,9 @@ package isa
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"lpmem/internal/trace"
 )
-
-func TestMemoryWordRoundTrip(t *testing.T) {
-	f := func(addr, v uint32) bool {
-		var m Memory
-		m.WriteWord(addr, v)
-		return m.ReadWord(addr) == v
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMemoryLittleEndian(t *testing.T) {
-	var m Memory
-	m.WriteWord(0x100, 0x04030201)
-	for i, want := range []byte{1, 2, 3, 4} {
-		if got := m.LoadByte(0x100 + uint32(i)); got != want {
-			t.Fatalf("byte %d = %d, want %d", i, got, want)
-		}
-	}
-	m.WriteHalf(0x200, 0xBBAA)
-	if m.LoadByte(0x200) != 0xAA || m.LoadByte(0x201) != 0xBB {
-		t.Fatal("half-word endianness wrong")
-	}
-	if m.ReadHalf(0x200) != 0xBBAA {
-		t.Fatal("half read wrong")
-	}
-}
-
-func TestMemoryCrossPage(t *testing.T) {
-	var m Memory
-	addr := uint32(pageSize - 2) // straddles a page boundary
-	m.WriteWord(addr, 0xDEADBEEF)
-	if m.ReadWord(addr) != 0xDEADBEEF {
-		t.Fatal("cross-page word broken")
-	}
-}
-
-func TestLoadReadWords(t *testing.T) {
-	var m Memory
-	words := []uint32{1, 2, 3, 4, 5}
-	m.LoadWords(0x1000, words)
-	got := m.ReadWords(0x1000, 5)
-	for i := range words {
-		if got[i] != words[i] {
-			t.Fatalf("word %d = %d", i, got[i])
-		}
-	}
-}
 
 // runProg assembles, runs and returns the CPU.
 func runProg(t *testing.T, build func(b *Builder)) *CPU {

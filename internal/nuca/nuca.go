@@ -6,12 +6,14 @@
 // The model composes three existing substrates. Banks sit on tiles of an
 // internal/noc mesh, so the latency and energy of reaching a bank grow
 // with Manhattan hop distance from the issuing core's tile — the
-// "non-uniform" in NUCA. Line contents are real bytes, so the
-// internal/compress differential codec prices every resident line and a
-// compressed line occupies only its segments, enlarging effective
-// capacity the way the compression-based NUCA proposals do (arXiv
-// 2201.00774). Multi-core interleaved traces from internal/trace drive
-// the replay, with per-core and per-bank accounting throughout.
+// "non-uniform" in NUCA. Line contents are real bytes: the LLC keeps
+// every store in one trace.Memory image, the lines hold tags only, and
+// the internal/compress differential codec sizes a line from the image
+// whenever it is filled or written, so a compressed line occupies only
+// its segments, enlarging effective capacity the way the
+// compression-based NUCA proposals do (arXiv 2201.00774). Multi-core
+// interleaved traces from internal/trace drive the replay, with per-core
+// and per-bank accounting throughout.
 //
 // Capacity is segmented: each set owns Ways×LineSize data bytes divided
 // into SegmentBytes segments plus TagFactor×Ways tags, so compression can
@@ -25,7 +27,6 @@ package nuca
 import (
 	"fmt"
 
-	"lpmem/internal/cache"
 	"lpmem/internal/compress"
 	"lpmem/internal/energy"
 	"lpmem/internal/noc"
@@ -290,7 +291,6 @@ type cline struct {
 	// segBytes is the storage charged against the set budget:
 	// ceil(min(csize, LineSize)/SegmentBytes)×SegmentBytes.
 	segBytes int
-	data     []byte
 }
 
 // set is one bank set: a dynamic roster bounded by tags and bytes.
@@ -303,10 +303,15 @@ type set struct {
 type LLC struct {
 	cfg     Config
 	banks   [][]set
-	backing *cache.MapBacking
 	pageMap map[uint32]int // MapDistance: page number → bank
 	clock   uint64
 	stats   Stats
+	// mem holds the bytes of every line, resident or not: with the LLC
+	// as the only writer, a resident line holds what the image does, so
+	// write-backs and refills move no bytes. line is sizeLine's reused
+	// read buffer.
+	mem  trace.Memory
+	line []byte
 
 	// hops[c*Banks+b] is the mesh distance from core c's tile to bank
 	// b's tile.
@@ -330,8 +335,8 @@ func New(cfg Config) (*LLC, error) {
 	l := &LLC{
 		cfg:     cfg,
 		banks:   make([][]set, cfg.Banks),
-		backing: cache.NewMapBacking(),
 		pageMap: make(map[uint32]int),
+		line:    make([]byte, cfg.LineSize),
 	}
 	// Per-bank rows (sets here, occupancy below) are slices of one
 	// allocation each: a make per bank is a per-iteration allocation.
@@ -415,12 +420,14 @@ func (l *LLC) setFor(base uint32) int {
 	return int(lineNum) % l.cfg.SetsPerBank
 }
 
-// sizeLine returns the storage charge for a line's current contents.
-func (l *LLC) sizeLine(data []byte) int {
+// sizeLine returns the storage charge for the current contents of the
+// line at base.
+func (l *LLC) sizeLine(base uint32) int {
 	var csize int
 	switch l.cfg.Compression {
 	case CompDiff:
-		csize = compress.CompressedSize(data)
+		l.mem.ReadLine(base, l.line)
+		csize = compress.CompressedSize(l.line)
 		if csize > l.cfg.LineSize {
 			csize = l.cfg.LineSize // store raw rather than expand
 		}
@@ -451,7 +458,6 @@ func (l *LLC) evictLRU(bank int, s *set, keep int) bool {
 	}
 	v := &s.lines[victim]
 	if v.dirty {
-		l.backing.WriteLine(v.base, v.data)
 		l.stats.WriteBacks++
 		l.stats.PerBank[bank].WriteBacks++
 		// Write-back: line to main memory over the NoC is charged as a
@@ -523,11 +529,11 @@ func (l *LLC) Access(a trace.Access) int {
 			lat += l.cfg.DecompressCycles
 		}
 		if isWrite {
-			storeBytes(ln.data, a.Addr-base, a.Width, a.Value)
+			l.mem.Store(a.Addr, a.Width, a.Value)
 			ln.dirty = true
 			// Re-size: a store can break value locality and expand the
 			// line past its segments.
-			newSeg := l.sizeLine(ln.data)
+			newSeg := l.sizeLine(base)
 			if newSeg != ln.segBytes {
 				if newSeg > ln.segBytes {
 					l.stats.Expansions++
@@ -546,7 +552,7 @@ func (l *LLC) Access(a trace.Access) int {
 		return lat
 	}
 
-	// Miss path: refill from main memory, insert, then apply the store.
+	// Miss path: refill from main memory, apply the store, insert.
 	l.stats.Misses++
 	l.stats.PerCore[core].Misses++
 	l.stats.PerBank[bank].Misses++
@@ -554,13 +560,10 @@ func (l *LLC) Access(a trace.Access) int {
 	l.stats.MemEnergy += l.memReadE
 	l.stats.NoCEnergy += l.lineNoCE[hops]
 
-	//lint:allow hotalloc the buffer becomes the resident line's storage (cline.data), held until eviction, not a per-access temporary
-	data := make([]byte, l.cfg.LineSize)
-	l.backing.ReadLine(base, data)
 	if isWrite {
-		storeBytes(data, a.Addr-base, a.Width, a.Value)
+		l.mem.Store(a.Addr, a.Width, a.Value)
 	}
-	seg := l.sizeLine(data)
+	seg := l.sizeLine(base)
 	l.makeRoom(bank, s, seg, -1, true)
 	s.lines = append(s.lines, cline{
 		base:     base,
@@ -568,7 +571,6 @@ func (l *LLC) Access(a trace.Access) int {
 		core:     uint8(core),
 		dirty:    isWrite,
 		segBytes: seg,
-		data:     data,
 	})
 	s.used += seg
 	l.stats.ResidentLines++
@@ -580,12 +582,6 @@ func (l *LLC) Access(a trace.Access) int {
 	l.stats.Latency += uint64(lat)
 	l.stats.PerCore[core].Latency += uint64(lat)
 	return lat
-}
-
-func storeBytes(dst []byte, off uint32, width uint8, value uint32) {
-	for i := uint32(0); i < uint32(width) && off+i < uint32(len(dst)); i++ {
-		dst[off+i] = byte(value >> (8 * i))
-	}
 }
 
 // Stats returns a snapshot of the accumulated statistics. The returned

@@ -1,0 +1,277 @@
+package nuca
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"lpmem/internal/compress"
+	"lpmem/internal/trace"
+)
+
+// refLine is a resident line of the reference LLC, with its bytes.
+type refLine struct {
+	base     uint32
+	lru      uint64
+	core     uint8
+	dirty    bool
+	segBytes int
+	data     []byte
+}
+
+type refSet struct {
+	lines []refLine
+	used  int
+}
+
+// refLLC is the per-line-data LLC the model replayed through before it
+// kept its bytes in one memory image: each resident line holds a copy of
+// its bytes, a miss copies them from a per-byte backing map, and a dirty
+// eviction copies them back. Geometry, mapping, latency and energy come
+// from an LLC of the same configuration whose own replay path it never
+// calls; refLLC fills that LLC's statistics.
+type refLLC struct {
+	l       *LLC
+	sets    [][]refSet
+	backing map[uint32]byte
+}
+
+func newRefLLC(t *testing.T, cfg Config) *refLLC {
+	t.Helper()
+	l, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &refLLC{l: l, sets: make([][]refSet, l.cfg.Banks), backing: make(map[uint32]byte)}
+	for b := range r.sets {
+		r.sets[b] = make([]refSet, l.cfg.SetsPerBank)
+	}
+	return r
+}
+
+func (r *refLLC) sizeLine(data []byte) int {
+	cfg := r.l.cfg
+	csize := cfg.LineSize
+	switch cfg.Compression {
+	case CompDiff:
+		csize = min(compress.CompressedSize(data), cfg.LineSize)
+	case CompIdeal:
+		csize = cfg.LineSize / 2
+	}
+	return (csize + cfg.SegmentBytes - 1) / cfg.SegmentBytes * cfg.SegmentBytes
+}
+
+func (r *refLLC) evictLRU(bank int, s *refSet, keep int) bool {
+	victim := -1
+	for i := range s.lines {
+		if i != keep && (victim < 0 || s.lines[i].lru < s.lines[victim].lru) {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		return false
+	}
+	v := &s.lines[victim]
+	st := &r.l.stats
+	if v.dirty {
+		for i, b := range v.data {
+			r.backing[v.base+uint32(i)] = b
+		}
+		st.WriteBacks++
+		st.PerBank[bank].WriteBacks++
+		st.MemEnergy += r.l.memWriteE
+	}
+	s.used -= v.segBytes
+	st.ResidentLines--
+	st.ResidentSegBytes -= uint64(v.segBytes)
+	st.PerBank[bank].Occupancy[v.core]--
+	s.lines[victim] = s.lines[len(s.lines)-1]
+	s.lines = s.lines[:len(s.lines)-1]
+	return true
+}
+
+func (r *refLLC) makeRoom(bank int, s *refSet, need, keep int, addTag bool) {
+	cfg := r.l.cfg
+	for s.used+need > cfg.Ways*cfg.LineSize {
+		if !r.evictLRU(bank, s, keep) {
+			return
+		}
+	}
+	for addTag && len(s.lines) >= cfg.TagFactor*cfg.Ways {
+		if !r.evictLRU(bank, s, keep) {
+			return
+		}
+	}
+}
+
+// store writes the access's bytes into a line, dropping any past its end.
+func store(data []byte, off uint32, width uint8, value uint32) {
+	for i := uint32(0); i < uint32(width) && off+i < uint32(len(data)); i++ {
+		data[off+i] = byte(value >> (8 * i))
+	}
+}
+
+func (r *refLLC) access(a trace.Access) {
+	l, cfg, st := r.l, r.l.cfg, &r.l.stats
+	l.clock++
+	core := min(int(a.Core), cfg.Cores-1)
+	base := a.Addr &^ (uint32(cfg.LineSize) - 1)
+	bank := l.bankFor(base, uint8(core))
+	s := &r.sets[bank][l.setFor(base)]
+	hops := l.hops[core*cfg.Banks+bank]
+	isWrite := a.Kind == trace.Write
+	st.Accesses++
+	st.PerCore[core].Accesses++
+	st.PerBank[bank].Accesses++
+	if isWrite {
+		st.BankEnergy += l.bankWriteE
+	} else {
+		st.BankEnergy += l.bankReadE
+	}
+	st.NoCEnergy += l.wordNoCE[hops]
+	for i := range s.lines {
+		ln := &s.lines[i]
+		if ln.base != base {
+			continue
+		}
+		ln.lru = l.clock
+		lat := l.HitLatency(hops)
+		if ln.segBytes < cfg.LineSize {
+			lat += cfg.DecompressCycles
+		}
+		if isWrite {
+			store(ln.data, a.Addr-base, a.Width, a.Value)
+			ln.dirty = true
+			if newSeg := r.sizeLine(ln.data); newSeg != ln.segBytes {
+				if newSeg > ln.segBytes {
+					st.Expansions++
+				}
+				s.used += newSeg - ln.segBytes
+				st.ResidentSegBytes += uint64(newSeg) - uint64(ln.segBytes)
+				ln.segBytes = newSeg
+				r.makeRoom(bank, s, 0, i, false)
+			}
+		}
+		st.Hits++
+		st.PerCore[core].Hits++
+		st.PerBank[bank].Hits++
+		st.Latency += uint64(lat)
+		st.PerCore[core].Latency += uint64(lat)
+		return
+	}
+	st.Misses++
+	st.PerCore[core].Misses++
+	st.PerBank[bank].Misses++
+	st.Refills++
+	st.MemEnergy += l.memReadE
+	st.NoCEnergy += l.lineNoCE[hops]
+	data := make([]byte, cfg.LineSize)
+	for i := range data {
+		data[i] = r.backing[base+uint32(i)]
+	}
+	if isWrite {
+		store(data, a.Addr-base, a.Width, a.Value)
+	}
+	seg := r.sizeLine(data)
+	r.makeRoom(bank, s, seg, -1, true)
+	s.lines = append(s.lines, refLine{base: base, lru: l.clock, core: uint8(core), dirty: isWrite, segBytes: seg, data: data})
+	s.used += seg
+	st.ResidentLines++
+	st.ResidentSegBytes += uint64(seg)
+	st.PerBank[bank].Occupancy[uint8(core)]++
+	st.BankEnergy += l.bankWriteE
+	lat := l.HitLatency(hops) + cfg.MemCycles
+	st.Latency += uint64(lat)
+	st.PerCore[core].Latency += uint64(lat)
+}
+
+// checkAgainstReference replays tr through the LLC and the reference
+// and requires every statistic, per core and per bank, to be equal.
+func checkAgainstReference(t *testing.T, name string, tr *trace.Trace, cfg Config) {
+	t.Helper()
+	l, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := l.Replay(tr)
+	ref := newRefLLC(t, cfg)
+	for _, a := range tr.Accesses {
+		if a.Kind != trace.Fetch {
+			ref.access(a)
+		}
+	}
+	if want := ref.l.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %s/%s: stats differ from the reference\n got %+v\nwant %+v", name, cfg.Mapping, cfg.Compression, got, want)
+	}
+}
+
+// TestReplayMatchesReferenceOnExperimentTraces: the traces and
+// geometries of E24 (2, 4 and 8 cores), E25 (16 banks) and E26 (half the
+// sets), under every compression and mapping policy.
+func TestReplayMatchesReferenceOnExperimentTraces(t *testing.T) {
+	type run struct {
+		seed        int64
+		cores       int
+		banks, sets int
+	}
+	var runs []run
+	for _, cores := range []int{2, 4, 8} {
+		runs = append(runs, run{24, cores, 8, 32})
+	}
+	runs = append(runs, run{25, 4, 16, 16}, run{26, 4, 8, 16})
+	for _, rn := range runs {
+		for _, pattern := range trace.SharingPatterns() {
+			tr, err := trace.SynthesizeMultiCore(trace.MultiCoreConfig{
+				Seed: rn.seed, Cores: rn.cores, AccessesPerCore: 6000, Pattern: pattern,
+				PrivateBytes: 16 << 10, SharedBytes: 32 << 10,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("E%d/%s/%d cores", rn.seed, pattern, rn.cores)
+			for _, comp := range CompressionPolicies() {
+				for _, mp := range MappingPolicies() {
+					checkAgainstReference(t, name, tr, Config{
+						Cores: rn.cores, Banks: rn.banks, SetsPerBank: rn.sets, Ways: 4, LineSize: 32,
+						Mapping: mp, Compression: comp,
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestReplayMatchesReferenceOnRandomTraces: random reads and writes of
+// aligned 1-, 2- and 4-byte values from four cores, over a span small
+// enough to hit, expand and evict, at line sizes 16, 32 and 64.
+func TestReplayMatchesReferenceOnRandomTraces(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	widths := []uint8{1, 2, 4}
+	for trial := 0; trial < 12; trial++ {
+		tr := trace.New(3000)
+		span := uint32(2048) << r.Intn(4)
+		for i := 0; i < 3000; i++ {
+			w := widths[r.Intn(len(widths))]
+			v := r.Uint32() >> (32 - 8*uint32(w))
+			if r.Intn(2) == 0 {
+				v &= 0xF // small values compress, so stores change line sizes
+			}
+			a := trace.Access{Addr: (r.Uint32() % span) &^ uint32(w-1), Value: v, Width: w, Kind: trace.Read, Core: uint8(r.Intn(4))}
+			if r.Intn(2) == 0 {
+				a.Kind = trace.Write
+			}
+			tr.Append(a)
+		}
+		for _, line := range []int{16, 32, 64} {
+			for _, comp := range CompressionPolicies() {
+				for _, mp := range MappingPolicies() {
+					checkAgainstReference(t, fmt.Sprintf("trial %d line %d", trial, line), tr, Config{
+						Cores: 4, Banks: 4, SetsPerBank: 4, Ways: 2, LineSize: line,
+						Mapping: mp, Compression: comp,
+					})
+				}
+			}
+		}
+	}
+}

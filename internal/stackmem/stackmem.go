@@ -75,11 +75,11 @@ func Simulate(tr *trace.Trace, cfg Config, cm energy.CacheModel, mm energy.Memor
 	if err := mm.Validate(); err != nil {
 		return Result{}, fmt.Errorf("stackmem: %w", err)
 	}
-	baseCache, err := cache.New(cfg.Cache, nil)
+	baseCache, err := cache.New(cfg.Cache)
 	if err != nil {
 		return Result{}, err
 	}
-	splitCache, err := cache.New(cfg.Cache, nil)
+	splitCache, err := cache.New(cfg.Cache)
 	if err != nil {
 		return Result{}, err
 	}
@@ -93,7 +93,7 @@ func Simulate(tr *trace.Trace, cfg Config, cm energy.CacheModel, mm energy.Memor
 		}
 		dataAccesses++
 		isWrite := a.Kind == trace.Write
-		baseCache.Access(a.Addr, isWrite, a.Width, a.Value)
+		baseCache.Access(a.Addr, isWrite)
 		res.BaseCacheEnergy += perProbe
 		if a.Addr >= cfg.StackLo && a.Addr < cfg.StackHi {
 			stackAccesses++
@@ -104,7 +104,7 @@ func Simulate(tr *trace.Trace, cfg Config, cm energy.CacheModel, mm energy.Memor
 			}
 			continue
 		}
-		splitCache.Access(a.Addr, isWrite, a.Width, a.Value)
+		splitCache.Access(a.Addr, isWrite)
 		res.SplitCacheEnergy += perProbe
 	}
 	if dataAccesses > 0 {

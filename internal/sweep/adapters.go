@@ -154,7 +154,7 @@ func (a cacheAdapter) Run(p Point) (Metrics, error) {
 		Sets: p.Int("sets"), Ways: p.Int("ways"), LineSize: p.Int("line"),
 		WriteBack: true, WriteAllocate: true,
 	}
-	c, err := cache.New(cfg, nil)
+	c, err := cache.New(cfg)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -326,7 +326,7 @@ func (memhierAdapter) RunColumn(ps []Point) ([]Metrics, error) {
 		Sets: ps[0].Int("sets"), Ways: ps[0].Int("ways"), LineSize: 32,
 		WriteBack: true, WriteAllocate: true,
 	}
-	c, err := cache.New(cfg, nil)
+	c, err := cache.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -334,9 +334,9 @@ func (memhierAdapter) RunColumn(ps []Point) ([]Metrics, error) {
 	// word-wide access per transferred word of every refill and
 	// write-back line.
 	missTraffic := trace.New(1024)
-	record := func(kind trace.Kind) func(addr uint32, data []byte) {
-		return func(addr uint32, data []byte) {
-			for off := 0; off < len(data); off += 4 {
+	record := func(kind trace.Kind) func(addr uint32) {
+		return func(addr uint32) {
+			for off := 0; off < cfg.LineSize; off += 4 {
 				missTraffic.Append(trace.Access{Addr: addr + uint32(off), Width: 4, Kind: kind})
 			}
 		}

@@ -8,6 +8,10 @@
 // (internal/cache), and consumed by the partitioning, clustering, caching,
 // encoding and scheduling passes.
 //
+// Memory (memory.go) is the one byte store: a sparse memory image that
+// the µRISC core runs on and from which the tag-only cache models read
+// the lines crossing a cache boundary.
+//
 //lint:hotpath
 package trace
 

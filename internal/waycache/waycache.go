@@ -120,7 +120,7 @@ func (r Result) Saving() float64 {
 // Simulate replays the data accesses of tr through an N-way cache with a
 // WDU of wduEntries entries and accounts energy under cm.
 func Simulate(tr *trace.Trace, cfg cache.Config, wduEntries int, cm energy.CacheModel) (Result, error) {
-	c, err := cache.New(cfg, nil)
+	c, err := cache.New(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -138,7 +138,7 @@ func Simulate(tr *trace.Trace, cfg cache.Config, wduEntries int, cm energy.Cache
 		base += cm.ConventionalAccess(cfg.Ways)
 
 		_, known := wdu.Lookup(lineBase)
-		res := c.Access(a.Addr, a.Kind == trace.Write, a.Width, a.Value)
+		res := c.Access(a.Addr, a.Kind == trace.Write)
 		if known && res.Hit {
 			// Single-way access; the WDU is authoritative.
 			directed += cm.DirectedAccess()

@@ -52,7 +52,10 @@ func TestDeterminationIsAlwaysCorrect(t *testing.T) {
 		k, _ := workloads.ByName(name)
 		res := testutil.MustRun(k.Build(1))
 		cfg := cache.Config{Sets: 8, Ways: 8, LineSize: 32, WriteBack: true, WriteAllocate: true}
-		c := cache.MustNew(cfg, nil)
+		c, err := cache.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wdu, _ := NewWDU(16)
 		lineMask := ^(uint32(cfg.LineSize) - 1)
 		for _, a := range res.Trace.Accesses {
@@ -61,12 +64,10 @@ func TestDeterminationIsAlwaysCorrect(t *testing.T) {
 			}
 			lineBase := a.Addr & lineMask
 			way, known := wdu.Lookup(lineBase)
-			if known {
-				if got := c.Lookup(a.Addr); got != -1 && got != way {
-					t.Fatalf("%s: WDU says way %d but line is in way %d", name, way, got)
-				}
+			r := c.Access(a.Addr, a.Kind == trace.Write)
+			if known && r.Hit && r.Way != way {
+				t.Fatalf("%s: WDU says way %d but line is in way %d", name, way, r.Way)
 			}
-			r := c.Access(a.Addr, a.Kind == trace.Write, a.Width, a.Value)
 			if !r.Hit {
 				if r.Evicted {
 					wdu.Invalidate(r.EvictedAddr)

@@ -369,12 +369,12 @@ func ADPCM(seed int64) *Instance {
 		Prog: b.MustAssemble(),
 		Init: func(c *isa.CPU) {
 			for i, v := range x {
-				c.Mem.WriteWord(xBase+uint32(i)*4, uint32(v))
+				c.Mem.Store(xBase+uint32(i)*4, 4, uint32(v))
 			}
 		},
 		Check: func(c *isa.CPU) error {
 			for i, w := range want {
-				got := c.Mem.LoadByte(oBase + uint32(i))
+				got := byte(c.Mem.Load(oBase+uint32(i), 1))
 				if got != w {
 					return fmt.Errorf("out[%d] = %#x, want %#x", i, got, w)
 				}

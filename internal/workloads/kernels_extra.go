@@ -262,11 +262,11 @@ func Huffman(seed int64) *Instance {
 			c.Mem.LoadWords(lenBase, lens)
 		},
 		Check: func(c *isa.CPU) error {
-			if got := c.Mem.ReadWord(resBase); got != uint32(len(out)) {
+			if got := c.Mem.Load(resBase, 4); got != uint32(len(out)) {
 				return fmt.Errorf("out length = %d, want %d", got, len(out))
 			}
 			for i, w := range out {
-				if got := c.Mem.LoadByte(outBase + uint32(i)); got != w {
+				if got := byte(c.Mem.Load(outBase+uint32(i), 1)); got != w {
 					return fmt.Errorf("out[%d] = %#x, want %#x", i, got, w)
 				}
 			}
@@ -673,7 +673,7 @@ func BitCount(seed int64) *Instance {
 			c.Mem.LoadWords(datBase, data)
 		},
 		Check: func(c *isa.CPU) error {
-			if got := c.Mem.ReadWord(resBase); got != want {
+			if got := c.Mem.Load(resBase, 4); got != want {
 				return fmt.Errorf("popcount = %d, want %d", got, want)
 			}
 			return nil

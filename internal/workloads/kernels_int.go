@@ -272,7 +272,7 @@ func CRC32(seed int64) *Instance {
 			c.Mem.LoadWords(tblBase, tbl)
 		},
 		Check: func(c *isa.CPU) error {
-			got := c.Mem.ReadWord(resBase)
+			got := c.Mem.Load(resBase, 4)
 			if got != crc {
 				return fmt.Errorf("crc = %#x, want %#x", got, crc)
 			}
@@ -360,7 +360,7 @@ func StringSearch(seed int64) *Instance {
 			c.Mem.LoadBytes(patBase, pattern)
 		},
 		Check: func(c *isa.CPU) error {
-			got := c.Mem.ReadWord(resBase)
+			got := c.Mem.Load(resBase, 4)
 			if got != wantCount {
 				return fmt.Errorf("count = %d, want %d", got, wantCount)
 			}
@@ -422,7 +422,7 @@ func FibCall(seed int64) *Instance {
 		Name: "fibcall",
 		Prog: b.MustAssemble(),
 		Check: func(c *isa.CPU) error {
-			got := c.Mem.ReadWord(resBase)
+			got := c.Mem.Load(resBase, 4)
 			if got != want {
 				return fmt.Errorf("fib(%d) = %d, want %d", arg, got, want)
 			}

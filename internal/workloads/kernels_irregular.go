@@ -116,7 +116,7 @@ func HashLookup(seed int64) *Instance {
 			c.Mem.LoadWords(qryBase, queries)
 		},
 		Check: func(c *isa.CPU) error {
-			got := c.Mem.ReadWord(resBase)
+			got := c.Mem.Load(resBase, 4)
 			if got != want {
 				return fmt.Errorf("sum = %#x, want %#x", got, want)
 			}
@@ -215,7 +215,7 @@ func ListChase(seed int64) *Instance {
 			c.Mem.LoadWords(poolBase, pool)
 		},
 		Check: func(c *isa.CPU) error {
-			got := c.Mem.ReadWord(resBase)
+			got := c.Mem.Load(resBase, 4)
 			if got != want {
 				return fmt.Errorf("sum = %d, want %d", got, want)
 			}
@@ -342,7 +342,7 @@ func SpMV(seed int64) *Instance {
 			c.Mem.LoadWords(xBase, x)
 		},
 		Check: func(c *isa.CPU) error {
-			if got := c.Mem.ReadWord(resBase); got != norm {
+			if got := c.Mem.Load(resBase, 4); got != norm {
 				return fmt.Errorf("norm = %#x, want %#x", got, norm)
 			}
 			got := c.Mem.ReadWords(yBase, rows)

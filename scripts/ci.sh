@@ -154,7 +154,7 @@ stage_trace() {
         # Canonical text form: comments/whitespace dropped, one access
         # per line. Round-trips are compared against this, not the raw
         # file, so hand-written traces may carry comments.
-        "$BIN/lpmem" trace cat "$txt" >"$dir/$name.canon"
+        "$BIN/lpmem" trace convert -i "$txt" -to text >"$dir/$name.canon"
         # text -> binary -> text must be byte-identical to the canon.
         "$BIN/lpmem" trace convert -i "$txt" -o "$dir/$name.lpmt"
         "$BIN/lpmem" trace convert -i "$dir/$name.lpmt" -o "$dir/$name.rt"

@@ -36,7 +36,7 @@ import (
 // defaultBaseline is the committed perf file this PR records into;
 // future PRs re-record into a BENCH_PR<n>.json of their own and update
 // this default.
-const defaultBaseline = "BENCH_PR22.json"
+const defaultBaseline = "BENCH_PR26.json"
 
 const defaultGoldenDir = "testdata/golden"
 

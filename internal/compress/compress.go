@@ -31,6 +31,8 @@ type Codec interface {
 	Name() string
 	// Compress encodes a line; the returned slice is freshly allocated.
 	Compress(line []byte) []byte
+	// Size returns len(Compress(line)) without building the encoding.
+	Size(line []byte) int
 	// Decompress reverses Compress. lineSize is the decoded length.
 	Decompress(enc []byte, lineSize int) ([]byte, error)
 }
@@ -88,10 +90,11 @@ func (Differential) Compress(line []byte) []byte {
 	return out
 }
 
-// CompressedSize returns len(Differential{}.Compress(line)) without
-// building the encoding. The compressed-NUCA replay sizes every line on
-// every dirty update, so the sizing pass must not allocate.
-func CompressedSize(line []byte) int {
+// Size returns len(Compress(line)) without building the encoding.
+// MeasureTraffic prices every line crossing the cache boundary and the
+// compressed-NUCA replay sizes every line on every dirty update, so the
+// sizing pass must not allocate.
+func (Differential) Size(line []byte) int {
 	if len(line) < 4 || len(line)%4 != 0 {
 		//lint:allow panicfree line length is fixed by the cache geometry in code, never by runtime input
 		panic(fmt.Sprintf("compress: line length %d is not a positive multiple of 4", len(line)))

@@ -45,12 +45,12 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestCompressedSizeMatchesCompress: the zero-alloc sizing pass must
-// agree exactly with the real encoder on any line.
-func TestCompressedSizeMatchesCompress(t *testing.T) {
+// TestSizeMatchesCompress: the zero-alloc sizing pass must agree
+// exactly with the real encoder on any line.
+func TestSizeMatchesCompress(t *testing.T) {
 	d := Differential{}
 	f := func(line [32]byte) bool {
-		return CompressedSize(line[:]) == len(d.Compress(line[:]))
+		return d.Size(line[:]) == len(d.Compress(line[:]))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -61,8 +61,8 @@ func TestCompressedSizeMatchesCompress(t *testing.T) {
 		line := make([]byte, n)
 		for trial := 0; trial < 50; trial++ {
 			r.Read(line)
-			if got, want := CompressedSize(line), len(d.Compress(line)); got != want {
-				t.Fatalf("len %d: CompressedSize %d != encoder %d", n, got, want)
+			if got, want := d.Size(line), len(d.Compress(line)); got != want {
+				t.Fatalf("len %d: Size %d != encoder %d", n, got, want)
 			}
 		}
 	}

@@ -29,11 +29,12 @@ func (t Traffic) Saving() float64 {
 
 // MeasureTraffic replays the data accesses of tr (fetches are skipped)
 // through a cache of geometry cfg and measures boundary traffic under the
-// codec. The cache tracks tags only; the bytes live in a memory image
-// that each store updates after the cache has seen it, so a refill the
-// store causes reads the line as it was before the store. Every refilled
-// and written-back line is read from the image, which, with the trace as
-// the one writer, holds exactly what the line does. The statistics are
+// codec, which sizes each line without encoding it. The cache tracks
+// tags only; the bytes live in a memory image that each store updates
+// after the cache has seen it, so a refill the store causes reads the
+// line as it was before the store. Every refilled and written-back line
+// is read from the image, which, with the trace as the one writer, holds
+// exactly what the line does. The statistics are
 // taken before the cache is flushed at the end, so the flush's dirty
 // lines count in the traffic but not in the statistics.
 func MeasureTraffic(tr *trace.Trace, cfg cache.Config, codec Codec) (Traffic, cache.Stats, error) {
@@ -48,7 +49,7 @@ func MeasureTraffic(tr *trace.Trace, cfg cache.Config, codec Codec) (Traffic, ca
 		mem.ReadLine(addr, line)
 		t.Lines++
 		t.RawBytes += uint64(len(line))
-		t.CompressedBytes += uint64(len(codec.Compress(line)))
+		t.CompressedBytes += uint64(codec.Size(line))
 	}
 	c.OnWriteBack = count
 	c.OnRefill = count

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"sync"
 
 	"lpmem/internal/trace"
 )
@@ -29,7 +30,8 @@ type CPU struct {
 	// TextBase is where the program is mapped.
 	TextBase uint32
 	// Trace, when non-nil, receives one Access per instruction fetch and
-	// per data access.
+	// per data access. RunTraced records into a buffer of its own and
+	// leaves Trace pointing at the trace it returns.
 	Trace *trace.Trace
 	// Cycles accumulates the pipeline cost model.
 	Cycles uint64
@@ -253,13 +255,30 @@ func (c *CPU) Step() error {
 	return nil
 }
 
-// RunTraced is a convenience: it attaches a fresh trace, runs the program
-// to completion (up to maxSteps) and returns the trace.
+// recording holds the buffers RunTraced records into: each call holds
+// its own, a buffer grows until it fits the largest run it has held, and
+// the pool drops idle buffers at GC.
+var recording = sync.Pool{New: func() any { return trace.New(4096) }}
+
+// RunTraced runs the program to completion (up to maxSteps) and returns
+// its trace. The accesses are recorded into a reused buffer and copied
+// out at their exact length, so the returned trace has len == cap and
+// shares no memory with the buffer or any other run. Afterwards c.Trace
+// is the returned trace (nil on error), never the buffer.
 func (c *CPU) RunTraced(maxSteps int) (*trace.Trace, error) {
-	t := trace.New(4096)
-	c.Trace = t
-	if err := c.Run(maxSteps); err != nil {
-		return nil, err
+	buf := recording.Get().(*trace.Trace)
+	buf.Accesses = buf.Accesses[:0]
+	c.Trace = buf
+	err := c.Run(maxSteps)
+	c.Trace = nil
+	if err == nil {
+		// make then copy from a local: the compiler fuses the pair into
+		// one allocation that does not zero the part the copy fills.
+		recorded := buf.Accesses
+		accesses := make([]trace.Access, len(recorded))
+		copy(accesses, recorded)
+		c.Trace = &trace.Trace{Accesses: accesses}
 	}
-	return t, nil
+	recording.Put(buf)
+	return c.Trace, err
 }

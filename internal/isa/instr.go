@@ -9,6 +9,8 @@
 // assembler with labels (asm.go) and an interpreter that executes programs
 // over a trace.Memory image while emitting an instrumented memory trace
 // (cpu.go).
+//
+//lint:hotpath
 package isa
 
 import "fmt"

@@ -427,7 +427,7 @@ func (l *LLC) sizeLine(base uint32) int {
 	switch l.cfg.Compression {
 	case CompDiff:
 		l.mem.ReadLine(base, l.line)
-		csize = compress.CompressedSize(l.line)
+		csize = compress.Differential{}.Size(l.line)
 		if csize > l.cfg.LineSize {
 			csize = l.cfg.LineSize // store raw rather than expand
 		}

@@ -55,7 +55,7 @@ func (r *refLLC) sizeLine(data []byte) int {
 	csize := cfg.LineSize
 	switch cfg.Compression {
 	case CompDiff:
-		csize = min(compress.CompressedSize(data), cfg.LineSize)
+		csize = min(compress.Differential{}.Size(data), cfg.LineSize)
 	case CompIdeal:
 		csize = cfg.LineSize / 2
 	}

@@ -23,17 +23,26 @@ import (
 	"lpmem/internal/trace"
 )
 
-// WDU is the way-determination table: line address -> resident way,
-// with LRU replacement over a small number of entries.
+// WDU is the way-determination table: a fully associative array of
+// capacity slots, each binding a line address to the way it resides in,
+// with LRU replacement.
 type WDU struct {
-	capacity int
-	entries  map[uint32]int    // line base -> way
-	lastUse  map[uint32]uint64 // line base -> timestamp
-	clock    uint64
+	slots []slot
+	clock uint64
 
 	// Hits and Lookups count coverage.
 	Hits    uint64
 	Lookups uint64
+}
+
+// slot is one WDU entry. lastUse is the clock at the entry's latest
+// Record or Lookup hit; every Record and Lookup advances the clock, so no
+// two valid slots share a timestamp and the LRU victim is unique.
+type slot struct {
+	base    uint32
+	way     int
+	lastUse uint64
+	valid   bool
 }
 
 // NewWDU creates a table with the given entry count.
@@ -41,49 +50,56 @@ func NewWDU(capacity int) (*WDU, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("waycache: capacity must be positive, got %d", capacity)
 	}
-	return &WDU{
-		capacity: capacity,
-		entries:  make(map[uint32]int, capacity),
-		lastUse:  make(map[uint32]uint64, capacity),
-	}, nil
+	return &WDU{slots: make([]slot, capacity)}, nil
+}
+
+// find returns the index of the valid slot holding lineBase, or -1.
+func (w *WDU) find(lineBase uint32) int {
+	for i := range w.slots {
+		if w.slots[i].valid && w.slots[i].base == lineBase {
+			return i
+		}
+	}
+	return -1
 }
 
 // Lookup consults the table. It returns the way and true on a hit.
 func (w *WDU) Lookup(lineBase uint32) (int, bool) {
 	w.clock++
 	w.Lookups++
-	way, ok := w.entries[lineBase]
-	if ok {
-		w.Hits++
-		w.lastUse[lineBase] = w.clock
+	i := w.find(lineBase)
+	if i < 0 {
+		return 0, false
 	}
-	return way, ok
+	w.Hits++
+	w.slots[i].lastUse = w.clock
+	return w.slots[i].way, true
 }
 
-// Record inserts or updates the line->way binding, evicting the LRU entry
-// when full.
+// Record inserts or updates the line->way binding. It reuses the slot
+// holding the line, else the first invalid slot, else the least recently
+// used one.
 func (w *WDU) Record(lineBase uint32, way int) {
 	w.clock++
-	if _, ok := w.entries[lineBase]; !ok && len(w.entries) >= w.capacity {
-		var victim uint32
-		oldest := uint64(1<<63 - 1)
-		for base, ts := range w.lastUse {
-			if ts < oldest || (ts == oldest && base < victim) {
-				oldest = ts
-				victim = base
-			}
+	victim := 0
+	for i := range w.slots {
+		s := &w.slots[i]
+		if s.valid && s.base == lineBase {
+			victim = i
+			break
 		}
-		delete(w.entries, victim)
-		delete(w.lastUse, victim)
+		if w.slots[victim].valid && (!s.valid || s.lastUse < w.slots[victim].lastUse) {
+			victim = i
+		}
 	}
-	w.entries[lineBase] = way
-	w.lastUse[lineBase] = w.clock
+	w.slots[victim] = slot{base: lineBase, way: way, lastUse: w.clock, valid: true}
 }
 
 // Invalidate removes a binding (the line moved or was evicted).
 func (w *WDU) Invalidate(lineBase uint32) {
-	delete(w.entries, lineBase)
-	delete(w.lastUse, lineBase)
+	if i := w.find(lineBase); i >= 0 {
+		w.slots[i].valid = false
+	}
 }
 
 // Coverage returns the fraction of lookups that hit.

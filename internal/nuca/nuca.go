@@ -6,11 +6,11 @@
 // The model composes three existing substrates. Banks sit on tiles of an
 // internal/noc mesh, so the latency and energy of reaching a bank grow
 // with Manhattan hop distance from the issuing core's tile — the
-// "non-uniform" in NUCA. Line contents are real bytes: the LLC keeps
-// every store in one trace.Memory image, the lines hold tags only, and
-// the internal/compress differential codec sizes a line from the image
-// whenever it is filled or written, so a compressed line occupies only
-// its segments, enlarging effective capacity the way the
+// "non-uniform" in NUCA. Line contents are real bytes: under CompDiff
+// the LLC keeps every store in one trace.Memory image, the lines hold
+// tags only, and the internal/compress differential codec sizes a line
+// from the image whenever it is filled or written, so a compressed line
+// occupies only its segments, enlarging effective capacity the way the
 // compression-based NUCA proposals do (arXiv 2201.00774). Multi-core
 // interleaved traces from internal/trace drive the replay, with per-core
 // and per-bank accounting throughout.
@@ -26,6 +26,7 @@ package nuca
 
 import (
 	"fmt"
+	"math/bits"
 
 	"lpmem/internal/compress"
 	"lpmem/internal/energy"
@@ -299,19 +300,33 @@ type set struct {
 	used  int // Σ segBytes
 }
 
-// LLC is the shared last-level cache simulator.
+// LLC is the shared last-level cache simulator. Every per-access lookup
+// is an indexed load: sets are rows of one slice, each set's roster is
+// cut from one backing allocated by New, and MapDistance's first-touch
+// map is a trace.PageTable, so a replay allocates only the page-table
+// leaves and image pages it touches.
 type LLC struct {
-	cfg     Config
-	banks   [][]set
-	pageMap map[uint32]int // MapDistance: page number → bank
-	clock   uint64
-	stats   Stats
-	// mem holds the bytes of every line, resident or not: with the LLC
-	// as the only writer, a resident line holds what the image does, so
-	// write-backs and refills move no bytes. line is sizeLine's reused
-	// read buffer.
+	cfg   Config
+	banks [][]set
+	// pageBank is MapDistance's first-touch map: page number → bank+1,
+	// where 0 marks a page not yet touched.
+	pageBank trace.PageTable[int32]
+	clock    uint64
+	stats    Stats
+	// mem holds the bytes of every line, resident or not, under
+	// CompDiff, the one policy that sizes a line by its contents; the
+	// others never write it. With the LLC as the only writer, a resident
+	// line holds what the image does, so write-backs and refills move no
+	// bytes. line is sizeLine's reused read buffer.
 	mem  trace.Memory
 	line []byte
+	diff bool // Compression == CompDiff
+
+	// lineShift is log2(LineSize). nBanks and nSets are Banks and
+	// SetsPerBank as 32-bit divisors: line numbers are 32-bit, and both
+	// counts are far below 2³² for any geometry New can allocate, so the
+	// quotients and remainders are those of int division.
+	lineShift, nBanks, nSets uint32
 
 	// hops[c*Banks+b] is the mesh distance from core c's tile to bank
 	// b's tile.
@@ -333,16 +348,27 @@ func New(cfg Config) (*LLC, error) {
 		return nil, err
 	}
 	l := &LLC{
-		cfg:     cfg,
-		banks:   make([][]set, cfg.Banks),
-		pageMap: make(map[uint32]int),
-		line:    make([]byte, cfg.LineSize),
+		cfg:       cfg,
+		banks:     make([][]set, cfg.Banks),
+		line:      make([]byte, cfg.LineSize),
+		diff:      cfg.Compression == CompDiff,
+		lineShift: uint32(bits.TrailingZeros(uint(cfg.LineSize))),
+		nBanks:    uint32(cfg.Banks),
+		nSets:     uint32(cfg.SetsPerBank),
 	}
-	// Per-bank rows (sets here, occupancy below) are slices of one
-	// allocation each: a make per bank is a per-iteration allocation.
+	// Per-bank rows (sets here, occupancy below) and per-set rosters are
+	// slices of one allocation each: a make per bank or set is a
+	// per-iteration allocation. A roster holds at most TagFactor×Ways
+	// lines (makeRoom evicts below that before every insert), so its
+	// appends never outgrow its capacity.
 	sets := make([]set, cfg.Banks*cfg.SetsPerBank)
 	for b := range l.banks {
 		l.banks[b] = sets[b*cfg.SetsPerBank : (b+1)*cfg.SetsPerBank]
+	}
+	tags := cfg.TagFactor * cfg.Ways
+	lines := make([]cline, len(sets)*tags)
+	for i := range sets {
+		sets[i].lines = lines[i*tags : i*tags : (i+1)*tags]
 	}
 	// Cores and banks spread evenly over the tiles.
 	tiles := cfg.Mesh.Tiles()
@@ -384,40 +410,31 @@ func (l *LLC) HitLatency(hops int) int {
 	return l.cfg.BankCycles + 2*hops*l.cfg.HopCycles
 }
 
-// bankFor maps a line base address touched by core to a bank index.
-func (l *LLC) bankFor(base uint32, core uint8) int {
-	switch l.cfg.Mapping {
-	case MapDistance:
-		page := base / pageBytes
-		if b, ok := l.pageMap[page]; ok {
-			return b
-		}
-		// First touch: nearest bank to the core's tile, ties to the
-		// lower bank index, so the choice is deterministic.
-		hops := l.hops[int(core)*l.cfg.Banks : (int(core)+1)*l.cfg.Banks]
-		best := 0
-		for b, d := range hops {
-			if d < hops[best] {
-				best = b
-			}
-		}
-		l.pageMap[page] = best
-		return best
-	default: // MapStatic
-		return int(base/uint32(l.cfg.LineSize)) % l.cfg.Banks
-	}
-}
-
-// setFor maps a line base address to a set index within its bank.
-func (l *LLC) setFor(base uint32) int {
-	lineNum := base / uint32(l.cfg.LineSize)
+// locate maps a line base address touched by core to its bank and its
+// set within that bank.
+func (l *LLC) locate(base uint32, core int) (bank, set int) {
+	lineNum := base >> l.lineShift
 	if l.cfg.Mapping == MapStatic {
 		// Consecutive lines rotate over banks, so the bank offset is
 		// stripped before set selection or only 1/gcd of the sets would
 		// ever be used.
-		return int(lineNum/uint32(l.cfg.Banks)) % l.cfg.SetsPerBank
+		return int(lineNum % l.nBanks), int(lineNum / l.nBanks % l.nSets)
 	}
-	return int(lineNum) % l.cfg.SetsPerBank
+	page := base / pageBytes
+	if b := l.pageBank.Get(page); b != 0 {
+		return int(b - 1), int(lineNum % l.nSets)
+	}
+	// First touch: nearest bank to the core's tile, ties to the lower
+	// bank index, so the choice is deterministic.
+	hops := l.hops[core*l.cfg.Banks : (core+1)*l.cfg.Banks]
+	best := 0
+	for b, d := range hops {
+		if d < hops[best] {
+			best = b
+		}
+	}
+	l.pageBank.Set(page, int32(best+1))
+	return best, int(lineNum % l.nSets)
 }
 
 // sizeLine returns the storage charge for the current contents of the
@@ -436,8 +453,10 @@ func (l *LLC) sizeLine(base uint32) int {
 	default:
 		csize = l.cfg.LineSize
 	}
+	// SegmentBytes divides the power-of-two LineSize, so it is a power
+	// of two too, and rounding up to it is a mask.
 	seg := l.cfg.SegmentBytes
-	return (csize + seg - 1) / seg * seg
+	return (csize + seg - 1) &^ (seg - 1)
 }
 
 // evictLRU removes the least-recently-used line from s, excluding keep
@@ -500,8 +519,7 @@ func (l *LLC) Access(a trace.Access) int {
 		core = l.cfg.Cores - 1 // clamp stray IDs rather than crash
 	}
 	base := a.Addr &^ (uint32(l.cfg.LineSize) - 1)
-	bank := l.bankFor(base, uint8(core))
-	si := l.setFor(base)
+	bank, si := l.locate(base, core)
 	s := &l.banks[bank][si]
 	hops := l.hops[core*l.cfg.Banks+bank]
 	isWrite := a.Kind == trace.Write
@@ -529,10 +547,13 @@ func (l *LLC) Access(a trace.Access) int {
 			lat += l.cfg.DecompressCycles
 		}
 		if isWrite {
-			l.mem.Store(a.Addr, a.Width, a.Value)
 			ln.dirty = true
+		}
+		if isWrite && l.diff {
+			l.mem.Store(a.Addr, a.Width, a.Value)
 			// Re-size: a store can break value locality and expand the
-			// line past its segments.
+			// line past its segments. The other policies size every
+			// line alike, so a store cannot change theirs.
 			newSeg := l.sizeLine(base)
 			if newSeg != ln.segBytes {
 				if newSeg > ln.segBytes {
@@ -560,7 +581,7 @@ func (l *LLC) Access(a trace.Access) int {
 	l.stats.MemEnergy += l.memReadE
 	l.stats.NoCEnergy += l.lineNoCE[hops]
 
-	if isWrite {
+	if isWrite && l.diff {
 		l.mem.Store(a.Addr, a.Width, a.Value)
 	}
 	seg := l.sizeLine(base)

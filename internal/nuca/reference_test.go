@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lpmem/internal/compress"
+	"lpmem/internal/energy"
 	"lpmem/internal/trace"
 )
 
@@ -26,15 +27,18 @@ type refSet struct {
 }
 
 // refLLC is the per-line-data LLC the model replayed through before it
-// kept its bytes in one memory image: each resident line holds a copy of
-// its bytes, a miss copies them from a per-byte backing map, and a dirty
-// eviction copies them back. Geometry, mapping, latency and energy come
-// from an LLC of the same configuration whose own replay path it never
-// calls; refLLC fills that LLC's statistics.
+// kept its bytes in one memory image and its first-touch pages in a page
+// table: each resident line holds a copy of its bytes, a miss copies
+// them from a per-byte backing map, a dirty eviction copies them back,
+// and bank and set come from a first-touch map keyed by page number and
+// int division. Only the hop table, latencies and energies come from an
+// LLC of the same configuration, whose own replay path it never calls;
+// refLLC fills that LLC's statistics.
 type refLLC struct {
 	l       *LLC
 	sets    [][]refSet
 	backing map[uint32]byte
+	pageMap map[uint32]int // MapDistance: page number → bank
 }
 
 func newRefLLC(t *testing.T, cfg Config) *refLLC {
@@ -43,11 +47,43 @@ func newRefLLC(t *testing.T, cfg Config) *refLLC {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &refLLC{l: l, sets: make([][]refSet, l.cfg.Banks), backing: make(map[uint32]byte)}
+	r := &refLLC{l: l, sets: make([][]refSet, l.cfg.Banks), backing: make(map[uint32]byte), pageMap: make(map[uint32]int)}
 	for b := range r.sets {
 		r.sets[b] = make([]refSet, l.cfg.SetsPerBank)
 	}
 	return r
+}
+
+// bankFor maps a line base address touched by core to a bank: on first
+// touch of its page, the bank nearest the core's tile, ties to the
+// lower index.
+func (r *refLLC) bankFor(base uint32, core int) int {
+	cfg := r.l.cfg
+	if cfg.Mapping == MapStatic {
+		return int(base/uint32(cfg.LineSize)) % cfg.Banks
+	}
+	page := base / pageBytes
+	if b, ok := r.pageMap[page]; ok {
+		return b
+	}
+	best := 0
+	for b := 0; b < cfg.Banks; b++ {
+		if r.l.hops[core*cfg.Banks+b] < r.l.hops[core*cfg.Banks+best] {
+			best = b
+		}
+	}
+	r.pageMap[page] = best
+	return best
+}
+
+// setFor maps a line base address to a set within its bank.
+func (r *refLLC) setFor(base uint32) int {
+	cfg := r.l.cfg
+	lineNum := base / uint32(cfg.LineSize)
+	if cfg.Mapping == MapStatic {
+		return int(lineNum/uint32(cfg.Banks)) % cfg.SetsPerBank
+	}
+	return int(lineNum) % cfg.SetsPerBank
 }
 
 func (r *refLLC) sizeLine(data []byte) int {
@@ -117,8 +153,8 @@ func (r *refLLC) access(a trace.Access) {
 	l.clock++
 	core := min(int(a.Core), cfg.Cores-1)
 	base := a.Addr &^ (uint32(cfg.LineSize) - 1)
-	bank := l.bankFor(base, uint8(core))
-	s := &r.sets[bank][l.setFor(base)]
+	bank := r.bankFor(base, core)
+	s := &r.sets[bank][r.setFor(base)]
 	hops := l.hops[core*cfg.Banks+bank]
 	isWrite := a.Kind == trace.Write
 	st.Accesses++
@@ -244,11 +280,16 @@ func TestReplayMatchesReferenceOnExperimentTraces(t *testing.T) {
 
 // TestReplayMatchesReferenceOnRandomTraces: random reads and writes of
 // aligned 1-, 2- and 4-byte values from four cores, over a span small
-// enough to hit, expand and evict, at line sizes 16, 32 and 64.
+// enough to hit, expand and evict, at line sizes 16, 32 and 64, on a
+// power-of-two geometry and on bank and set counts that are not. The
+// last trial's pages lie at the bottom, middle and top of the address
+// space, in page-table directory slots 0, 511, 512 and 1023.
 func TestReplayMatchesReferenceOnRandomTraces(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	widths := []uint8{1, 2, 4}
-	for trial := 0; trial < 12; trial++ {
+	geometries := []struct{ banks, sets int }{{4, 4}, {3, 5}, {6, 12}}
+	const trials = 13
+	for trial := 0; trial < trials; trial++ {
 		tr := trace.New(3000)
 		span := uint32(2048) << r.Intn(4)
 		for i := 0; i < 3000; i++ {
@@ -257,21 +298,63 @@ func TestReplayMatchesReferenceOnRandomTraces(t *testing.T) {
 			if r.Intn(2) == 0 {
 				v &= 0xF // small values compress, so stores change line sizes
 			}
-			a := trace.Access{Addr: (r.Uint32() % span) &^ uint32(w-1), Value: v, Width: w, Kind: trace.Read, Core: uint8(r.Intn(4))}
+			addr := r.Uint32() % span
+			if trial == trials-1 {
+				regions := []uint32{0x00000000, 0x7FFFE000, 0xFFFFC000}
+				addr = regions[r.Intn(len(regions))] + r.Uint32()%0x4000
+			}
+			a := trace.Access{Addr: addr &^ uint32(w-1), Value: v, Width: w, Kind: trace.Read, Core: uint8(r.Intn(4))}
 			if r.Intn(2) == 0 {
 				a.Kind = trace.Write
 			}
 			tr.Append(a)
 		}
 		for _, line := range []int{16, 32, 64} {
-			for _, comp := range CompressionPolicies() {
-				for _, mp := range MappingPolicies() {
-					checkAgainstReference(t, fmt.Sprintf("trial %d line %d", trial, line), tr, Config{
-						Cores: 4, Banks: 4, SetsPerBank: 4, Ways: 2, LineSize: line,
-						Mapping: mp, Compression: comp,
-					})
+			for _, g := range geometries {
+				for _, comp := range CompressionPolicies() {
+					for _, mp := range MappingPolicies() {
+						checkAgainstReference(t, fmt.Sprintf("trial %d line %d banks %d sets %d", trial, line, g.banks, g.sets), tr, Config{
+							Cores: 4, Banks: g.banks, SetsPerBank: g.sets, Ways: 2, LineSize: line,
+							Mapping: mp, Compression: comp,
+						})
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestReplayAllocationsIndependentOfSets: New plus Replay of one trace
+// allocates no more objects at 1024 sets per bank than at 4, so rosters
+// come from one backing rather than one allocation per set touched.
+func TestReplayAllocationsIndependentOfSets(t *testing.T) {
+	tr, err := trace.SynthesizeMultiCore(trace.MultiCoreConfig{
+		Seed: 3, Cores: 4, AccessesPerCore: 4000, Pattern: trace.SharingShared,
+		PrivateBytes: 16 << 10, SharedBytes: 32 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allocs []float64
+	for _, sets := range []int{4, 64, 1024} {
+		// An explicit model keeps withDefaults from building a
+		// validation error, whose fmt state a collection can drop.
+		cfg := Config{
+			Cores: 4, Banks: 4, SetsPerBank: sets, Ways: 4, LineSize: 32,
+			Mapping: MapDistance, Compression: CompDiff, Model: energy.DefaultMemoryModel(),
+		}
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
+			l, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Replay(tr)
+		}))
+	}
+	// A collection that the larger backings trigger can cost the
+	// runtime an object of its own, so allow two; a roster allocated per
+	// set touched would add thousands at 1024 sets.
+	if allocs[1] > allocs[0]+2 || allocs[2] > allocs[0]+2 {
+		t.Fatalf("New+Replay allocations at 4, 64 and 1024 sets per bank: %v, want no growth", allocs)
 	}
 }

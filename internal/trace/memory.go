@@ -1,28 +1,29 @@
 package trace
 
-// pageSize is Memory's allocation unit in bytes.
-const pageSize = 1 << 12
+// pageShift and pageSize give Memory's allocation unit: 4 KiB pages.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
 
 // Memory is a sparse, paged, little-endian byte-addressable memory image:
 // the µRISC core's memory, and the bytes behind the tag-only cache
 // models, which read the lines crossing a cache boundary from it. Pages
-// are 4 KiB and allocated on the first store into them; bytes never
-// stored read as zero, and reads never allocate. Addresses wrap at 2³².
-// The zero value is ready to use.
+// are 4 KiB, held in a PageTable and allocated on the first store into
+// them: an image holds an 8 KiB directory, an 8 KiB leaf per 4 MiB
+// region stored into and the pages stored into, so its memory grows with
+// the pages touched. Bytes never stored read as zero, and reads never
+// allocate. Addresses wrap at 2³². The zero value is ready to use.
 type Memory struct {
-	pages map[uint32]*[pageSize]byte
+	pages PageTable[*[pageSize]byte]
 }
 
-// writable returns the page at base, allocating it on first use.
-func (m *Memory) writable(base uint32) *[pageSize]byte {
-	p := m.pages[base]
+// writable returns the page holding addr, allocating it on first use.
+func (m *Memory) writable(addr uint32) *[pageSize]byte {
+	p := m.pages.Get(addr >> pageShift)
 	if p == nil {
-		if m.pages == nil {
-			//lint:allow hotalloc runs once per Memory, on its first store; the zero value must be ready to use
-			m.pages = make(map[uint32]*[pageSize]byte)
-		}
 		p = new([pageSize]byte)
-		m.pages[base] = p
+		m.pages.Set(addr>>pageShift, p)
 	}
 	return p
 }
@@ -34,7 +35,7 @@ func (m *Memory) Store(addr uint32, width uint8, value uint32) {
 		a := addr + i
 		off := a & (pageSize - 1)
 		if p == nil || off == 0 {
-			p = m.writable(a - off)
+			p = m.writable(a)
 		}
 		p[off] = byte(value >> (8 * i))
 	}
@@ -48,7 +49,7 @@ func (m *Memory) Load(addr uint32, width uint8) uint32 {
 		a := addr + i
 		off := a & (pageSize - 1)
 		if i == 0 || off == 0 {
-			p = m.pages[a-off]
+			p = m.pages.Get(a >> pageShift)
 		}
 		if p != nil {
 			v |= uint32(p[off]) << (8 * i)
@@ -62,7 +63,7 @@ func (m *Memory) ReadLine(addr uint32, dst []byte) {
 	for len(dst) > 0 {
 		off := addr & (pageSize - 1)
 		n := min(len(dst), pageSize-int(off))
-		if p := m.pages[addr-off]; p != nil {
+		if p := m.pages.Get(addr >> pageShift); p != nil {
 			copy(dst[:n], p[off:])
 		} else {
 			clear(dst[:n])

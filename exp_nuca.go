@@ -2,6 +2,7 @@ package lpmem
 
 import (
 	"fmt"
+	"slices"
 
 	"lpmem/internal/nuca"
 	"lpmem/internal/stats"
@@ -33,13 +34,7 @@ func nucaTrace(seed int64, cores int, pattern trace.SharingPattern) (*trace.Trac
 // compressed-capable cache over 8 banks, small enough that the synthetic
 // working sets create real capacity pressure.
 func nucaBaseConfig(cores int) nuca.Config {
-	return nuca.Config{
-		Cores:       cores,
-		Banks:       8,
-		SetsPerBank: 32,
-		Ways:        4,
-		LineSize:    32,
-	}
+	return nuca.Config{Cores: cores, Banks: 8, SetsPerBank: 32}
 }
 
 // runE24 measures sharing-pattern sensitivity: the same shared LLC
@@ -68,15 +63,7 @@ func runE24() (*Result, error) {
 
 			// Miss imbalance: max/min per-core misses, the fairness
 			// signal a shared LLC is judged on.
-			minM, maxM := st.PerCore[0].Misses, st.PerCore[0].Misses
-			for _, cs := range st.PerCore[1:] {
-				if cs.Misses < minM {
-					minM = cs.Misses
-				}
-				if cs.Misses > maxM {
-					maxM = cs.Misses
-				}
-			}
+			minM, maxM := slices.Min(st.CoreMisses), slices.Max(st.CoreMisses)
 			imbalance := float64(maxM)
 			if minM > 0 {
 				imbalance = float64(maxM) / float64(minM)

@@ -26,25 +26,17 @@ func testTrace(t *testing.T, pattern trace.SharingPattern, cores, perCore int) *
 
 // testConfig is a small shared LLC stressed enough to miss and evict.
 func testConfig(cores int) nuca.Config {
-	return nuca.Config{
-		Cores:       cores,
-		Banks:       4,
-		SetsPerBank: 16,
-		Ways:        4,
-		LineSize:    32,
-	}
+	return nuca.Config{Cores: cores, Banks: 4, SetsPerBank: 16}
 }
 
 func TestConfigValidate(t *testing.T) {
 	bad := []nuca.Config{
-		{Cores: 0, Banks: 4, SetsPerBank: 16, Ways: 4, LineSize: 32},
-		{Cores: 4, Banks: 0, SetsPerBank: 16, Ways: 4, LineSize: 32},
-		{Cores: 4, Banks: 4, SetsPerBank: 0, Ways: 4, LineSize: 32},
-		{Cores: 4, Banks: 4, SetsPerBank: 16, Ways: 0, LineSize: 32},
-		{Cores: 4, Banks: 4, SetsPerBank: 16, Ways: 4, LineSize: 48},
-		{Cores: 4, Banks: 4, SetsPerBank: 16, Ways: 4, LineSize: 32, SegmentBytes: 24},
-		{Cores: 4, Banks: 4, SetsPerBank: 16, Ways: 4, LineSize: 32, Mapping: "warp"},
-		{Cores: 4, Banks: 4, SetsPerBank: 16, Ways: 4, LineSize: 32, Compression: "zip"},
+		{Cores: 0, Banks: 4, SetsPerBank: 16},
+		{Cores: 257, Banks: 4, SetsPerBank: 16},
+		{Cores: 4, Banks: 0, SetsPerBank: 16},
+		{Cores: 4, Banks: 4, SetsPerBank: 0},
+		{Cores: 4, Banks: 4, SetsPerBank: 16, Mapping: "warp"},
+		{Cores: 4, Banks: 4, SetsPerBank: 16, Compression: "zip"},
 	}
 	for i, cfg := range bad {
 		if _, err := nuca.New(cfg); err == nil {
@@ -81,33 +73,15 @@ func TestReplayAccounting(t *testing.T) {
 		t.Fatalf("degenerate replay: hits %d, misses %d", st.Hits, st.Misses)
 	}
 
-	var coreAcc, coreHits, coreMiss uint64
-	for _, cs := range st.PerCore {
-		coreAcc += cs.Accesses
-		coreHits += cs.Hits
-		coreMiss += cs.Misses
-		if cs.Hits+cs.Misses != cs.Accesses {
-			t.Fatalf("per-core accounting broken: %+v", cs)
+	var coreMiss uint64
+	for c, m := range st.CoreMisses {
+		if m == 0 {
+			t.Fatalf("core %d recorded no misses", c)
 		}
+		coreMiss += m
 	}
-	if coreAcc != st.Accesses || coreHits != st.Hits || coreMiss != st.Misses {
-		t.Fatal("per-core totals do not sum to global totals")
-	}
-
-	var bankAcc, bankHits, bankMiss, occ uint64
-	for _, bs := range st.PerBank {
-		bankAcc += bs.Accesses
-		bankHits += bs.Hits
-		bankMiss += bs.Misses
-		for _, o := range bs.Occupancy {
-			occ += o
-		}
-	}
-	if bankAcc != st.Accesses || bankHits != st.Hits || bankMiss != st.Misses {
-		t.Fatal("per-bank totals do not sum to global totals")
-	}
-	if occ != st.ResidentLines {
-		t.Fatalf("occupancy %d != resident lines %d", occ, st.ResidentLines)
+	if len(st.CoreMisses) != cores || coreMiss != st.Misses {
+		t.Fatalf("per-core misses %v do not sum to the %d global misses", st.CoreMisses, st.Misses)
 	}
 	if st.TotalEnergy() <= 0 || st.Latency == 0 {
 		t.Fatalf("missing cost accounting: energy %v, latency %d", st.TotalEnergy(), st.Latency)
@@ -191,13 +165,9 @@ func TestCompressionEffectiveCapacity(t *testing.T) {
 }
 
 func TestHitLatencyMonotoneInDistance(t *testing.T) {
-	llc, err := nuca.New(testConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	prev := -1
 	for h := 0; h < 8; h++ {
-		lat := llc.HitLatency(h)
+		lat := nuca.HitLatency(h)
 		if lat <= prev {
 			t.Fatalf("HitLatency(%d)=%d not monotone (prev %d)", h, lat, prev)
 		}
@@ -233,46 +203,86 @@ func TestDistanceMappingFavoursNearBanks(t *testing.T) {
 	}
 }
 
-// TestExpansionEviction: overwriting a compressible line with
-// incompressible data must grow its footprint and count an expansion.
-func TestExpansionEviction(t *testing.T) {
-	cfg := nuca.Config{
-		Cores: 1, Banks: 1, SetsPerBank: 1, Ways: 2, LineSize: 32,
-		Compression: nuca.CompDiff,
-	}
+// oneSet is an LLC of a single set: one core, one bank, one set of
+// nuca.Ways ways and nuca.TagFactor×nuca.Ways tags.
+func oneSet(comp nuca.CompressionPolicy) nuca.Config {
+	return nuca.Config{Cores: 1, Banks: 1, SetsPerBank: 1, Compression: comp}
+}
+
+// replay runs the accesses through a fresh LLC of cfg.
+func replay(t *testing.T, cfg nuca.Config, accesses ...trace.Access) nuca.Stats {
+	t.Helper()
 	llc, err := nuca.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Touch a line (refills as all-zero: maximally compressible), then
-	// store wild word values into it to break the value locality.
-	llc.Access(trace.Access{Addr: 0, Kind: trace.Read, Width: 4})
-	vals := []uint32{0xdeadbeef, 0x12345678, 0x0badf00d, 0xcafebabe, 0x87654321, 0xa5a5a5a5, 0x5a5a5a5a}
-	for i, v := range vals {
-		llc.Access(trace.Access{Addr: uint32(4 + 4*i), Kind: trace.Write, Width: 4, Value: v})
+	tr := trace.New(len(accesses))
+	for _, a := range accesses {
+		tr.Append(a)
 	}
-	st := llc.Stats()
+	return llc.Replay(tr)
+}
+
+func read(addr uint32) trace.Access { return trace.Access{Addr: addr, Kind: trace.Read, Width: 4} }
+
+func write(addr, v uint32) trace.Access {
+	return trace.Access{Addr: addr, Kind: trace.Write, Width: 4, Value: v}
+}
+
+// TestExpansionEviction: overwriting compressible lines with
+// incompressible data must grow their footprint, count expansions, and
+// evict a neighbour once the set's byte budget overflows.
+func TestExpansionEviction(t *testing.T) {
+	// Fill every tag of the set with all-zero lines, each one segment.
+	var accesses []trace.Access
+	for i := uint32(0); i < nuca.TagFactor*nuca.Ways; i++ {
+		accesses = append(accesses, read(i*nuca.LineSize))
+	}
+	// Store wild word values into the first three lines, breaking their
+	// value locality until each is stored raw: the third overflows the
+	// Ways×LineSize byte budget.
+	wild := []uint32{0xdeadbeef, 0x12345678, 0x0badf00d, 0xcafebabe, 0x87654321, 0xa5a5a5a5, 0x5a5a5a5a}
+	for line := uint32(0); line < 3; line++ {
+		for i, v := range wild {
+			accesses = append(accesses, write(line*nuca.LineSize+uint32(4+4*i), v))
+		}
+	}
+	st := replay(t, oneSet(nuca.CompDiff), accesses...)
 	if st.Expansions == 0 {
 		t.Fatal("incompressible overwrite recorded no expansion")
 	}
+	if st.ResidentLines != nuca.TagFactor*nuca.Ways-1 {
+		t.Fatalf("resident lines %d, want %d: the overflowing expansion evicts one neighbour",
+			st.ResidentLines, nuca.TagFactor*nuca.Ways-1)
+	}
+	if st.ResidentSegBytes > nuca.Ways*nuca.LineSize {
+		t.Fatalf("resident %d B exceeds the set's %d B", st.ResidentSegBytes, nuca.Ways*nuca.LineSize)
+	}
 }
 
-// TestWriteBackPersists: a dirty evicted line must reach the backing
-// store so a later refill sees the written data (hit via value check is
-// indirect; we check WriteBacks fired and re-access misses then hits).
+// TestWriteBackPersists: evicting a dirty line charges a main-memory
+// write, and the written data outlives the eviction, so the line's
+// next refill is sized by what was stored.
 func TestWriteBackPersists(t *testing.T) {
-	cfg := nuca.Config{Cores: 1, Banks: 1, SetsPerBank: 1, Ways: 1, LineSize: 32, TagFactor: 1}
-	llc, err := nuca.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// One access to line 0, then enough other lines to evict it through
+	// the tag limit, then line 0 again.
+	run := func(first trace.Access) nuca.Stats {
+		accesses := []trace.Access{first}
+		for i := uint32(1); i <= nuca.TagFactor*nuca.Ways; i++ {
+			accesses = append(accesses, read(i*nuca.LineSize))
+		}
+		return replay(t, oneSet(nuca.CompDiff), append(accesses, read(4))...)
 	}
-	llc.Access(trace.Access{Addr: 0x00, Kind: trace.Write, Width: 4, Value: 7})
-	llc.Access(trace.Access{Addr: 0x40, Kind: trace.Read, Width: 4}) // evicts the dirty line
-	st := llc.Stats()
-	if st.WriteBacks != 1 {
-		t.Fatalf("write-backs %d, want 1", st.WriteBacks)
+	dirty, clean := run(write(4, 0xdeadbeef)), run(read(4))
+	if dirty.Misses != clean.Misses || dirty.Hits != 0 || clean.Hits != 0 {
+		t.Fatalf("dirty %d misses / %d hits, clean %d / %d: want all misses alike",
+			dirty.Misses, dirty.Hits, clean.Misses, clean.Hits)
 	}
-	if st.ResidentLines != 1 {
-		t.Fatalf("resident lines %d, want 1", st.ResidentLines)
+	if dirty.MemEnergy <= clean.MemEnergy {
+		t.Fatalf("dirty eviction memory energy %v not above clean %v", dirty.MemEnergy, clean.MemEnergy)
+	}
+	if dirty.ResidentSegBytes <= clean.ResidentSegBytes {
+		t.Fatalf("refill after write-back holds %d B, clean %d B: the stored word was lost",
+			dirty.ResidentSegBytes, clean.ResidentSegBytes)
 	}
 }

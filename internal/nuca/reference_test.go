@@ -2,20 +2,36 @@ package nuca
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"lpmem/internal/compress"
 	"lpmem/internal/energy"
+	"lpmem/internal/noc"
 	"lpmem/internal/trace"
+)
+
+// The reference's own copy of the micro-architecture, so a wrong
+// constant, mesh or energy in the model shows as a mismatch rather than
+// being shared by both sides.
+const (
+	refWays             = 4
+	refLineSize         = 32
+	refSegmentBytes     = 8
+	refTagFactor        = 2
+	refBankCycles       = 4
+	refHopCycles        = 2
+	refDecompressCycles = 2
+	refMemCycles        = 100
+	refMainMemBytes     = 8 << 20
 )
 
 // refLine is a resident line of the reference LLC, with its bytes.
 type refLine struct {
 	base     uint32
 	lru      uint64
-	core     uint8
 	dirty    bool
 	segBytes int
 	data     []byte
@@ -31,36 +47,71 @@ type refSet struct {
 // table: each resident line holds a copy of its bytes, a miss copies
 // them from a per-byte backing map, a dirty eviction copies them back,
 // and bank and set come from a first-touch map keyed by page number and
-// int division. Only the hop table, latencies and energies come from an
-// LLC of the same configuration, whose own replay path it never calls;
-// refLLC fills that LLC's statistics.
+// int division. It lays out its own mesh and prices latency and energy
+// itself.
 type refLLC struct {
-	l       *LLC
+	cfg     Config
+	mesh    noc.Mesh
+	hops    [][]int // hops[core][bank]
+	clock   uint64
+	stats   Stats
 	sets    [][]refSet
 	backing map[uint32]byte
 	pageMap map[uint32]int // MapDistance: page number → bank
+
+	memReadE, memWriteE   energy.PJ
+	bankReadE, bankWriteE energy.PJ
 }
 
-func newRefLLC(t *testing.T, cfg Config) *refLLC {
-	t.Helper()
-	l, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+func newRefLLC(cfg Config) *refLLC {
+	// The near-square mesh: ⌈√Banks⌉ columns, as many rows as the banks
+	// fill, with the default mesh's links and energies.
+	w := int(math.Ceil(math.Sqrt(float64(cfg.Banks))))
+	mesh := noc.DefaultMesh()
+	mesh.W, mesh.H = w, int(math.Ceil(float64(cfg.Banks)/float64(w)))
+	r := &refLLC{
+		cfg:     cfg,
+		mesh:    mesh,
+		hops:    make([][]int, cfg.Cores),
+		sets:    make([][]refSet, cfg.Banks),
+		backing: make(map[uint32]byte),
+		pageMap: make(map[uint32]int),
 	}
-	r := &refLLC{l: l, sets: make([][]refSet, l.cfg.Banks), backing: make(map[uint32]byte), pageMap: make(map[uint32]int)}
+	r.stats.CoreMisses = make([]uint64, cfg.Cores)
+	// Cores and banks spread evenly over the tiles.
+	tiles := mesh.W * mesh.H
+	for c := range r.hops {
+		r.hops[c] = make([]int, cfg.Banks)
+		for b := range r.hops[c] {
+			r.hops[c][b] = mesh.Dist(c*tiles/cfg.Cores, b*tiles/cfg.Banks)
+		}
+	}
 	for b := range r.sets {
-		r.sets[b] = make([]refSet, l.cfg.SetsPerBank)
+		r.sets[b] = make([]refSet, cfg.SetsPerBank)
 	}
+	model := energy.DefaultMemoryModel()
+	bankBytes := uint32(cfg.SetsPerBank * refWays * refLineSize)
+	r.memReadE = model.ReadEnergy(refMainMemBytes)
+	r.memWriteE = model.WriteEnergy(refMainMemBytes)
+	r.bankReadE = model.ReadEnergy(bankBytes) + model.SelectEnergy(cfg.Banks)
+	r.bankWriteE = model.WriteEnergy(bankBytes) + model.SelectEnergy(cfg.Banks)
 	return r
+}
+
+// nocEnergy prices bits crossing h hops. The conversion rounds the
+// product, as the model's per-hop tables do, so no platform fuses it
+// into the sum it is added to.
+func (r *refLLC) nocEnergy(bits, h int) energy.PJ {
+	return energy.PJ(energy.PJ(bits) * r.mesh.BitEnergy(h))
 }
 
 // bankFor maps a line base address touched by core to a bank: on first
 // touch of its page, the bank nearest the core's tile, ties to the
 // lower index.
 func (r *refLLC) bankFor(base uint32, core int) int {
-	cfg := r.l.cfg
+	cfg := r.cfg
 	if cfg.Mapping == MapStatic {
-		return int(base/uint32(cfg.LineSize)) % cfg.Banks
+		return int(base/refLineSize) % cfg.Banks
 	}
 	page := base / pageBytes
 	if b, ok := r.pageMap[page]; ok {
@@ -68,7 +119,7 @@ func (r *refLLC) bankFor(base uint32, core int) int {
 	}
 	best := 0
 	for b := 0; b < cfg.Banks; b++ {
-		if r.l.hops[core*cfg.Banks+b] < r.l.hops[core*cfg.Banks+best] {
+		if r.hops[core][b] < r.hops[core][best] {
 			best = b
 		}
 	}
@@ -78,8 +129,8 @@ func (r *refLLC) bankFor(base uint32, core int) int {
 
 // setFor maps a line base address to a set within its bank.
 func (r *refLLC) setFor(base uint32) int {
-	cfg := r.l.cfg
-	lineNum := base / uint32(cfg.LineSize)
+	cfg := r.cfg
+	lineNum := base / refLineSize
 	if cfg.Mapping == MapStatic {
 		return int(lineNum/uint32(cfg.Banks)) % cfg.SetsPerBank
 	}
@@ -87,18 +138,17 @@ func (r *refLLC) setFor(base uint32) int {
 }
 
 func (r *refLLC) sizeLine(data []byte) int {
-	cfg := r.l.cfg
-	csize := cfg.LineSize
-	switch cfg.Compression {
+	csize := refLineSize
+	switch r.cfg.Compression {
 	case CompDiff:
-		csize = min(compress.Differential{}.Size(data), cfg.LineSize)
+		csize = min(compress.Differential{}.Size(data), refLineSize)
 	case CompIdeal:
-		csize = cfg.LineSize / 2
+		csize = refLineSize / 2
 	}
-	return (csize + cfg.SegmentBytes - 1) / cfg.SegmentBytes * cfg.SegmentBytes
+	return (csize + refSegmentBytes - 1) / refSegmentBytes * refSegmentBytes
 }
 
-func (r *refLLC) evictLRU(bank int, s *refSet, keep int) bool {
+func (r *refLLC) evictLRU(s *refSet, keep int) bool {
 	victim := -1
 	for i := range s.lines {
 		if i != keep && (victim < 0 || s.lines[i].lru < s.lines[victim].lru) {
@@ -109,33 +159,29 @@ func (r *refLLC) evictLRU(bank int, s *refSet, keep int) bool {
 		return false
 	}
 	v := &s.lines[victim]
-	st := &r.l.stats
+	st := &r.stats
 	if v.dirty {
 		for i, b := range v.data {
 			r.backing[v.base+uint32(i)] = b
 		}
-		st.WriteBacks++
-		st.PerBank[bank].WriteBacks++
-		st.MemEnergy += r.l.memWriteE
+		st.MemEnergy += r.memWriteE
 	}
 	s.used -= v.segBytes
 	st.ResidentLines--
 	st.ResidentSegBytes -= uint64(v.segBytes)
-	st.PerBank[bank].Occupancy[v.core]--
 	s.lines[victim] = s.lines[len(s.lines)-1]
 	s.lines = s.lines[:len(s.lines)-1]
 	return true
 }
 
-func (r *refLLC) makeRoom(bank int, s *refSet, need, keep int, addTag bool) {
-	cfg := r.l.cfg
-	for s.used+need > cfg.Ways*cfg.LineSize {
-		if !r.evictLRU(bank, s, keep) {
+func (r *refLLC) makeRoom(s *refSet, need, keep int, addTag bool) {
+	for s.used+need > refWays*refLineSize {
+		if !r.evictLRU(s, keep) {
 			return
 		}
 	}
-	for addTag && len(s.lines) >= cfg.TagFactor*cfg.Ways {
-		if !r.evictLRU(bank, s, keep) {
+	for addTag && len(s.lines) >= refTagFactor*refWays {
+		if !r.evictLRU(s, keep) {
 			return
 		}
 	}
@@ -149,32 +195,31 @@ func store(data []byte, off uint32, width uint8, value uint32) {
 }
 
 func (r *refLLC) access(a trace.Access) {
-	l, cfg, st := r.l, r.l.cfg, &r.l.stats
-	l.clock++
+	cfg, st := r.cfg, &r.stats
+	r.clock++
 	core := min(int(a.Core), cfg.Cores-1)
-	base := a.Addr &^ (uint32(cfg.LineSize) - 1)
+	base := a.Addr / refLineSize * refLineSize
 	bank := r.bankFor(base, core)
 	s := &r.sets[bank][r.setFor(base)]
-	hops := l.hops[core*cfg.Banks+bank]
+	hops := r.hops[core][bank]
+	hitLat := refBankCycles + 2*hops*refHopCycles
 	isWrite := a.Kind == trace.Write
 	st.Accesses++
-	st.PerCore[core].Accesses++
-	st.PerBank[bank].Accesses++
 	if isWrite {
-		st.BankEnergy += l.bankWriteE
+		st.BankEnergy += r.bankWriteE
 	} else {
-		st.BankEnergy += l.bankReadE
+		st.BankEnergy += r.bankReadE
 	}
-	st.NoCEnergy += l.wordNoCE[hops]
+	st.NoCEnergy += r.nocEnergy(32, hops)
 	for i := range s.lines {
 		ln := &s.lines[i]
 		if ln.base != base {
 			continue
 		}
-		ln.lru = l.clock
-		lat := l.HitLatency(hops)
-		if ln.segBytes < cfg.LineSize {
-			lat += cfg.DecompressCycles
+		ln.lru = r.clock
+		lat := hitLat
+		if ln.segBytes < refLineSize {
+			lat += refDecompressCycles
 		}
 		if isWrite {
 			store(ln.data, a.Addr-base, a.Width, a.Value)
@@ -186,23 +231,18 @@ func (r *refLLC) access(a trace.Access) {
 				s.used += newSeg - ln.segBytes
 				st.ResidentSegBytes += uint64(newSeg) - uint64(ln.segBytes)
 				ln.segBytes = newSeg
-				r.makeRoom(bank, s, 0, i, false)
+				r.makeRoom(s, 0, i, false)
 			}
 		}
 		st.Hits++
-		st.PerCore[core].Hits++
-		st.PerBank[bank].Hits++
 		st.Latency += uint64(lat)
-		st.PerCore[core].Latency += uint64(lat)
 		return
 	}
 	st.Misses++
-	st.PerCore[core].Misses++
-	st.PerBank[bank].Misses++
-	st.Refills++
-	st.MemEnergy += l.memReadE
-	st.NoCEnergy += l.lineNoCE[hops]
-	data := make([]byte, cfg.LineSize)
+	st.CoreMisses[core]++
+	st.MemEnergy += r.memReadE
+	st.NoCEnergy += r.nocEnergy(8*refLineSize, hops)
+	data := make([]byte, refLineSize)
 	for i := range data {
 		data[i] = r.backing[base+uint32(i)]
 	}
@@ -210,20 +250,17 @@ func (r *refLLC) access(a trace.Access) {
 		store(data, a.Addr-base, a.Width, a.Value)
 	}
 	seg := r.sizeLine(data)
-	r.makeRoom(bank, s, seg, -1, true)
-	s.lines = append(s.lines, refLine{base: base, lru: l.clock, core: uint8(core), dirty: isWrite, segBytes: seg, data: data})
+	r.makeRoom(s, seg, -1, true)
+	s.lines = append(s.lines, refLine{base: base, lru: r.clock, dirty: isWrite, segBytes: seg, data: data})
 	s.used += seg
 	st.ResidentLines++
 	st.ResidentSegBytes += uint64(seg)
-	st.PerBank[bank].Occupancy[uint8(core)]++
-	st.BankEnergy += l.bankWriteE
-	lat := l.HitLatency(hops) + cfg.MemCycles
-	st.Latency += uint64(lat)
-	st.PerCore[core].Latency += uint64(lat)
+	st.BankEnergy += r.bankWriteE
+	st.Latency += uint64(hitLat + refMemCycles)
 }
 
 // checkAgainstReference replays tr through the LLC and the reference
-// and requires every statistic, per core and per bank, to be equal.
+// and requires every statistic to be equal.
 func checkAgainstReference(t *testing.T, name string, tr *trace.Trace, cfg Config) {
 	t.Helper()
 	l, err := New(cfg)
@@ -231,13 +268,13 @@ func checkAgainstReference(t *testing.T, name string, tr *trace.Trace, cfg Confi
 		t.Fatal(err)
 	}
 	got := l.Replay(tr)
-	ref := newRefLLC(t, cfg)
+	ref := newRefLLC(cfg)
 	for _, a := range tr.Accesses {
 		if a.Kind != trace.Fetch {
 			ref.access(a)
 		}
 	}
-	if want := ref.l.Stats(); !reflect.DeepEqual(got, want) {
+	if want := ref.stats; !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s %s/%s: stats differ from the reference\n got %+v\nwant %+v", name, cfg.Mapping, cfg.Compression, got, want)
 	}
 }
@@ -269,7 +306,7 @@ func TestReplayMatchesReferenceOnExperimentTraces(t *testing.T) {
 			for _, comp := range CompressionPolicies() {
 				for _, mp := range MappingPolicies() {
 					checkAgainstReference(t, name, tr, Config{
-						Cores: rn.cores, Banks: rn.banks, SetsPerBank: rn.sets, Ways: 4, LineSize: 32,
+						Cores: rn.cores, Banks: rn.banks, SetsPerBank: rn.sets,
 						Mapping: mp, Compression: comp,
 					})
 				}
@@ -280,14 +317,15 @@ func TestReplayMatchesReferenceOnExperimentTraces(t *testing.T) {
 
 // TestReplayMatchesReferenceOnRandomTraces: random reads and writes of
 // aligned 1-, 2- and 4-byte values from four cores, over a span small
-// enough to hit, expand and evict, at line sizes 16, 32 and 64, on a
-// power-of-two geometry and on bank and set counts that are not. The
+// enough to hit, expand and evict, on a power-of-two geometry, on bank
+// and set counts that are not, and on one bank, where the mesh is one
+// tile and every core is 0 hops from the bank. The
 // last trial's pages lie at the bottom, middle and top of the address
 // space, in page-table directory slots 0, 511, 512 and 1023.
 func TestReplayMatchesReferenceOnRandomTraces(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	widths := []uint8{1, 2, 4}
-	geometries := []struct{ banks, sets int }{{4, 4}, {3, 5}, {6, 12}}
+	geometries := []struct{ banks, sets int }{{4, 4}, {3, 5}, {6, 12}, {1, 8}}
 	const trials = 13
 	for trial := 0; trial < trials; trial++ {
 		tr := trace.New(3000)
@@ -309,15 +347,13 @@ func TestReplayMatchesReferenceOnRandomTraces(t *testing.T) {
 			}
 			tr.Append(a)
 		}
-		for _, line := range []int{16, 32, 64} {
-			for _, g := range geometries {
-				for _, comp := range CompressionPolicies() {
-					for _, mp := range MappingPolicies() {
-						checkAgainstReference(t, fmt.Sprintf("trial %d line %d banks %d sets %d", trial, line, g.banks, g.sets), tr, Config{
-							Cores: 4, Banks: g.banks, SetsPerBank: g.sets, Ways: 2, LineSize: line,
-							Mapping: mp, Compression: comp,
-						})
-					}
+		for _, g := range geometries {
+			for _, comp := range CompressionPolicies() {
+				for _, mp := range MappingPolicies() {
+					checkAgainstReference(t, fmt.Sprintf("trial %d banks %d sets %d", trial, g.banks, g.sets), tr, Config{
+						Cores: 4, Banks: g.banks, SetsPerBank: g.sets,
+						Mapping: mp, Compression: comp,
+					})
 				}
 			}
 		}
@@ -337,11 +373,9 @@ func TestReplayAllocationsIndependentOfSets(t *testing.T) {
 	}
 	var allocs []float64
 	for _, sets := range []int{4, 64, 1024} {
-		// An explicit model keeps withDefaults from building a
-		// validation error, whose fmt state a collection can drop.
 		cfg := Config{
-			Cores: 4, Banks: 4, SetsPerBank: sets, Ways: 4, LineSize: 32,
-			Mapping: MapDistance, Compression: CompDiff, Model: energy.DefaultMemoryModel(),
+			Cores: 4, Banks: 4, SetsPerBank: sets,
+			Mapping: MapDistance, Compression: CompDiff,
 		}
 		allocs = append(allocs, testing.AllocsPerRun(5, func() {
 			l, err := New(cfg)

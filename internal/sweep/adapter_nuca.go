@@ -88,8 +88,6 @@ func (a nucaAdapter) Run(p Point) (Metrics, error) {
 		Cores:       cores,
 		Banks:       banks,
 		SetsPerBank: setsPerBank,
-		Ways:        4,
-		LineSize:    32,
 		Mapping:     nuca.MappingPolicy(p.Enum("mapping")),
 		Compression: nuca.CompressionPolicy(p.Enum("compression")),
 	}
@@ -101,14 +99,13 @@ func (a nucaAdapter) Run(p Point) (Metrics, error) {
 
 	// Area: data arrays, plus tags (4 B per tag entry; the compressed
 	// cache carries TagFactor x as many), plus compressor units.
-	dcfg := llc.Config() // defaulted: TagFactor resolved
-	tagEntries := dcfg.Banks * dcfg.SetsPerBank * dcfg.Ways
-	if dcfg.Compression != nuca.CompNone {
-		tagEntries *= dcfg.TagFactor
+	tagEntries := banks * setsPerBank * nuca.Ways
+	if cfg.Compression != nuca.CompNone {
+		tagEntries *= nuca.TagFactor
 	}
-	area := float64(dcfg.CapacityBytes()) + 4*float64(tagEntries)
-	if dcfg.Compression != nuca.CompNone {
-		area += nucaCompressorArea * float64(dcfg.Banks)
+	area := float64(cfg.CapacityBytes()) + 4*float64(tagEntries)
+	if cfg.Compression != nuca.CompNone {
+		area += nucaCompressorArea * float64(banks)
 	}
 	return Metrics{
 		EnergyPJ: float64(st.TotalEnergy()),

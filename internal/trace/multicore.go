@@ -47,35 +47,29 @@ type MultiCoreConfig struct {
 	AccessesPerCore int
 	// Pattern selects the sharing shape.
 	Pattern SharingPattern
-	// SharedFraction in [0,1] is the probability an access targets the
-	// shared region (SharingShared) or a ring buffer
-	// (SharingProducerConsumer); ignored for SharingPrivate. Zero
-	// defaults to 0.4.
-	SharedFraction float64
 	// PrivateBytes is each core's private footprint. Zero defaults to
 	// 64 KiB.
 	PrivateBytes uint32
 	// SharedBytes is the footprint of the shared region or of the ring
 	// buffer pool. Zero defaults to 128 KiB.
 	SharedBytes uint32
-	// WriteFraction in [0,1] is the store probability of private
-	// accesses. Zero defaults to 0.25.
-	WriteFraction float64
 }
+
+// sharedFraction is the probability an access targets the shared region
+// (SharingShared) or a ring buffer (SharingProducerConsumer); private
+// accesses store with probability writeFraction.
+const (
+	sharedFraction = 0.4
+	writeFraction  = 0.25
+)
 
 // withDefaults fills the zero-value knobs.
 func (cfg MultiCoreConfig) withDefaults() MultiCoreConfig {
-	if cfg.SharedFraction == 0 {
-		cfg.SharedFraction = 0.4
-	}
 	if cfg.PrivateBytes == 0 {
 		cfg.PrivateBytes = 64 << 10
 	}
 	if cfg.SharedBytes == 0 {
 		cfg.SharedBytes = 128 << 10
-	}
-	if cfg.WriteFraction == 0 {
-		cfg.WriteFraction = 0.25
 	}
 	return cfg
 }
@@ -92,12 +86,6 @@ func (cfg MultiCoreConfig) validate() error {
 	case SharingPrivate, SharingShared, SharingProducerConsumer:
 	default:
 		return fmt.Errorf("trace: unknown sharing pattern %q", cfg.Pattern)
-	}
-	if cfg.SharedFraction < 0 || cfg.SharedFraction > 1 {
-		return fmt.Errorf("trace: shared fraction %v outside [0,1]", cfg.SharedFraction)
-	}
-	if cfg.WriteFraction < 0 || cfg.WriteFraction > 1 {
-		return fmt.Errorf("trace: write fraction %v outside [0,1]", cfg.WriteFraction)
 	}
 	return nil
 }
@@ -174,7 +162,7 @@ func SynthesizeMultiCore(cfg MultiCoreConfig) (*Trace, error) {
 		st.value += uint32(rng.Intn(1024)) - 512
 		a.Value = st.value
 
-		shared := cfg.Pattern != SharingPrivate && rng.Float64() < cfg.SharedFraction
+		shared := cfg.Pattern != SharingPrivate && rng.Float64() < sharedFraction
 		switch {
 		case !shared:
 			// Private strided walk with occasional jumps between arrays.
@@ -184,7 +172,7 @@ func SynthesizeMultiCore(cfg MultiCoreConfig) (*Trace, error) {
 			a.Addr = privBase(c) + st.privCursor%cfg.PrivateBytes
 			st.privCursor += 4
 			a.Kind = Read
-			if rng.Float64() < cfg.WriteFraction {
+			if rng.Float64() < writeFraction {
 				a.Kind = Write
 			}
 		case cfg.Pattern == SharingShared:

@@ -116,8 +116,6 @@ func TestSynthesizeMultiCoreValidation(t *testing.T) {
 		{Cores: 257, AccessesPerCore: 10, Pattern: SharingPrivate},
 		{Cores: 2, AccessesPerCore: -1, Pattern: SharingPrivate},
 		{Cores: 2, AccessesPerCore: 10, Pattern: "exotic"},
-		{Cores: 2, AccessesPerCore: 10, Pattern: SharingShared, SharedFraction: 1.5},
-		{Cores: 2, AccessesPerCore: 10, Pattern: SharingPrivate, WriteFraction: -0.1},
 	}
 	for i, cfg := range cases {
 		if _, err := SynthesizeMultiCore(cfg); err == nil {

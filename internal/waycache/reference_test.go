@@ -100,11 +100,9 @@ func refSimulate(tr *trace.Trace, cfg cache.Config, wduEntries int, cm energy.Ca
 		coverage = float64(wdu.hits) / float64(wdu.lookups)
 	}
 	return Result{
-		Ways:       cfg.Ways,
 		Coverage:   coverage,
 		BaseEnergy: base,
 		WduEnergy:  directed,
-		HitRate:    c.Stats().HitRate(),
 	}, nil
 }
 

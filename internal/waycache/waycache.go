@@ -112,16 +112,12 @@ func (w *WDU) Coverage() float64 {
 
 // Result summarises one simulation.
 type Result struct {
-	// Ways is the cache associativity simulated.
-	Ways int
 	// Coverage is the WDU hit fraction.
 	Coverage float64
 	// BaseEnergy is the energy of conventional all-way probing.
 	BaseEnergy energy.PJ
 	// WduEnergy is the energy with way determination.
 	WduEnergy energy.PJ
-	// HitRate is the cache hit rate (identical in both designs).
-	HitRate float64
 }
 
 // Saving returns the percent cache power reduction, the paper's headline
@@ -172,12 +168,9 @@ func Simulate(tr *trace.Trace, cfg cache.Config, wduEntries int, cm energy.Cache
 			wdu.Record(lineBase, res.Way)
 		}
 	}
-	st := c.Stats()
 	return Result{
-		Ways:       cfg.Ways,
 		Coverage:   wdu.Coverage(),
 		BaseEnergy: base,
 		WduEnergy:  directed,
-		HitRate:    st.HitRate(),
 	}, nil
 }

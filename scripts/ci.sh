@@ -121,10 +121,11 @@ stage_chaos() {
     # memtech stack (gating machine, banked DRAM) sees its own fault
     # placements rather than only whatever seed 1 lands on it.
     "$BIN/lpmem" chaos -seed 23 -plan all E21 E22 E23
-    # And one aimed at the CMP suite: the NUCA LLC replays multi-core
-    # traces under perturbed energy models, so its conservation
-    # invariants (per-core sums, occupancy, capacity ratio) get their
-    # own fault placements.
+    # And one aimed at the CMP suite, so E24-E26 get runner-fault
+    # placements of their own. Chaos runs the default model and checks
+    # the runner (no deadlock, zero goroutine delta, well-formed ordered
+    # reports, deterministic placement); the NUCA model's conservation
+    # invariants are internal/nuca's property tests.
     "$BIN/lpmem" chaos -seed 24 -plan all E24 E25 E26
 }
 

@@ -3,9 +3,10 @@
 // hash/resume design the sweep JSONL store pioneered: results are
 // append-only JSON lines keyed by a request content hash, so any number
 // of replica processes can share one store file — writers append whole
-// lines with O_APPEND (each line lands atomically on local filesystems),
-// readers tail the file incrementally and merge by key, and a torn final
-// line (the footprint of a killed replica) is tolerated, not fatal.
+// lines with O_APPEND (each append, one line or several, lands
+// atomically on local filesystems), readers tail the file incrementally
+// and merge by key, and a torn final line (the footprint of a killed
+// replica) is tolerated, not fatal.
 //
 // The package has two layers:
 //
@@ -30,11 +31,12 @@ import (
 )
 
 // Log is an append-only line file safe for concurrent writers across
-// processes. Every Append writes one complete line (payload + '\n') in a
-// single write(2) call on an O_APPEND descriptor; POSIX serialises such
-// appends, so concurrent replicas interleave whole lines rather than
-// bytes. Scan consumes complete lines incrementally — each call picks up
-// only what was appended (by anyone) since the previous call.
+// processes. An Append writes its lines (each payload + '\n') in a single
+// write(2) call on an O_APPEND descriptor; POSIX serialises such
+// appends, so concurrent replicas interleave whole appends rather than
+// bytes, and a killed writer leaves only whole lines plus at most one
+// torn tail. Scan consumes complete lines incrementally — each call
+// picks up only what was appended (by anyone) since the previous call.
 type Log struct {
 	sync bool
 
@@ -71,25 +73,35 @@ func OpenLog(path string, sync bool) (*Log, error) {
 	return l, nil
 }
 
-// Append writes line (which must not contain '\n') plus a newline as one
-// write call, then fsyncs when the log is sync'd. Concurrent appends
-// from other Log handles — including other processes — are safe.
-func (l *Log) Append(line []byte) error {
-	buf := make([]byte, 0, len(line)+2)
+// Append writes lines (none of which may contain '\n'), each plus a
+// newline, as one write call, then fsyncs when the log is sync'd. An
+// Append of no lines writes nothing. Concurrent appends from other Log
+// handles — including other processes — are safe.
+func (l *Log) Append(lines ...[]byte) error {
+	if len(lines) == 0 {
+		return nil
+	}
+	n := 1
+	for _, line := range lines {
+		n += len(line) + 1
+	}
+	buf := make([]byte, 0, n)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return fmt.Errorf("resultstore: append to closed log")
 	}
 	if l.needSep {
-		// Repair a torn tail left by a killed writer: our line must not
-		// glue onto the partial one. The separator rides in the same
-		// write so the line still lands atomically.
+		// Repair a torn tail left by a killed writer: our first line must
+		// not glue onto the partial one. The separator rides in the same
+		// write so the lines still land atomically.
 		buf = append(buf, '\n')
 		l.needSep = false
 	}
-	buf = append(buf, line...)
-	buf = append(buf, '\n')
+	for _, line := range lines {
+		buf = append(buf, line...)
+		buf = append(buf, '\n')
+	}
 	if _, err := l.f.Write(buf); err != nil {
 		return fmt.Errorf("resultstore: append: %w", err)
 	}

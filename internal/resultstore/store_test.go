@@ -127,36 +127,80 @@ func TestStoreCrossReplicaVisibility(t *testing.T) {
 	}
 }
 
+// TestStoreConcurrentWriters races four writers on one file: two put
+// one entry per append through Store, as lpmemd does, and two append
+// multi-line batches of entries through their own Log, as the sweep
+// store does. Every line must decode, and no entry may be lost or
+// duplicated.
 func TestStoreConcurrentWriters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.jsonl")
 	const writers, per = 4, 50
-	stores := make([]*Store, writers)
-	for w := range stores {
-		s, err := Open(path, Options{})
+	// Overlapping key ranges: same key gets the same payload from every
+	// writer, the content-addressed contract. Entry n of writer w is key
+	// (w*per+n) mod keys, so every key is appended exactly twice.
+	const keys = writers * per / 2
+	entry := func(w, n int) (string, payload) {
+		k := (w*per + n) % keys
+		return fmt.Sprintf("k%d", k), payload{N: k}
+	}
+	var wg sync.WaitGroup
+	var closers []func() error
+	for w := 0; w < writers; w++ {
+		if w%2 == 0 {
+			s, err := Open(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			closers = append(closers, s.Close)
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for n := 0; n < per; n++ {
+					if err := s.Put(entry(w, n)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+			continue
+		}
+		l, err := OpenLog(path, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stores[w] = s
-	}
-	var wg sync.WaitGroup
-	for w, s := range stores {
+		closers = append(closers, l.Close)
+		width := 3 + 4*(w/2) // 3 and 7: batch boundaries that do not line up
 		wg.Add(1)
-		go func(w int, s *Store) {
+		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				// Overlapping key ranges: same key gets the same payload
-				// from every writer, the content-addressed contract.
-				k := fmt.Sprintf("k%d", (w*per+i)%(writers*per/2))
-				if err := s.Put(k, payload{N: (w*per + i) % (writers * per / 2)}); err != nil {
+			for n := 0; n < per; n += width {
+				var lines [][]byte
+				for i := n; i < min(n+width, per); i++ {
+					k, p := entry(w, i)
+					raw, err := json.Marshal(p)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					line, err := json.Marshal(Entry{Key: k, Payload: raw})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					lines = append(lines, line)
+				}
+				if err := l.Append(lines...); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(w, s)
+		}(w)
 	}
 	wg.Wait()
-	for _, s := range stores {
-		_ = s.Close()
+	for _, c := range closers {
+		if err := c(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	merged, err := Open(path, Options{})
@@ -167,13 +211,33 @@ func TestStoreConcurrentWriters(t *testing.T) {
 	if st := merged.Stats(); st.SkippedLines != 0 {
 		t.Fatalf("concurrent appends tore %d lines", st.SkippedLines)
 	}
-	want := writers * per / 2
-	if merged.Len() != want {
-		t.Fatalf("merged store has %d keys, want %d", merged.Len(), want)
+	if merged.Len() != keys {
+		t.Fatalf("merged store has %d keys, want %d", merged.Len(), keys)
 	}
-	for i := 0; i < want; i++ {
+	for i := 0; i < keys; i++ {
 		if got := mustGet(t, merged, fmt.Sprintf("k%d", i)); got.N != i {
 			t.Fatalf("k%d = %+v", i, got)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != writers*per {
+		t.Fatalf("file holds %d lines, want the %d appended", len(lines), writers*per)
+	}
+	count := map[string]int{}
+	for _, ln := range lines {
+		var e Entry
+		if err := json.Unmarshal([]byte(ln), &e); err != nil {
+			t.Fatalf("line %q does not decode: %v", ln, err)
+		}
+		count[e.Key]++
+	}
+	for i := 0; i < keys; i++ {
+		if n := count[fmt.Sprintf("k%d", i)]; n != 2 {
+			t.Fatalf("k%d appended %d times, want 2", i, n)
 		}
 	}
 }

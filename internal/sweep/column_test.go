@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"lpmem/internal/runner"
 )
@@ -143,15 +144,17 @@ func TestRunColumnOnlyPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pending []Point
+	var stored []Record
 	for _, p := range pts {
 		if j, i := p.Int("j"), p.Int("i"); j == 1 || (j == 0 && i < 5) {
 			m, _ := fakeAdapter{}.Run(p)
-			if err := st.Put(RecordFor(ad.Name(), p, m)); err != nil {
-				t.Fatal(err)
-			}
+			stored = append(stored, newRecord(Key(ad.Name(), StoreVersion, p.Canonical()), ad.Name(), p, m))
 			continue
 		}
 		pending = append(pending, p)
+	}
+	if err := st.Put(stored...); err != nil {
+		t.Fatal(err)
 	}
 	res, err := Run(context.Background(), ad, pts, Config{Workers: 4, BatchSize: 8, Store: st})
 	if err != nil {
@@ -219,6 +222,84 @@ func TestRunColumnSample(t *testing.T) {
 	}
 	checkFakeOutcomes(t, res)
 	checkColumnCalls(t, ad, pts)
+}
+
+// overlapFake is a ColumnAdapter whose columns are contiguous in
+// canonical order, as memhier's are: the column axis, row, is the last
+// axis. RunColumn waits until a second RunColumn has started or the
+// deadline passes, and records whether two ever ran at once.
+type overlapFake struct {
+	deadline <-chan struct{}
+
+	mu         sync.Mutex
+	running    int
+	overlapped bool
+	both       chan struct{} // closed once two RunColumns run at once
+}
+
+func (*overlapFake) Name() string       { return "overlap" }
+func (*overlapFake) Describe() string   { return "test substrate" }
+func (*overlapFake) ColumnAxis() string { return "row" }
+func (*overlapFake) Space() Space {
+	return Space{Axes: []Axis{
+		{Name: "col", Kind: IntAxis, Min: 0, Max: 3},
+		{Name: "row", Kind: IntAxis, Min: 0, Max: 3},
+	}}
+}
+
+func (a *overlapFake) Run(p Point) (Metrics, error) { return runOne(a, p) }
+
+func (a *overlapFake) RunColumn(ps []Point) ([]Metrics, error) {
+	a.mu.Lock()
+	a.running++
+	if a.running > 1 && !a.overlapped {
+		a.overlapped = true
+		close(a.both)
+	}
+	a.mu.Unlock()
+	select {
+	case <-a.both:
+	case <-a.deadline:
+	}
+	a.mu.Lock()
+	a.running--
+	a.mu.Unlock()
+	out := make([]Metrics, len(ps))
+	for k, p := range ps {
+		out[k] = Metrics{EnergyPJ: float64(4*p.Int("col") + p.Int("row")), Latency: 1, Area: 1}
+	}
+	return out, nil
+}
+
+// TestRunStartsColumnsTogether: with two workers over contiguous 4-point
+// columns in 8-point batches, each batch starts both its columns before
+// either column's second point, so two RunColumns overlap. Dispatched in
+// point order, the second worker would wait on the first column instead.
+func TestRunStartsColumnsTogether(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ad := &overlapFake{deadline: ctx.Done(), both: make(chan struct{})}
+	pts, err := ad.Space().Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), ad, pts, Config{Workers: 2, BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluated != len(pts) {
+		t.Fatalf("evaluated %d of %d points", res.Evaluated, len(pts))
+	}
+	for _, o := range res.Outcomes {
+		if want := float64(4*o.Point.Int("col") + o.Point.Int("row")); o.Metrics.EnergyPJ != want {
+			t.Fatalf("%s: energy %v, want %v", o.Point.Canonical(), o.Metrics.EnergyPJ, want)
+		}
+	}
+	ad.mu.Lock()
+	defer ad.mu.Unlock()
+	if !ad.overlapped {
+		t.Fatal("no two columns ran at once: the second worker waited on the first column")
+	}
 }
 
 // TestColumnAdaptersMatchPerPoint: on the full banks and memhier grids,

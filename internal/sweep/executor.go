@@ -1,8 +1,10 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,8 +47,11 @@ type Config struct {
 	// Workers bounds the runner pool; <= 0 means GOMAXPROCS.
 	Workers int
 	// BatchSize is the shard width: points are submitted to the pool in
-	// batches this large, and the store is flushed and progress reported
-	// at every batch boundary. <= 0 means 32.
+	// batches this large, and each batch is a barrier: its successes
+	// reach the store in one Put (one write to the file) before its
+	// progress report, and the next batch starts after both. Within a
+	// batch, every column's first point is dispatched before any
+	// column's second. <= 0 means 32.
 	BatchSize int
 	// Timeout bounds each point evaluation; 0 means none. For a
 	// ColumnAdapter, the first job of a column to run evaluates the
@@ -81,23 +86,37 @@ func Run(ctx context.Context, ad Adapter, pts []Point, cfg Config) (*Result, err
 		cfg.BatchSize = 32
 	}
 
-	// Validate, deduplicate and sort into canonical order.
-	sorted := make([]Point, 0, len(pts))
+	// Validate, deduplicate and sort into canonical order. Each point's
+	// canonical form is derived once, and from it its store key, which
+	// serves the store lookup, the job ID and the record.
+	check := space.validator()
+	type point struct {
+		p         Point
+		canonical string
+	}
+	uniq := make([]point, 0, len(pts))
 	seen := make(map[string]bool, len(pts))
 	for _, p := range pts {
-		if err := space.Contains(p); err != nil {
+		c, err := check.canonical(p)
+		if err != nil {
 			return nil, err
 		}
-		c := p.Canonical()
 		if seen[c] {
 			continue
 		}
 		seen[c] = true
-		sorted = append(sorted, p)
+		uniq = append(uniq, point{p: p, canonical: c})
 	}
-	SortPoints(space.Axes, sorted)
+	order := pointOrder(space.Axes)
+	slices.SortStableFunc(uniq, func(a, b point) int { return order(a.p, b.p) })
+	name := ad.Name()
+	sorted := make([]Point, len(uniq))
+	keys := make([]string, len(uniq))
+	for i, u := range uniq {
+		sorted[i], keys[i] = u.p, Key(name, StoreVersion, u.canonical)
+	}
 
-	res := &Result{Adapter: ad.Name(), Total: len(sorted)}
+	res := &Result{Adapter: name, Total: len(sorted)}
 	res.Outcomes = make([]Outcome, len(sorted))
 
 	// Merge what peer replicas appended to a shared store since it was
@@ -109,10 +128,9 @@ func Run(ctx context.Context, ad Adapter, pts []Point, cfg Config) (*Result, err
 	}
 	var pending []int
 	for i, p := range sorted {
-		key := Key(ad.Name(), StoreVersion, p)
 		if cfg.Store != nil {
-			if rec, ok := cfg.Store.Get(key); ok {
-				res.Outcomes[i] = Outcome{Point: p, Metrics: rec.Metrics, Cached: true}
+			if m, ok := cfg.Store.Get(keys[i]); ok {
+				res.Outcomes[i] = Outcome{Point: p, Metrics: m, Cached: true}
 				res.Cached++
 				continue
 			}
@@ -120,7 +138,7 @@ func Run(ctx context.Context, ad Adapter, pts []Point, cfg Config) (*Result, err
 		pending = append(pending, i)
 	}
 
-	evals := evaluators(ad, sorted, pending)
+	evals, pos := evaluators(ad, sorted, pending)
 	eng := runner.New[Metrics](runner.Options{
 		Workers: cfg.Workers,
 		Timeout: cfg.Timeout,
@@ -148,10 +166,17 @@ func Run(ctx context.Context, ad Adapter, pts []Point, cfg Config) (*Result, err
 			break
 		}
 
+		// Dispatch the batch by position in column, stably: every
+		// column's first point starts before any column's second, so
+		// idle workers start other columns instead of waiting on one.
+		dispatch := make([]int, len(batch))
+		for j := range dispatch {
+			dispatch[j] = j
+		}
+		slices.SortStableFunc(dispatch, func(x, y int) int { return cmp.Compare(pos[lo+x], pos[lo+y]) })
 		jobs := make([]runner.Job[Metrics], len(batch))
-		for j, i := range batch {
-			key := Key(ad.Name(), StoreVersion, sorted[i])
-			eval := evals[lo+j]
+		for k, j := range dispatch {
+			key, eval := keys[batch[j]], evals[lo+j]
 			run := func(ctx context.Context) (Metrics, error) {
 				if err := ctx.Err(); err != nil {
 					return Metrics{}, err
@@ -161,12 +186,17 @@ func Run(ctx context.Context, ad Adapter, pts []Point, cfg Config) (*Result, err
 			if cfg.WrapJob != nil {
 				run = cfg.WrapJob(key, run)
 			}
-			jobs[j] = runner.Job[Metrics]{ID: key, Run: run}
+			jobs[k] = runner.Job[Metrics]{ID: key, Run: run}
 		}
-		outs := eng.Run(ctx, jobs)
+		outs := make([]runner.Outcome[Metrics], len(batch))
+		for k, o := range eng.Run(ctx, jobs) {
+			outs[dispatch[k]] = o
+		}
 
-		// Persist the batch's successes before reporting progress, so
-		// resume never observes progress the store doesn't back.
+		// Persist the batch's successes in one write before reporting
+		// progress, so resume never observes progress the store doesn't
+		// back.
+		var recs []Record
 		for j, i := range batch {
 			o := outs[j]
 			res.Outcomes[i] = Outcome{Point: sorted[i], Metrics: o.Value, Err: o.Err}
@@ -176,9 +206,12 @@ func Run(ctx context.Context, ad Adapter, pts []Point, cfg Config) (*Result, err
 			}
 			res.Evaluated++
 			if cfg.Store != nil {
-				if err := cfg.Store.Put(RecordFor(ad.Name(), sorted[i], o.Value)); err != nil {
-					return nil, fmt.Errorf("sweep: persisting batch %d: %w", b+1, err)
-				}
+				recs = append(recs, newRecord(keys[i], name, sorted[i], o.Value))
+			}
+		}
+		if cfg.Store != nil {
+			if err := cfg.Store.Put(recs...); err != nil {
+				return nil, fmt.Errorf("sweep: persisting batch %d: %w", b+1, err)
 			}
 		}
 		done += len(batch)
@@ -196,28 +229,31 @@ func Run(ctx context.Context, ad Adapter, pts []Point, cfg Config) (*Result, err
 	return res, nil
 }
 
-// evaluators returns the evaluation each pending point's job runs: Run,
-// or for a ColumnAdapter its element of the point's column. The pending
-// points of one column share a sync.OnceValues over RunColumn, so the
-// first of its jobs to run computes the whole column and the others
-// wait for it. A column is shared across batches, because the canonical
-// order can spread it over all of them (the banks grid puts a block
-// size's budgets seven points apart). Jobs stay per point, so WrapJob,
-// progress, store flushes and per-point outcomes are as for any
-// adapter, and a RunColumn error or panic fails that column's points
-// only: OnceValues repeats it to every caller.
-func evaluators(ad Adapter, sorted []Point, pending []int) []func() (Metrics, error) {
+// evaluators returns the evaluation each pending point's job runs, and
+// the point's position among its column's pending points (0 for every
+// point of an adapter without columns). A job runs Run, or for a
+// ColumnAdapter its element of the point's column. The pending points of
+// one column share a sync.OnceValues over RunColumn, so the first of its
+// jobs to run computes the whole column and the others wait for it. A
+// column is shared across batches, because the canonical order can
+// spread it over all of them (the banks grid puts a block size's budgets
+// seven points apart). Jobs stay per point, so WrapJob, progress, store
+// flushes and per-point outcomes are as for any adapter, and a RunColumn
+// error or panic fails that column's points only: OnceValues repeats it
+// to every caller.
+func evaluators(ad Adapter, sorted []Point, pending []int) ([]func() (Metrics, error), []int) {
 	if len(pending) == 0 {
-		return nil
+		return nil, nil
 	}
 	evals := make([]func() (Metrics, error), len(pending))
+	pos := make([]int, len(pending))
 	ca, ok := ad.(ColumnAdapter)
 	if !ok {
 		for j, i := range pending {
 			p := sorted[i]
 			evals[j] = func() (Metrics, error) { return ad.Run(p) }
 		}
-		return evals
+		return evals, pos
 	}
 	type column struct {
 		pts []Point
@@ -237,6 +273,7 @@ func evaluators(ad Adapter, sorted []Point, pending []int) []func() (Metrics, er
 		}
 		k := len(c.pts)
 		c.pts = append(c.pts, sorted[i])
+		pos[j] = k
 		evals[j] = func() (Metrics, error) {
 			ms, err := c.run()
 			if err != nil {
@@ -245,5 +282,5 @@ func evaluators(ad Adapter, sorted []Point, pending []int) []func() (Metrics, er
 			return ms[k], nil
 		}
 	}
-	return evals
+	return evals, pos
 }

@@ -129,10 +129,36 @@ func TestRunCancelledContext(t *testing.T) {
 }
 
 func TestRunProgressStream(t *testing.T) {
+	pts := fakePoints(t)
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	st, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	var progress []Progress
-	res, err := Run(context.Background(), fakeAdapter{}, fakePoints(t), Config{
-		BatchSize:  8,
-		OnProgress: func(p Progress) { progress = append(progress, p) },
+	res, err := Run(context.Background(), fakeAdapter{}, pts, Config{
+		BatchSize: 8,
+		Store:     st,
+		OnProgress: func(p Progress) {
+			progress = append(progress, p)
+			// Progress never outruns the store: a peer opening the file
+			// now finds every point of the batches reported so far (no
+			// point fails, and pts is in canonical order).
+			peer, err := OpenStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+			if peer.Len() != p.Done {
+				t.Fatalf("batch %d reported %d points done, the store holds %d", p.Batch, p.Done, peer.Len())
+			}
+			for _, q := range pts[:p.Done] {
+				if _, ok := peer.Get(Key("fake", StoreVersion, q.Canonical())); !ok {
+					t.Fatalf("batch %d reported before %s reached the store", p.Batch, q.Canonical())
+				}
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

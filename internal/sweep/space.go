@@ -31,13 +31,13 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"maps"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -204,7 +204,12 @@ func (p Point) Canonical() string {
 	for k := range p {
 		names = append(names, k)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
+	return p.canonicalIn(names)
+}
+
+// canonicalIn renders the canonical form given p's axis names, sorted.
+func (p Point) canonicalIn(names []string) string {
 	var b strings.Builder
 	for i, n := range names {
 		if i > 0 {
@@ -225,14 +230,28 @@ func (p Point) columnKey(axis string) string {
 	return q.Canonical()
 }
 
-// Key content-addresses the point for the result store: the adapter name
-// and version pin the code that produced the metrics (same spirit as the
-// engine's CacheKey), and the FNV-64a of the canonical form identifies
-// the coordinates.
-func Key(adapter, version string, p Point) string {
+// Key content-addresses a point, given its canonical form (see
+// Point.Canonical), for the result store: the adapter name and version
+// pin the code that produced the metrics (same spirit as the engine's
+// CacheKey), and the FNV-64a of "adapter@version|canonical" identifies
+// the coordinates. The key is "adapter@version:" and that hash in 16
+// hex digits.
+func Key(adapter, version, canonical string) string {
+	var buf [128]byte
+	b := append(buf[:0], adapter...)
+	b = append(b, '@')
+	b = append(b, version...)
+	prefix := len(b)
+	b = append(b, '|')
+	b = append(b, canonical...)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s@%s|%s", adapter, version, p.Canonical())
-	return fmt.Sprintf("%s@%s:%016x", adapter, version, h.Sum64())
+	_, _ = h.Write(b) // a hash.Hash's Write never returns an error
+	sum := h.Sum64()
+	b = append(b[:prefix], ':')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[sum>>shift&0xf])
+	}
+	return string(b)
 }
 
 // Constraint removes illegal points from a space. Allow reports whether
@@ -272,35 +291,61 @@ func (s Space) Validate() error {
 	return nil
 }
 
-// Contains checks that the point assigns exactly the space's axes with
-// in-domain values (a stepped axis' value must be one of its grid
-// values) and satisfies every constraint.
-func (s Space) Contains(p Point) error {
-	if len(p) != len(s.Axes) {
-		return fmt.Errorf("sweep: point %q assigns %d axes, space has %d", p.Canonical(), len(p), len(s.Axes))
+// validator checks many points against one space: it derives each
+// stepped axis' grid and sorts the axis names once, where a per-point
+// check would redo both for every point.
+type validator struct {
+	space Space
+	// grids holds each stepped axis' grid values, nil for other axes.
+	grids [][]Value
+	// names is the axis names, sorted: a valid point's canonical order.
+	names []string
+}
+
+// validator prepares s for validating points; s must be valid.
+func (s Space) validator() validator {
+	v := validator{space: s, grids: make([][]Value, len(s.Axes)), names: make([]string, len(s.Axes))}
+	for i, a := range s.Axes {
+		if a.Kind == IntAxis && a.Steps > 0 {
+			v.grids[i] = a.gridValues()
+		}
+		v.names[i] = a.Name
 	}
-	for _, a := range s.Axes {
-		v, ok := p[a.Name]
+	slices.Sort(v.names)
+	return v
+}
+
+// canonical checks that p assigns exactly the space's axes with
+// in-domain values (a stepped axis' value must be one of its grid
+// values) and satisfies every constraint, and returns p's canonical
+// form.
+func (v validator) canonical(p Point) (string, error) {
+	s := v.space
+	if len(p) != len(s.Axes) {
+		return "", fmt.Errorf("sweep: point %q assigns %d axes, space has %d", p.Canonical(), len(p), len(s.Axes))
+	}
+	for i, a := range s.Axes {
+		x, ok := p[a.Name]
 		if !ok {
-			return fmt.Errorf("sweep: point %q misses axis %q", p.Canonical(), a.Name)
+			return "", fmt.Errorf("sweep: point %q misses axis %q", p.Canonical(), a.Name)
 		}
 		switch {
 		case a.Kind == EnumAxis:
-			if !slices.Contains(a.Values, v.String()) {
-				return fmt.Errorf("sweep: %q is not a value of enum axis %q", v.String(), a.Name)
+			if !slices.Contains(a.Values, x.String()) {
+				return "", fmt.Errorf("sweep: %q is not a value of enum axis %q", x.String(), a.Name)
 			}
-		case v.enum:
-			return fmt.Errorf("sweep: axis %q: enum value %q on numeric axis", a.Name, v.str)
-		case v.num < a.Min || v.num > a.Max:
-			return fmt.Errorf("sweep: axis %q: value %d outside [%d,%d]", a.Name, v.num, a.Min, a.Max)
-		case a.Steps > 0 && !slices.Contains(a.gridValues(), v):
-			return fmt.Errorf("sweep: axis %q: value %d is off the stepped grid", a.Name, v.num)
+		case x.enum:
+			return "", fmt.Errorf("sweep: axis %q: enum value %q on numeric axis", a.Name, x.str)
+		case x.num < a.Min || x.num > a.Max:
+			return "", fmt.Errorf("sweep: axis %q: value %d outside [%d,%d]", a.Name, x.num, a.Min, a.Max)
+		case v.grids[i] != nil && !slices.Contains(v.grids[i], x):
+			return "", fmt.Errorf("sweep: axis %q: value %d is off the stepped grid", a.Name, x.num)
 		}
 	}
 	if !s.allowed(p) {
-		return fmt.Errorf("sweep: point %q violates a space constraint", p.Canonical())
+		return "", fmt.Errorf("sweep: point %q violates a space constraint", p.Canonical())
 	}
-	return nil
+	return p.canonicalIn(v.names), nil
 }
 
 // allowed applies every constraint.
@@ -413,6 +458,11 @@ func axisRand(seed int64, axis, role string) *rand.Rand {
 // every report iterate points in this order, which is what makes sweep
 // output byte-reproducible.
 func SortPoints(axes []Axis, pts []Point) {
+	slices.SortStableFunc(pts, pointOrder(axes))
+}
+
+// pointOrder is the comparison SortPoints sorts by.
+func pointOrder(axes []Axis) func(p, q Point) int {
 	rank := make(map[string]map[string]int, len(axes))
 	for _, a := range axes {
 		if a.Kind == EnumAxis {
@@ -423,20 +473,19 @@ func SortPoints(axes []Axis, pts []Point) {
 			rank[a.Name] = m
 		}
 	}
-	sort.SliceStable(pts, func(i, j int) bool {
+	return func(p, q Point) int {
 		for _, a := range axes {
-			vi, vj := pts[i][a.Name], pts[j][a.Name]
+			vp, vq := p[a.Name], q[a.Name]
 			if a.Kind == EnumAxis {
-				ri, rj := rank[a.Name][vi.str], rank[a.Name][vj.str]
-				if ri != rj {
-					return ri < rj
+				if c := cmp.Compare(rank[a.Name][vp.str], rank[a.Name][vq.str]); c != 0 {
+					return c
 				}
 				continue
 			}
-			if vi.num != vj.num {
-				return vi.num < vj.num
+			if c := cmp.Compare(vp.num, vq.num); c != 0 {
+				return c
 			}
 		}
-		return false
-	})
+		return 0
+	}
 }

@@ -35,11 +35,15 @@ func TestGridEnumeration(t *testing.T) {
 		t.Fatalf("GridSize %d, want 32", sp.GridSize())
 	}
 	seen := map[string]bool{}
+	check := sp.validator()
 	for _, p := range pts {
-		if err := sp.Contains(p); err != nil {
+		c, err := check.canonical(p)
+		if err != nil {
 			t.Fatalf("grid emitted out-of-space point: %v", err)
 		}
-		c := p.Canonical()
+		if c != p.Canonical() {
+			t.Fatalf("validated canonical form %q, Canonical %q", c, p.Canonical())
+		}
 		if seen[c] {
 			t.Fatalf("duplicate grid point %s", c)
 		}
@@ -107,8 +111,9 @@ func TestSampleDeterministicSeedSensitive(t *testing.T) {
 			t.Fatalf("same-seed sample differs at %d", i)
 		}
 	}
+	check := sp.validator()
 	for _, p := range a {
-		if err := sp.Contains(p); err != nil {
+		if _, err := check.canonical(p); err != nil {
 			t.Fatalf("sample emitted out-of-space point: %v", err)
 		}
 	}
@@ -154,15 +159,16 @@ func TestContainsRejects(t *testing.T) {
 		{"banks": EnumValue("x"), "size": IntValue(16), "mode": EnumValue("wb")}, // enum on numeric axis
 		{"banks": IntValue(1), "size": IntValue(100), "mode": EnumValue("wb")},   // off the stepped grid
 	}
+	check := sp.validator()
 	for i, p := range cases {
-		if err := sp.Contains(p); err == nil {
-			t.Errorf("case %d: Contains accepted illegal point %s", i, p.Canonical())
+		if _, err := check.canonical(p); err == nil {
+			t.Errorf("case %d: validation accepted illegal point %s", i, p.Canonical())
 		}
 	}
 	// An enum coordinate is checked by its text form, whatever built it.
 	enums := Space{Axes: []Axis{{Name: "tech", Kind: EnumAxis, Values: []string{"180", "90"}}}}
-	if err := enums.Contains(Point{"tech": IntValue(90)}); err != nil {
-		t.Errorf("Contains rejected an integer spelling an enum label: %v", err)
+	if _, err := enums.validator().canonical(Point{"tech": IntValue(90)}); err != nil {
+		t.Errorf("validation rejected an integer spelling an enum label: %v", err)
 	}
 }
 
@@ -172,17 +178,18 @@ func TestKeyStableAndCanonical(t *testing.T) {
 	if p.Canonical() != q.Canonical() {
 		t.Fatalf("canonical form depends on construction order: %q vs %q", p.Canonical(), q.Canonical())
 	}
-	if Key("banks", StoreVersion, p) != Key("banks", StoreVersion, q) {
-		t.Fatal("key depends on construction order")
-	}
-	if Key("banks", StoreVersion, p) == Key("cache", StoreVersion, p) {
+	c := p.Canonical()
+	if Key("banks", StoreVersion, c) == Key("cache", StoreVersion, c) {
 		t.Fatal("key ignores adapter")
 	}
-	if Key("banks", "v1", p) == Key("banks", "v2", p) {
+	if Key("banks", "v1", c) == Key("banks", "v2", c) {
 		t.Fatal("key ignores version")
 	}
-	if !strings.HasPrefix(Key("banks", StoreVersion, p), "banks@"+StoreVersion+":") {
-		t.Fatalf("key %q misses the adapter@version prefix", Key("banks", StoreVersion, p))
+	if Key("banks", StoreVersion, c) == Key("banks", StoreVersion, Point{"banks": IntValue(4), "block": IntValue(32)}.Canonical()) {
+		t.Fatal("key ignores coordinates")
+	}
+	if !strings.HasPrefix(Key("banks", StoreVersion, c), "banks@"+StoreVersion+":") {
+		t.Fatalf("key %q misses the adapter@version prefix", Key("banks", StoreVersion, c))
 	}
 }
 

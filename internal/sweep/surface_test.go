@@ -35,7 +35,7 @@ func surfaceDigests(t *testing.T) []byte {
 	}
 	points := func(h hash.Hash, name string, pts []Point) {
 		for _, p := range pts {
-			fmt.Fprintf(h, "%s %s\n", p.Canonical(), Key(name, StoreVersion, p))
+			fmt.Fprintf(h, "%s %s\n", p.Canonical(), Key(name, StoreVersion, p.Canonical()))
 		}
 	}
 	for _, ad := range Adapters() {

@@ -249,13 +249,23 @@ stage_serve() {
 stage_sweep() {
     echo "== lpmem sweep (resume determinism gate)"
     go build -o "$BIN/lpmem" ./cmd/lpmem
-    local dir space
+    local dir space evaluated lines
     dir=$(mktemp -d)
     # Cold run populates each store; the resumed run must re-execute
     # nothing and reproduce the frontier byte-for-byte.
     for space in banks bus cache memhier memtech nuca; do
         "$BIN/lpmem" sweep -space "$space" -resume "$dir/$space.jsonl" -pareto \
             >"$dir/front1.txt" 2>"$dir/sum1.txt"
+        # Each batch lands in one append: the cold store must hold one
+        # line per evaluated point, none lost or duplicated.
+        evaluated=$(sed -n 's/.*(evaluated \([0-9]*\),.*/\1/p' "$dir/sum1.txt")
+        lines=$(wc -l <"$dir/$space.jsonl")
+        if [ -z "$evaluated" ] || [ "$lines" -ne "$evaluated" ]; then
+            cat "$dir/sum1.txt" >&2
+            echo "sweep $space store holds $lines lines for ${evaluated:-no} evaluated points" >&2
+            rm -rf "$dir"
+            exit 1
+        fi
         "$BIN/lpmem" sweep -space "$space" -resume "$dir/$space.jsonl" -pareto \
             >"$dir/front2.txt" 2>"$dir/sum2.txt"
         cat "$dir/sum1.txt" "$dir/sum2.txt"

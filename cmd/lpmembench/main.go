@@ -9,6 +9,7 @@
 //	lpmembench -check -json           # machine-readable drift report
 //	lpmembench -check -filter E1,E11  # restrict to a subset
 //	lpmembench -record -iterations 5  # more damping for a cleaner record
+//	lpmembench -record -filter E10    # re-record a subset; keeps the calibration
 //
 // -check measures every (selected) experiment through the real runner
 // engine with caching disabled, diffs tables and summaries exactly
@@ -141,6 +142,11 @@ func selectExperiments(filter string) ([]lpmem.Experiment, error) {
 // optimization log of an existing baseline file. A baseline file that
 // does not exist yet starts from the default baseline's optimization
 // log, so recording into a new file carries the log forward.
+//
+// A record of part of the registry into an existing baseline keeps the
+// file's calibration, which every other entry's wall time is relative
+// to, and stores each new wall scaled to it: measured × recorded / live
+// calibration. A full record re-calibrates the whole file.
 func doRecord(cfg config, exps []lpmem.Experiment, progress func(string), stdout, stderr io.Writer) int {
 	meas, err := regress.MeasureAll(exps, cfg.iterations, progress)
 	if err != nil {
@@ -155,17 +161,23 @@ func doRecord(cfg config, exps []lpmem.Experiment, progress func(string), stdout
 	} else if def, err := regress.ReadBaseline(defaultBaseline); err == nil {
 		base.Optimizations = def.Optimizations
 	}
-	base.GoVersion = runtime.Version()
-	base.Iterations = cfg.iterations
-	base.TolerancePct = cfg.tolerance
-	base.CalibrationNS = regress.Calibrate(cfg.iterations)
+	liveCal := regress.Calibrate(cfg.iterations)
+	scale := 1.0
+	if base.CalibrationNS > 0 && subset(exps) {
+		scale = regress.Scale(base.CalibrationNS, liveCal)
+	} else {
+		base.GoVersion = runtime.Version()
+		base.Iterations = cfg.iterations
+		base.TolerancePct = cfg.tolerance
+		base.CalibrationNS = liveCal
+	}
 	for _, m := range meas {
 		if err := regress.WriteGolden(cfg.goldenDir, m.Snapshot); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		base.Upsert(regress.ExperimentBaseline{
-			ID: m.ID, WallNS: m.WallNS, Allocs: m.Allocs, Bytes: m.Bytes,
+			ID: m.ID, WallNS: int64(float64(m.WallNS) / scale), Allocs: m.Allocs, Bytes: m.Bytes,
 			Headline: m.Snapshot.Summary,
 		})
 	}
@@ -178,13 +190,23 @@ func doRecord(cfg config, exps []lpmem.Experiment, progress func(string), stdout
 			TolerancePct: cfg.tolerance, Drifts: []regress.Drift{}, Measurements: meas}
 		return emitJSON(stdout, stderr, rep, 0)
 	}
-	fmt.Fprintf(stdout, "recorded %d experiments to %s (goldens in %s, calibration %.1fms)\n",
-		len(meas), cfg.baseline, cfg.goldenDir, float64(base.CalibrationNS)/1e6)
+	fmt.Fprintf(stdout, "recorded %d experiments to %s (goldens in %s, calibration %.1fms recorded, %.1fms live)\n",
+		len(meas), cfg.baseline, cfg.goldenDir, float64(base.CalibrationNS)/1e6, float64(liveCal)/1e6)
 	for _, m := range meas {
+		eb, _ := base.ByID(m.ID)
 		fmt.Fprintf(stdout, "  %-4s %8.1fms %9d allocs  %s\n",
-			m.ID, float64(m.WallNS)/1e6, m.Allocs, m.Snapshot.Summary)
+			m.ID, float64(eb.WallNS)/1e6, m.Allocs, m.Snapshot.Summary)
 	}
 	return 0
+}
+
+// subset reports whether exps leaves out some registry experiment.
+func subset(exps []lpmem.Experiment) bool {
+	ids := make(map[string]bool, len(exps))
+	for _, e := range exps {
+		ids[e.ID] = true
+	}
+	return len(ids) < len(lpmem.Experiments())
 }
 
 // doCheck measures the live tree and diffs it against the committed

@@ -94,6 +94,48 @@ func TestRecordNewBaselineKeepsDefaultLog(t *testing.T) {
 	}
 }
 
+// TestFilteredRecordKeepsCalibration: re-recording part of the registry
+// into an existing baseline leaves the file's calibration and every other
+// experiment's entry as they were, and replaces the selected entry.
+func TestFilteredRecordKeepsCalibration(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bench.json")
+	const calibration = 12_345_678
+	prev := &regress.Baseline{
+		CalibrationNS: calibration,
+		Experiments: []regress.ExperimentBaseline{
+			{ID: "E1", WallNS: 111, Allocs: 1, Bytes: 10, Headline: "kept"},
+			{ID: "E4", WallNS: 444, Allocs: 4, Bytes: 40, Headline: "kept"},
+			{ID: "E17", WallNS: 1_717, Allocs: 17, Bytes: 170, Headline: "replaced"},
+		},
+	}
+	if err := regress.WriteBaseline(path, prev); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-record", "-filter", "E17", "-iterations", "1",
+		"-baseline", path, "-golden", filepath.Join(dir, "golden")}
+	var out, errOut bytes.Buffer
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("record exit %d, stderr: %s", code, errOut.String())
+	}
+	got, err := regress.ReadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CalibrationNS != calibration {
+		t.Fatalf("calibration_ns %d after a filtered record, want the file's %d", got.CalibrationNS, calibration)
+	}
+	for _, id := range []string{"E1", "E4"} {
+		want, _ := prev.ByID(id)
+		if eb, ok := got.ByID(id); !ok || eb != want {
+			t.Fatalf("%s entry %+v after a filtered record, want %+v", id, eb, want)
+		}
+	}
+	if eb, ok := got.ByID("E17"); !ok || eb.Headline == "replaced" || eb.WallNS <= 0 {
+		t.Fatalf("E17 entry %+v was not re-recorded", eb)
+	}
+}
+
 // TestCheckDetectsTableDrift: corrupting a committed golden row makes
 // the check exit non-zero and name the drift.
 func TestCheckDetectsTableDrift(t *testing.T) {

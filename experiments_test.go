@@ -3,6 +3,7 @@ package lpmem
 import (
 	"testing"
 
+	"lpmem/internal/noc"
 	"lpmem/internal/trace"
 	"lpmem/internal/workloads"
 )
@@ -90,6 +91,24 @@ func TestProfileAppsDeterministic(t *testing.T) {
 			if a[i].Trace.Accesses[j] != b[i].Trace.Accesses[j] {
 				t.Fatalf("%s: access %d differs", a[i].Name, j)
 			}
+		}
+	}
+}
+
+// TestE10RowsAreProved: every E10 search completes under the table's
+// node cap, so each "bnb E" cell is a proved minimum, not the best
+// mapping a capped search happened to reach.
+func TestE10RowsAreProved(t *testing.T) {
+	g := noc.MMSGraph()
+	for _, bw := range e10LinkBWs {
+		m := noc.DefaultMesh()
+		m.LinkBW = bw
+		res, err := noc.MapBnB(m, g, e10MaxNodes)
+		if err != nil {
+			t.Fatalf("link BW %v: %v", bw, err)
+		}
+		if res.Capped {
+			t.Fatalf("link BW %v: the search stopped at its %d-node cap", bw, e10MaxNodes)
 		}
 	}
 }

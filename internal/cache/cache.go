@@ -280,3 +280,61 @@ func (c *Cache) ReplayCursor(cur trace.Cursor) (Stats, error) {
 	}
 	return c.stats, cur.Err()
 }
+
+// StackHits replays the loads and stores of t (fetches are skipped)
+// through one LRU stack per set, each depth tags deep, for sets sets of
+// lineSize-byte lines, split into set and tag as Access splits them. It
+// returns the number of accesses and, for each depth d < depth, how many
+// accesses found their line d places below the top of its set's stack,
+// that is, behind d more recently used lines.
+//
+// By LRU stack inclusion, a cache of the same sets and line size with
+// w <= depth ways hits exactly the accesses at depths below w, so its
+// Stats.Hits is hits[0] + ... + hits[w-1]: one pass prices every
+// associativity up to depth. The precondition is write-allocate: every
+// miss must install its line, as Access does with WriteAllocate set. A
+// write-around store miss leaves its set unchanged, and there the sum
+// does not hold. The write policy does not matter, since no hit or miss
+// depends on it.
+func StackHits(t *trace.Trace, sets, lineSize, depth int) (uint64, []uint64, error) {
+	if err := (Config{Sets: sets, Ways: depth, LineSize: lineSize}).Validate(); err != nil {
+		return 0, nil, err
+	}
+	offBits := uint32(bits.TrailingZeros(uint(lineSize)))
+	setBits := uint32(bits.TrailingZeros(uint(sets)))
+	setMask := uint32(sets - 1)
+	// Set s's stack is stacks[s*depth:(s+1)*depth], most recent tag
+	// first; fill[s] counts its valid tags.
+	stacks := make([]uint32, sets*depth)
+	fill := make([]int, sets)
+	hits := make([]uint64, depth)
+	var accesses uint64
+	for _, a := range t.Accesses {
+		if a.Kind == trace.Fetch {
+			continue
+		}
+		accesses++
+		set := int((a.Addr >> offBits) & setMask)
+		tag := a.Addr >> offBits >> setBits
+		stack := stacks[set*depth : (set+1)*depth]
+		n := fill[set]
+		d := 0
+		for d < n && stack[d] != tag {
+			d++
+		}
+		switch {
+		case d < n:
+			hits[d]++
+		case n < depth:
+			fill[set]++
+		default:
+			// A miss in a full stack drops its least recently used tag.
+			d--
+		}
+		for ; d > 0; d-- {
+			stack[d] = stack[d-1]
+		}
+		stack[0] = tag
+	}
+	return accesses, hits, nil
+}

@@ -234,3 +234,39 @@ func TestMissTrafficRejectsBadGeometry(t *testing.T) {
 		}
 	}
 }
+
+// TestStackHits follows one set's LRU stack through a hand-built trace
+// and checks the sums against replays at every associativity up to the
+// depth.
+func TestStackHits(t *testing.T) {
+	tr := &trace.Trace{Accesses: []trace.Access{
+		{Addr: 0x00, Kind: trace.Read, Width: 4},  // A miss: [A]
+		{Addr: 0x10, Kind: trace.Write, Width: 4}, // B miss: [B A]
+		{Addr: 0x40, Kind: trace.Fetch, Width: 4}, // skipped
+		{Addr: 0x04, Kind: trace.Read, Width: 4},  // A hit at depth 1: [A B]
+		{Addr: 0x20, Kind: trace.Read, Width: 4},  // C miss: [C A B]
+		{Addr: 0x1c, Kind: trace.Write, Width: 4}, // B hit at depth 2: [B C A]
+		{Addr: 0x30, Kind: trace.Read, Width: 4},  // D miss, A dropped: [D B C]
+		{Addr: 0x08, Kind: trace.Read, Width: 4},  // A miss: [A D B]
+	}}
+	accesses, hits, err := StackHits(tr, 1, 16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accesses != 7 || len(hits) != 3 || hits[0] != 0 || hits[1] != 1 || hits[2] != 1 {
+		t.Fatalf("accesses %d, hits by depth %v; want 7, [0 1 1]", accesses, hits)
+	}
+	var sum uint64
+	for ways := 1; ways <= 3; ways++ {
+		sum += hits[ways-1]
+		st := mustNew(t, Config{Sets: 1, Ways: ways, LineSize: 16, WriteBack: true, WriteAllocate: true}).Replay(tr)
+		if st.Accesses != accesses || st.Hits != sum {
+			t.Errorf("%d ways: replay %d hits of %d, stack sum %d of %d", ways, st.Hits, st.Accesses, sum, accesses)
+		}
+	}
+	for _, bad := range [][3]int{{3, 16, 2}, {4, 24, 2}, {4, 16, 0}} {
+		if _, _, err := StackHits(tr, bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("sets %d, line %d, depth %d: no error", bad[0], bad[1], bad[2])
+		}
+	}
+}

@@ -13,7 +13,10 @@
 //
 // Both methodologies are implemented; the reproduced result is that the
 // direct method returns the same minimal configurations while running an
-// order of magnitude fewer simulations.
+// order of magnitude fewer simulations. The explorer counts the
+// simulations each method asks for, but prices them from the same stack
+// inclusion: one LRU stack pass per set count (cache.StackHits) gives the
+// miss rate of every associativity at once.
 package cachedesign
 
 import (
@@ -47,40 +50,81 @@ type Candidate struct {
 // SizeBytes returns the candidate's capacity.
 func (c Candidate) SizeBytes() int { return c.Config.SizeBytes() }
 
-// Explorer counts simulations so methodologies can be compared.
+// Explorer evaluates configurations of a space on one trace and counts
+// them, so methodologies can be compared.
 type Explorer struct {
 	tr *trace.Trace
-	// Simulations is the number of full trace simulations run.
+	// Simulations counts the distinct configurations evaluated since the
+	// explorer was made or last Reset: the cache simulations a
+	// design-simulate-analyze flow would run to get those miss rates. The
+	// explorer itself prices them from stack passes (see missRate).
 	Simulations int
-	memo        map[cache.Config]float64
+	seen        map[cache.Config]bool
+	// passes holds one stack pass per geometry. A pass depends only on
+	// the trace, so it outlives Reset.
+	passes map[geometry]stackPass
 }
 
-// NewExplorer wraps a data trace.
+// geometry is what a stack pass depends on besides the trace.
+type geometry struct{ sets, lineSize int }
+
+// stackPass is one cache.StackHits result: the access count and the
+// hits at each stack depth.
+type stackPass struct {
+	accesses uint64
+	hits     []uint64
+}
+
+// NewExplorer wraps the data accesses of a trace.
 func NewExplorer(tr *trace.Trace) *Explorer {
-	return &Explorer{tr: tr.Data(), memo: make(map[cache.Config]float64)}
+	return &Explorer{tr: tr.Data(), seen: make(map[cache.Config]bool), passes: make(map[geometry]stackPass)}
 }
 
-// simulate runs one configuration (memoized only across identical calls
-// within a methodology comparison reset).
-func (e *Explorer) simulate(cfg cache.Config) (float64, error) {
-	if mr, ok := e.memo[cfg]; ok {
-		return mr, nil
-	}
-	c, err := cache.New(cfg)
-	if err != nil {
+// missRate returns cfg's miss rate and counts cfg as simulated the first
+// time since Reset. Every configuration a Space makes is LRU and
+// write-allocate, so it is priced from the stack pass of its sets and
+// line size: one pass, depth deep, prices every associativity up to
+// depth. A pass too shallow for cfg is redone at the greater depth.
+func (e *Explorer) missRate(cfg cache.Config, depth int) (float64, error) {
+	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	st := c.Replay(e.tr)
-	mr := 1 - st.HitRate()
-	e.memo[cfg] = mr
-	e.Simulations++
-	return mr, nil
+	g := geometry{cfg.Sets, cfg.LineSize}
+	p, ok := e.passes[g]
+	if !ok || len(p.hits) < cfg.Ways {
+		accesses, hits, err := cache.StackHits(e.tr, cfg.Sets, cfg.LineSize, max(depth, cfg.Ways))
+		if err != nil {
+			return 0, err
+		}
+		p = stackPass{accesses, hits}
+		e.passes[g] = p
+	}
+	if !e.seen[cfg] {
+		e.seen[cfg] = true
+		e.Simulations++
+	}
+	st := cache.Stats{Accesses: p.accesses}
+	for _, h := range p.hits[:cfg.Ways] {
+		st.Hits += h
+	}
+	return 1 - st.HitRate(), nil
 }
 
-// Reset clears the simulation counter and memo (for a fresh methodology).
+// Reset starts a fresh count for the next methodology: Simulations goes
+// to zero and every configuration counts again. The stack passes stay.
 func (e *Explorer) Reset() {
 	e.Simulations = 0
-	e.memo = make(map[cache.Config]float64)
+	clear(e.seen)
+}
+
+// widest is the space's largest associativity: the depth of the stack
+// passes that price it.
+func (s Space) widest() int {
+	w := 0
+	for _, ways := range s.Ways {
+		w = max(w, ways)
+	}
+	return w
 }
 
 func (s Space) config(sets, ways int) cache.Config {
@@ -91,11 +135,12 @@ func (s Space) config(sets, ways int) cache.Config {
 // configuration in the space and pick the smallest one meeting the target
 // miss rate.
 func (e *Explorer) Exhaustive(space Space, targetMissRate float64) (*Candidate, error) {
+	depth := space.widest()
 	var best *Candidate
 	for _, ways := range space.Ways {
 		for sets := space.MinSets; sets <= space.MaxSets; sets <<= 1 {
 			cfg := space.config(sets, ways)
-			mr, err := e.simulate(cfg)
+			mr, err := e.missRate(cfg, depth)
 			if err != nil {
 				return nil, err
 			}
@@ -122,13 +167,14 @@ func (e *Explorer) Direct(space Space, targetMissRate float64) (*Candidate, erro
 	for s := space.MinSets; s <= space.MaxSets; s <<= 1 {
 		setsList = append(setsList, s)
 	}
+	depth := space.widest()
 	var best *Candidate
 	for _, ways := range space.Ways {
 		// Bisect the smallest index whose miss rate meets the target.
 		lo, hi := 0, len(setsList)-1
 		// Quick reject: if even the biggest cache fails, skip this
 		// associativity.
-		mrMax, err := e.simulate(space.config(setsList[hi], ways))
+		mrMax, err := e.missRate(space.config(setsList[hi], ways), depth)
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +183,7 @@ func (e *Explorer) Direct(space Space, targetMissRate float64) (*Candidate, erro
 		}
 		for lo < hi {
 			mid := (lo + hi) / 2
-			mr, err := e.simulate(space.config(setsList[mid], ways))
+			mr, err := e.missRate(space.config(setsList[mid], ways), depth)
 			if err != nil {
 				return nil, err
 			}
@@ -148,7 +194,7 @@ func (e *Explorer) Direct(space Space, targetMissRate float64) (*Candidate, erro
 			}
 		}
 		cfg := space.config(setsList[lo], ways)
-		mr, err := e.simulate(cfg)
+		mr, err := e.missRate(cfg, depth)
 		if err != nil {
 			return nil, err
 		}

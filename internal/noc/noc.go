@@ -9,8 +9,9 @@
 //
 // (one router per hop plus the source router, one link per hop), so total
 // communication energy is Σ_flows volume · e_bit(dist(map(src), map(dst))).
-// The mapper is a branch-and-bound over tile assignments: IPs are placed
-// in decreasing order of communication demand, partial costs are bounded
+// The mapper is a branch-and-bound over tile assignments, started from a
+// local-search descent from the row-major mapping: IPs are placed in
+// decreasing order of communication demand, partial costs are bounded
 // from below, and a mapping is only accepted if the link bandwidth
 // constraints can be satisfied by per-flow selection of XY or YX
 // deterministic routing (the "routing flexibility" of the title — it both
@@ -275,12 +276,17 @@ type MapResult struct {
 	Energy  energy.PJ
 	// Visited counts explored search nodes (for reporting).
 	Visited uint64
+	// Capped reports that the search stopped at its node cap: Mapping is
+	// the best one found, not one proved minimal.
+	Capped bool
 }
 
 // MapBnB finds a minimum-energy bandwidth-feasible mapping by
-// branch-and-bound. maxNodes caps the search (0 means 50M nodes); the best
-// mapping found so far is returned if the cap is hit, making the mapper an
-// anytime algorithm.
+// branch-and-bound. The search starts from the incumbent that seed's
+// descent finds, so it mostly has to prove a good mapping rather than
+// find one. maxNodes caps the search (0 means 50M nodes); a search that
+// hits the cap returns the best mapping found so far with Capped set, and
+// one that completes has proved its mapping minimal within the model.
 func MapBnB(m Mesh, g *Graph, maxNodes uint64) (*MapResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -292,18 +298,75 @@ func MapBnB(m Mesh, g *Graph, maxNodes uint64) (*MapResult, error) {
 		maxNodes = 50_000_000
 	}
 	s := newBnBSearch(m, g, maxNodes)
-
-	// Initial incumbent: greedy row-major if feasible, else +inf.
-	if rm := RowMajor(g.N); s.chk.check(rm) {
-		s.accept(rm, m.CommEnergy(g, rm))
-	}
+	s.seed(g)
 	s.dfs(0, 0)
 	if !s.found {
 		return nil, fmt.Errorf("noc: no bandwidth-feasible mapping found")
 	}
 	res := s.best
 	res.Visited = s.visited
+	res.Capped = s.capped
 	return &res, nil
+}
+
+// seed sets the search's first incumbent. When the row-major mapping is
+// bandwidth-feasible, it descends from there by first-improvement moves:
+// each scan tries, in a fixed order, swapping every pair of IPs and then,
+// when the mesh has free tiles, moving every IP to every free tile. A
+// move is kept when it strictly lowers CommEnergy and the moved mapping
+// passes the bandwidth check, whose routing the incumbent takes; the
+// scan goes on from the kept move. Scans repeat until one keeps nothing.
+// When row-major is infeasible the search starts with no incumbent.
+func (s *bnbSearch) seed(g *Graph) {
+	cur := RowMajor(g.N)
+	if !s.chk.check(cur) {
+		return
+	}
+	e := s.m.CommEnergy(g, cur)
+	s.accept(cur, e)
+	used := make([]bool, s.tiles)
+	for _, t := range cur {
+		used[t] = true
+	}
+	// try keeps the move just made to cur if it is an improvement, and
+	// reports whether it did; the caller undoes a move it does not keep.
+	try := func() bool {
+		moved := s.m.CommEnergy(g, cur)
+		if moved >= e || !s.chk.check(cur) {
+			return false
+		}
+		e = moved
+		s.accept(cur, e)
+		return true
+	}
+	for improved := true; improved; {
+		improved = false
+		for a := 0; a < g.N; a++ {
+			for b := a + 1; b < g.N; b++ {
+				cur[a], cur[b] = cur[b], cur[a]
+				if try() {
+					improved = true
+				} else {
+					cur[a], cur[b] = cur[b], cur[a]
+				}
+			}
+		}
+		for ip := 0; ip < g.N; ip++ {
+			for t := 0; t < s.tiles; t++ {
+				if used[t] {
+					continue
+				}
+				from := cur[ip]
+				cur[ip] = t
+				if try() {
+					used[from], used[t] = false, true
+					improved = true
+				} else {
+					cur[ip] = from
+				}
+			}
+		}
+	}
 }
 
 // partner is a flow seen from one of its endpoints: the other endpoint
@@ -336,6 +399,8 @@ type bnbSearch struct {
 	usedTile []bool
 	maxNodes uint64
 	visited  uint64
+	// capped is set when the search returns at maxNodes.
+	capped bool
 	// best is the incumbent; its slices are filled by copy.
 	best  MapResult
 	found bool
@@ -422,6 +487,7 @@ func (s *bnbSearch) accept(mapping []int, e energy.PJ) {
 
 func (s *bnbSearch) dfs(pos int, cost energy.PJ) {
 	if s.visited >= s.maxNodes {
+		s.capped = true
 		return
 	}
 	s.visited++

@@ -177,6 +177,35 @@ func TestBnBDeterministic(t *testing.T) {
 	}
 }
 
+// TestMapBnBReportsCap: Capped says whether the search stopped at its
+// node cap, not whether it used the whole budget. A budget one node short
+// of a completed search's count caps it; the exact count does not.
+func TestMapBnBReportsCap(t *testing.T) {
+	m := DefaultMesh()
+	g := MMSGraph()
+	full, err := MapBnB(m, g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Capped {
+		t.Fatalf("a search that completes in %d nodes reports Capped", full.Visited)
+	}
+	exact, err := MapBnB(m, g, full.Visited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.Capped || exact.Visited != full.Visited {
+		t.Fatalf("budget of exactly %d nodes: visited %d, capped %v", full.Visited, exact.Visited, exact.Capped)
+	}
+	short, err := MapBnB(m, g, full.Visited-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !short.Capped || short.Visited != full.Visited-1 {
+		t.Fatalf("budget of %d nodes: visited %d, capped %v", full.Visited-1, short.Visited, short.Capped)
+	}
+}
+
 // TestRandomGraphsNeverWorseThanAdhoc: property — whenever both are
 // feasible, BnB's result is never worse than row-major.
 func TestRandomGraphsNeverWorseThanAdhoc(t *testing.T) {

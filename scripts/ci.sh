@@ -3,10 +3,11 @@
 # are attributable to one step and local iteration can run just what it
 # needs:
 #
-#   ./scripts/ci.sh                 # all = fmt vet lint build test chaos fuzz trace sweep serve
+#   ./scripts/ci.sh                 # all = fmt vet lint build test examples chaos fuzz trace sweep serve
 #   ./scripts/ci.sh fmt vet         # any subset, in the order given
 #   ./scripts/ci.sh quick           # fmt vet lint(fast six) build + tests WITHOUT -race
 #   ./scripts/ci.sh bench           # lpmembench -check against committed baselines
+#   ./scripts/ci.sh examples        # run every program under examples/
 #   ./scripts/ci.sh chaos           # seeded fault-injection sweep of the registry
 #   ./scripts/ci.sh fuzz            # short smoke of every native fuzz target
 #   ./scripts/ci.sh trace           # binary/text trace round-trip + replay gate
@@ -21,7 +22,9 @@
 # (and the chaos/fuzz stages) away for local edit-compile-test speed.
 # `bench` is the regression gate: it re-runs every experiment and compares
 # tables against testdata/golden/ and costs against the committed BENCH
-# file (see scripts/README.md). `chaos` runs `lpmem chaos` under a fixed
+# file (see scripts/README.md). `examples` runs each program under
+# examples/ to completion, so a change that makes one fail or hang fails
+# CI, where `build` only compiles them. `chaos` runs `lpmem chaos` under a fixed
 # seed so the robustness invariants (no deadlocks, no goroutine leaks,
 # well-formed partial reports, deterministic fault placement) gate every
 # change to the runner/service stack. `fuzz` runs each fuzz target for a
@@ -104,6 +107,22 @@ stage_test() {
 stage_test_norace() {
     echo "== go test (no race; quick mode)"
     go test -vet=all ./...
+}
+
+stage_examples() {
+    echo "== examples"
+    local dir name
+    for dir in examples/*/; do
+        name=$(basename "$dir")
+        go build -o "$BIN/example-$name" "./$dir"
+        # Each one finishes in well under a second; the limit only turns
+        # a hang into a failure.
+        if ! timeout 120 "$BIN/example-$name" >/dev/null; then
+            echo "example $name failed or timed out" >&2
+            exit 1
+        fi
+        echo "  $name: ok"
+    done
 }
 
 stage_bench() {
@@ -290,6 +309,7 @@ run_stage() {
         lint)  stage_lint ;;
         build) stage_build ;;
         test)  stage_test ;;
+        examples) stage_examples ;;
         bench) stage_bench ;;
         chaos) stage_chaos ;;
         fuzz)  stage_fuzz ;;
@@ -297,9 +317,9 @@ run_stage() {
         sweep) stage_sweep ;;
         serve) stage_serve ;;
         quick) stage_fmt; stage_vet; stage_lint_quick; stage_build; stage_test_norace ;;
-        all)   stage_fmt; stage_vet; stage_lint; stage_build; stage_test; stage_chaos; stage_fuzz; stage_trace; stage_sweep; stage_serve ;;
+        all)   stage_fmt; stage_vet; stage_lint; stage_build; stage_test; stage_examples; stage_chaos; stage_fuzz; stage_trace; stage_sweep; stage_serve ;;
         *)
-            echo "usage: $0 [fmt|vet|lint|build|test|bench|chaos|fuzz|trace|sweep|serve|quick|all] ..." >&2
+            echo "usage: $0 [fmt|vet|lint|build|test|examples|bench|chaos|fuzz|trace|sweep|serve|quick|all] ..." >&2
             exit 2
             ;;
     esac

@@ -9,6 +9,7 @@ import (
 	"lpmem/internal/isa"
 	"lpmem/internal/stackmem"
 	"lpmem/internal/stats"
+	"lpmem/internal/trace"
 	"lpmem/internal/workloads"
 
 	icache "lpmem/internal/cache"
@@ -16,37 +17,59 @@ import (
 
 // runE1 regenerates the address-clustering table (DATE'03 1B.1): for each
 // application, memory energy monolithic vs optimally partitioned vs
-// clustered-then-partitioned.
+// clustered-then-partitioned. The kernels come first, then the
+// composites, profiled phase by phase from their kernels' traces, then
+// the synthetic profile applications.
 func runE1() (*Result, error) {
-	apps, err := workloads.Traces(1)
+	kernels, err := workloads.Traces(1)
 	if err != nil {
 		return nil, err
 	}
-	comps, err := compositeApps(apps)
+	parts, err := compositeParts(kernels)
 	if err != nil {
 		return nil, err
 	}
-	apps = append(apps, comps...)
-	apps = append(apps, profileApps()...)
 
 	opt := core.DefaultOptions()
 	table := stats.NewTable("app", "monolithic", "partitioned", "clustered", "vs-part %", "vs-mono %")
 	var savings, appSavings []float64
-	for _, app := range apps {
-		rep, err := core.Optimize(app.Trace, app.Cycles, opt)
+	optimize := func(name string, phases []*trace.Trace, cycles uint64) error {
+		rep, err := core.OptimizePhases(phases, cycles, opt)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s := rep.SavingVsPartitioned()
 		savings = append(savings, s)
 		// The paper evaluates full embedded applications; the composite
 		// apps and profile apps are our equivalents of that class, while
 		// single kernels are a harder (already-compact) setting.
-		if len(app.Name) > 4 && (app.Name[:4] == "app-" || app.Name[:5] == "prof-") {
+		if len(name) > 4 && (name[:4] == "app-" || name[:5] == "prof-") {
 			appSavings = append(appSavings, s)
 		}
-		table.AddRow(app.Name, float64(rep.MonolithicE), float64(rep.PartitionedE),
+		table.AddRow(name, float64(rep.MonolithicE), float64(rep.PartitionedE),
 			float64(rep.ClusteredE), s, rep.SavingVsMonolithic())
+		return nil
+	}
+	for _, k := range kernels {
+		if err := optimize(k.Name, []*trace.Trace{k.Trace}, k.Cycles); err != nil {
+			return nil, err
+		}
+	}
+	for i, ps := range parts {
+		phases := make([]*trace.Trace, len(ps))
+		var cycles uint64
+		for j, p := range ps {
+			phases[j] = p.Trace
+			cycles += p.Cycles
+		}
+		if err := optimize(composites[i].name, phases, cycles); err != nil {
+			return nil, err
+		}
+	}
+	for _, app := range profileApps() {
+		if err := optimize(app.Name, []*trace.Trace{app.Trace}, app.Cycles); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{
 		Table: table,

@@ -206,40 +206,53 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("lpmem: unknown experiment %q", id)
 }
 
-// compositeApps merges kernels into multi-phase applications, the setting
-// of the 1B.1 evaluation (full embedded programs with many data
-// structures of diverse heat). The parts are picked by name from the
-// kernel traces the caller already ran, so no kernel is interpreted twice.
-func compositeApps(kernels []*workloads.Result) ([]*workloads.Result, error) {
-	combos := []struct {
-		name  string
-		parts []string
-	}{
-		{"app-media", []string{"fir", "dct", "adpcm"}},
-		{"app-net", []string{"crc32", "strsearch", "histogram", "hashlookup"}},
-		{"app-ptr", []string{"listchase", "spmv", "fibcall"}},
-		{"app-rtos", []string{"fibcall", "qsort", "listchase", "histogram"}},
-		{"app-dsp", []string{"fft", "autocorr", "huffman", "bitcount"}},
-	}
+// composites are the multi-phase applications of the 1B.1 evaluation
+// (full embedded programs with many data structures of diverse heat),
+// each a list of kernels that run back to back in one address space.
+var composites = []struct {
+	name  string
+	parts []string
+}{
+	{"app-media", []string{"fir", "dct", "adpcm"}},
+	{"app-net", []string{"crc32", "strsearch", "histogram", "hashlookup"}},
+	{"app-ptr", []string{"listchase", "spmv", "fibcall"}},
+	{"app-rtos", []string{"fibcall", "qsort", "listchase", "histogram"}},
+	{"app-dsp", []string{"fft", "autocorr", "huffman", "bitcount"}},
+}
+
+// compositeParts returns each composite's parts, in composites order,
+// picked by name from the kernel traces the caller already ran, so no
+// kernel is interpreted twice.
+func compositeParts(kernels []*workloads.Result) ([][]*workloads.Result, error) {
 	byName := make(map[string]*workloads.Result, len(kernels))
 	for _, k := range kernels {
 		byName[k.Name] = k
 	}
-	var out []*workloads.Result
-	for _, c := range combos {
-		// Each composite starts from a 64 Ki-access trace and grows part
-		// by part. Sizing it exactly (one Append call on a zero Result)
-		// allocates less but moves E1's garbage collections, so that its
-		// peak RSS, the suite's peak, reads about 3 MiB higher.
-		app := &workloads.Result{Name: c.name, Trace: trace.New(1 << 16)}
+	out := make([][]*workloads.Result, len(composites))
+	for i, c := range composites {
 		for _, p := range c.parts {
 			k, ok := byName[p]
 			if !ok {
 				return nil, fmt.Errorf("lpmem: composite %s: no kernel trace %q", c.name, p)
 			}
-			app.Append(k)
+			out[i] = append(out[i], k)
 		}
-		out = append(out, app)
+	}
+	return out, nil
+}
+
+// compositeApps concatenates each composite's parts into one trace, for
+// E9, which replays whole applications through a cache; E1 profiles the
+// parts phase by phase and builds no composite.
+func compositeApps(kernels []*workloads.Result) ([]*workloads.Result, error) {
+	parts, err := compositeParts(kernels)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*workloads.Result, len(parts))
+	for i, ps := range parts {
+		out[i] = &workloads.Result{Name: composites[i].name, Trace: trace.New(1 << 16)}
+		out[i].Append(ps...)
 	}
 	return out, nil
 }

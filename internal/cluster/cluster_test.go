@@ -15,9 +15,26 @@ func mkTrace(addrs ...uint32) *trace.Trace {
 	return t
 }
 
+// clusterOrder profiles t as one phase and returns its block bases in
+// clustered order.
+func clusterOrder(t *trace.Trace, blockSize uint32, cfg Config) ([]uint32, error) {
+	p, err := NewProfile([]*trace.Trace{t}, blockSize)
+	if err != nil {
+		return nil, err
+	}
+	order := p.Order(cfg)
+	bases := make([]uint32, len(order))
+	for i, j := range order {
+		bases[i] = p.Bases[j]
+	}
+	return bases, nil
+}
+
 func TestClusterErrorsOnBadBlockSize(t *testing.T) {
-	if _, err := Cluster(mkTrace(0), Config{BlockSize: 100}); err == nil {
-		t.Fatal("want error")
+	for _, bs := range []uint32{0, 100} {
+		if _, err := NewProfile([]*trace.Trace{mkTrace(0)}, bs); err == nil {
+			t.Fatalf("block size %d: want error", bs)
+		}
 	}
 }
 
@@ -33,7 +50,7 @@ func TestHotBlocksComeFirst(t *testing.T) {
 		addrs = append(addrs, 0x1000)
 	}
 	addrs = append(addrs, 0x8000)
-	order, err := Cluster(mkTrace(addrs...), Config{BlockSize: 256, Window: 2})
+	order, err := clusterOrder(mkTrace(addrs...), 256, Config{Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +70,7 @@ func TestAffinityPullsPartnersTogether(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		addrs = append(addrs, 0x4000, 0x4000) // C bursts alone
 	}
-	order, err := Cluster(mkTrace(addrs...), Config{BlockSize: 256, AffinityWeight: 10, Window: 1})
+	order, err := clusterOrder(mkTrace(addrs...), 256, Config{AffinityWeight: 10, Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

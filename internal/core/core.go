@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"lpmem/internal/cluster"
 	"lpmem/internal/energy"
@@ -24,8 +23,7 @@ type Options struct {
 	MaxBanks int
 	// Model is the SRAM energy model.
 	Model energy.MemoryModel
-	// Cluster tunes the clustering heuristic; its BlockSize is forced to
-	// the value above.
+	// Cluster tunes the clustering heuristic.
 	Cluster cluster.Config
 	// RemapEnergy is the per-access cost charged for the clustering
 	// translation hardware (a small combinational block-index table), so
@@ -88,33 +86,37 @@ func (r *Report) String() string {
 // execution length of the run (for leakage). Invalid options (a block
 // size that is not a power of two, a bank budget below 1) are reported
 // as errors rather than panics, so services driving the flow from
-// external configuration fail one request instead of the process.
-//
-// The trace is profiled once. The baseline is the profile in address
-// order, the compacted image a linker gives. Clustering permutes whole
-// blocks, so the clustered image's profile is the same block statistics
-// placed in cluster order.
+// external configuration fail one request instead of the process. It is
+// the one-phase case of OptimizePhases.
 func Optimize(t *trace.Trace, cycles uint64, opt Options) (*Report, error) {
-	opt.Cluster.BlockSize = opt.BlockSize
-	base, bases, err := partition.SpecFromTrace(t, opt.BlockSize, cycles)
+	return OptimizePhases([]*trace.Trace{t}, cycles, opt)
+}
+
+// OptimizePhases runs the full flow on an application made of phases,
+// its part traces running back to back in one address space, and
+// reports what Optimize reports on their concatenation, which it never
+// builds. cycles is the whole application's execution length.
+//
+// The application is profiled once, phase by phase. The baseline is the
+// profile in address order, the compacted image a linker gives.
+// Clustering permutes whole blocks, so the clustered image's profile is
+// the same block statistics placed in cluster order.
+func OptimizePhases(phases []*trace.Trace, cycles uint64, opt Options) (*Report, error) {
+	prof, err := cluster.NewProfile(phases, opt.BlockSize)
 	if err != nil {
 		return nil, err
 	}
+	base := &partition.Spec{BlockSize: opt.BlockSize, Blocks: prof.Blocks, Cycles: cycles}
 	monoE := partition.Energy(base, partition.Monolithic(base), opt.Model)
 	_, baseE, err := partition.Optimal(base, opt.MaxBanks, opt.Model)
 	if err != nil {
 		return nil, err
 	}
 
-	order, err := cluster.Cluster(t, opt.Cluster)
-	if err != nil {
-		return nil, err
-	}
+	order := prof.Order(opt.Cluster)
 	clSpec := &partition.Spec{BlockSize: opt.BlockSize, Blocks: make([]partition.BlockStats, len(order)), Cycles: cycles}
-	for i, b := range order {
-		// Both calls profile the same accesses: b is among the bases.
-		j, _ := slices.BinarySearch(bases, b)
-		clSpec.Blocks[i] = base.Blocks[j]
+	for i, j := range order {
+		clSpec.Blocks[i] = prof.Blocks[j]
 	}
 	clPart, clE, err := partition.Optimal(clSpec, opt.MaxBanks, opt.Model)
 	if err != nil {

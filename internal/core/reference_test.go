@@ -21,7 +21,6 @@ import (
 // image and into the clustered image, and profiles both rewrites.
 // Optimize must report the same energies and clustered partition.
 func refOptimize(tb testing.TB, t *trace.Trace, cycles uint64, opt Options) (*Report, error) {
-	opt.Cluster.BlockSize = opt.BlockSize
 	data := t.Data()
 
 	baseTrace := refRemap(tb, data, refIdentityOrder(data, opt.BlockSize), opt.BlockSize)
@@ -35,9 +34,13 @@ func refOptimize(tb testing.TB, t *trace.Trace, cycles uint64, opt Options) (*Re
 		return nil, err
 	}
 
-	order, err := cluster.Cluster(data, opt.Cluster)
+	prof, err := cluster.NewProfile([]*trace.Trace{data}, opt.BlockSize)
 	if err != nil {
 		return nil, err
+	}
+	var order []uint32
+	for _, j := range prof.Order(opt.Cluster) {
+		order = append(order, prof.Bases[j])
 	}
 	clSpec, _, err := partition.SpecFromTrace(refRemap(tb, data, order, opt.BlockSize), opt.BlockSize, cycles)
 	if err != nil {
@@ -87,14 +90,9 @@ func refRemap(tb testing.TB, data *trace.Trace, order []uint32, blockSize uint32
 	return out
 }
 
-// e1Inputs builds the applications E1 optimises: the 18 kernels, then
-// five composites of them and three synthetic profile applications,
-// with the parts and parameters E1 uses.
-func e1Inputs(t *testing.T) (kernels, apps []*workloads.Result) {
-	kernels, err := workloads.Traces(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+// e1Composites returns the parts of E1's five composite applications,
+// picked from the kernel traces, with the composites' names.
+func e1Composites(kernels []*workloads.Result) (names []string, parts [][]*workloads.Result) {
 	byName := make(map[string]*workloads.Result, len(kernels))
 	for _, k := range kernels {
 		byName[k.Name] = k
@@ -109,10 +107,28 @@ func e1Inputs(t *testing.T) (kernels, apps []*workloads.Result) {
 		{"app-rtos", []string{"fibcall", "qsort", "listchase", "histogram"}},
 		{"app-dsp", []string{"fft", "autocorr", "huffman", "bitcount"}},
 	} {
-		app := &workloads.Result{Name: c.name}
+		var ps []*workloads.Result
 		for _, p := range c.parts {
-			app.Append(byName[p])
+			ps = append(ps, byName[p])
 		}
+		names = append(names, c.name)
+		parts = append(parts, ps)
+	}
+	return names, parts
+}
+
+// e1Inputs builds the applications E1 optimises: the 18 kernels, then
+// five composites of them, concatenated, and three synthetic profile
+// applications, with the parts and parameters E1 uses.
+func e1Inputs(t *testing.T) (kernels, apps []*workloads.Result) {
+	kernels, err := workloads.Traces(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, parts := e1Composites(kernels)
+	for i, ps := range parts {
+		app := &workloads.Result{Name: names[i]}
+		app.Append(ps...)
 		apps = append(apps, app)
 	}
 	for _, p := range []struct {
@@ -241,6 +257,57 @@ func TestOptimizeMatchesReferenceOnRandomTraces(t *testing.T) {
 			got, gotErr := Optimize(tr, uint64(2*tr.Len()), opt)
 			want, wantErr := refOptimize(t, tr, uint64(2*tr.Len()), opt)
 			sameReport(t, fmt.Sprintf("random trace %d", i), got, want, gotErr, wantErr)
+		}
+	}
+}
+
+// TestOptimizePhasesMatchesConcatenation: optimising an application
+// phase by phase reports what Optimize reports on the concatenated
+// trace, bit for bit: on E1's five composites at E1's settings, and on
+// random splits of random traces at every reference setting, with empty
+// and fetch-only phases among the parts.
+func TestOptimizePhasesMatchesConcatenation(t *testing.T) {
+	kernels, err := workloads.Traces(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, parts := e1Composites(kernels)
+	for i, ps := range parts {
+		var whole workloads.Result
+		whole.Append(ps...)
+		phases := make([]*trace.Trace, len(ps))
+		var cycles uint64
+		for j, p := range ps {
+			phases[j] = p.Trace
+			cycles += p.Cycles
+		}
+		got, gotErr := OptimizePhases(phases, cycles, DefaultOptions())
+		want, wantErr := Optimize(whole.Trace, whole.Cycles, DefaultOptions())
+		sameReport(t, names[i], got, want, gotErr, wantErr)
+	}
+
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 12; trial++ {
+		whole := randomTrace(r, 1+r.Intn(3000), trace.Fetch, trace.Read, trace.Write)
+		var phases []*trace.Trace
+		for rest := whole.Accesses; ; {
+			switch r.Intn(4) {
+			case 0:
+				phases = append(phases, trace.New(0))
+			case 1:
+				phases = append(phases, randomTrace(r, 1+r.Intn(20), trace.Fetch))
+			}
+			if len(rest) == 0 {
+				break
+			}
+			cut := 1 + r.Intn(len(rest))
+			phases = append(phases, &trace.Trace{Accesses: rest[:cut]})
+			rest = rest[cut:]
+		}
+		for _, opt := range referenceSettings() {
+			got, gotErr := OptimizePhases(phases, uint64(2*whole.Len()), opt)
+			want, wantErr := Optimize(whole, uint64(2*whole.Len()), opt)
+			sameReport(t, fmt.Sprintf("random split %d (%d phases)", trial, len(phases)), got, want, gotErr, wantErr)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ctg
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -52,13 +53,28 @@ func MapGA(g *Graph, procs int, cfg GAConfig) (*GAResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Fitness uses a cheap DVS (few refinement rounds); the winner is
-	// re-evaluated with the full pass at the end.
+	// re-evaluated with the full pass at the end. Elites' children and a
+	// converging population revisit mappings, and fitness depends on the
+	// mapping alone and draws no random numbers, so each distinct mapping
+	// is priced once per call. Individuals may share a stretch slice,
+	// which nothing writes.
+	type fitness struct {
+		energy  float64
+		stretch []float64
+	}
+	memo := make(map[string]fitness)
+	var key []byte
 	evaluate := func(mapping []int) (float64, []float64) {
-		stretch, err := g.dvsBounded(mapping, procs, 6)
-		if err != nil {
-			return 1e18, nil
+		key = appendKey(key[:0], mapping)
+		if f, ok := memo[string(key)]; ok {
+			return f.energy, f.stretch
 		}
-		return g.Energy(stretch), stretch
+		f := fitness{energy: 1e18}
+		if stretch, err := g.dvsBounded(mapping, procs, 6); err == nil {
+			f = fitness{g.Energy(stretch), stretch}
+		}
+		memo[string(key)] = f
+		return f.energy, f.stretch
 	}
 
 	type individual struct {
@@ -122,4 +138,14 @@ func MapGA(g *Graph, procs int, cfg GAConfig) (*GAResult, error) {
 		return nil, err
 	}
 	return &GAResult{Mapping: best.mapping, Stretch: stretch, Energy: g.Energy(stretch)}, nil
+}
+
+// appendKey appends mapping's memo key to dst: its genes as uvarints.
+// The encoding is prefix-free, so two mappings of one length share a key
+// only when they are equal, whatever the number of processors.
+func appendKey(dst []byte, mapping []int) []byte {
+	for _, p := range mapping {
+		dst = binary.AppendUvarint(dst, uint64(p))
+	}
+	return dst
 }

@@ -1,8 +1,11 @@
 package ctg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -175,6 +178,163 @@ func TestMakespanMatchesReference(t *testing.T) {
 					t.Fatalf("trial %d deadline %v: feasible with reused scratch %v, reference %v", trial, dl, got, want)
 				}
 			}
+		}
+	}
+}
+
+// refMapGA is MapGA without its fitness memo: every individual the GA
+// breeds runs the bounded DVS pass, revisited mappings included.
+func refMapGA(g *Graph, procs int, cfg GAConfig) (*GAResult, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	if procs <= 0 {
+		return nil, fmt.Errorf("ctg: need at least one processor")
+	}
+	n := len(g.Tasks)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	evaluate := func(mapping []int) (float64, []float64) {
+		stretch, err := g.dvsBounded(mapping, procs, 6)
+		if err != nil {
+			return 1e18, nil
+		}
+		return g.Energy(stretch), stretch
+	}
+	type individual struct {
+		mapping []int
+		energy  float64
+		stretch []float64
+	}
+	pop := make([]individual, cfg.Population)
+	for p := range pop {
+		m := make([]int, n)
+		if p == 0 {
+			copy(m, RoundRobin(n, procs))
+		} else {
+			for i := range m {
+				m[i] = rng.Intn(procs)
+			}
+		}
+		e, s := evaluate(m)
+		pop[p] = individual{mapping: m, energy: e, stretch: s}
+	}
+	sortPop := func() {
+		sort.SliceStable(pop, func(a, b int) bool { return pop[a].energy < pop[b].energy })
+	}
+	sortPop()
+	tournament := func() individual {
+		a := pop[rng.Intn(len(pop))]
+		b := pop[rng.Intn(len(pop))]
+		if a.energy <= b.energy {
+			return a
+		}
+		return b
+	}
+	for gen := 0; gen < cfg.Generations; gen++ {
+		next := make([]individual, 0, cfg.Population)
+		next = append(next, pop[0], pop[1])
+		for len(next) < cfg.Population {
+			pa, pb := tournament(), tournament()
+			child := make([]int, n)
+			cut := rng.Intn(n)
+			copy(child, pa.mapping[:cut])
+			copy(child[cut:], pb.mapping[cut:])
+			for i := range child {
+				if rng.Float64() < cfg.MutationRate {
+					child[i] = rng.Intn(procs)
+				}
+			}
+			e, s := evaluate(child)
+			next = append(next, individual{mapping: child, energy: e, stretch: s})
+		}
+		pop = next
+		sortPop()
+	}
+	best := pop[0]
+	if best.stretch == nil {
+		return nil, fmt.Errorf("ctg: GA found no feasible mapping")
+	}
+	stretch, err := g.DVS(best.mapping, procs)
+	if err != nil {
+		return nil, err
+	}
+	return &GAResult{Mapping: best.mapping, Stretch: stretch, Energy: g.Energy(stretch)}, nil
+}
+
+// TestMapGAMatchesReference: pricing each distinct mapping once leaves
+// the GA's trajectory alone. On the cruise controller at E11's deadline
+// slacks, MapGA returns the unmemoised GA's mapping, stretches and
+// energy bit for bit, over four seeds at 1 to 3 processors, and over two
+// seeds and two slacks at 300 processors, where genes pass 255 (each of
+// those GAs costs about ten of the others).
+func TestMapGAMatchesReference(t *testing.T) {
+	for _, procs := range []int{1, 2, 3, 300} {
+		slacks, seeds := []float64{1.05, 1.1, 1.25, 1.5}, int64(4)
+		if procs > 3 {
+			slacks, seeds = []float64{1.1, 1.5}, 2
+		}
+		for _, slack := range slacks {
+			for seed := int64(1); seed <= seeds; seed++ {
+				g := CruiseController()
+				rr := RoundRobin(len(g.Tasks), procs)
+				worst := 0.0
+				for _, sc := range g.Scenarios() {
+					worst = math.Max(worst, g.Makespan(rr, procs, nil, sc))
+				}
+				g.Deadline = worst * slack
+				cfg := DefaultGAConfig()
+				cfg.Seed = seed
+				what := fmt.Sprintf("procs %d slack %v seed %d", procs, slack, seed)
+				got, gotErr := MapGA(g, procs, cfg)
+				want, wantErr := refMapGA(g, procs, cfg)
+				if (gotErr != nil) != (wantErr != nil) {
+					t.Fatalf("%s: error %v, reference %v", what, gotErr, wantErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				if !slices.Equal(got.Mapping, want.Mapping) {
+					t.Fatalf("%s: mapping %v, reference %v", what, got.Mapping, want.Mapping)
+				}
+				if len(got.Stretch) != len(want.Stretch) {
+					t.Fatalf("%s: %d stretches, reference %d", what, len(got.Stretch), len(want.Stretch))
+				}
+				for i := range want.Stretch {
+					if math.Float64bits(got.Stretch[i]) != math.Float64bits(want.Stretch[i]) {
+						t.Fatalf("%s: stretch %v, reference %v", what, got.Stretch, want.Stretch)
+					}
+				}
+				if math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
+					t.Fatalf("%s: energy %v, reference %v", what, got.Energy, want.Energy)
+				}
+			}
+		}
+	}
+}
+
+// TestMemoKeyIsExact: two mappings share a memo key only when they are
+// equal, for genes up to 2²⁴, so processors whose numbers agree in their
+// low byte or bytes keep apart.
+func TestMemoKeyIsExact(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + r.Intn(6)
+		a, b := make([]int, n), make([]int, n)
+		for i := range a {
+			a[i] = r.Intn(1 << 24)
+			b[i] = a[i]
+			// Move some genes by a multiple of 256, keeping their low
+			// byte, or draw them afresh.
+			switch r.Intn(4) {
+			case 0:
+				b[i] = a[i] ^ 256<<r.Intn(16)
+			case 1:
+				b[i] = r.Intn(1 << 24)
+			}
+		}
+		ka, kb := string(appendKey(nil, a)), string(appendKey(nil, b))
+		if (ka == kb) != slices.Equal(a, b) {
+			t.Fatalf("mappings %v and %v: keys equal %v", a, b, ka == kb)
 		}
 	}
 }

@@ -273,7 +273,8 @@ func (c *bwChecker) check(mapping []int) bool {
 type MapResult struct {
 	Mapping []int
 	Routing []Routing
-	Energy  energy.PJ
+	// Energy is the CommEnergy of Mapping.
+	Energy energy.PJ
 	// Visited counts explored search nodes (for reporting).
 	Visited uint64
 	// Capped reports that the search stopped at its node cap: Mapping is
@@ -304,6 +305,10 @@ func MapBnB(m Mesh, g *Graph, maxNodes uint64) (*MapResult, error) {
 		return nil, fmt.Errorf("noc: no bandwidth-feasible mapping found")
 	}
 	res := s.best
+	// The descent and the search sum a mapping's flows in different
+	// orders; pricing the result once more with CommEnergy gives the
+	// same bits whichever of them found it.
+	res.Energy = m.CommEnergy(g, res.Mapping)
 	res.Visited = s.visited
 	res.Capped = s.capped
 	return &res, nil

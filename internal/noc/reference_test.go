@@ -313,9 +313,12 @@ func TestMapBnBMatchesReference(t *testing.T) {
 		if want.Capped {
 			capped++
 		}
-		if got.Energy != want.Energy || got.Visited != want.Visited || got.Capped != want.Capped {
+		// MapBnB prices its mapping with CommEnergy, so the reference's
+		// mapping is re-priced the same way.
+		wantE := m.CommEnergy(g, want.Mapping)
+		if got.Energy != wantE || got.Visited != want.Visited || got.Capped != want.Capped {
 			t.Fatalf("trial %d: energy %v visited %d capped %v, reference %v visited %d capped %v",
-				trial, got.Energy, got.Visited, got.Capped, want.Energy, want.Visited, want.Capped)
+				trial, got.Energy, got.Visited, got.Capped, wantE, want.Visited, want.Capped)
 		}
 		for i := range want.Mapping {
 			if got.Mapping[i] != want.Mapping[i] {
@@ -333,11 +336,71 @@ func TestMapBnBMatchesReference(t *testing.T) {
 	}
 }
 
-// sameEnergy compares two searches' energies. They sum the flows in
-// different orders (the descent by flow, the search by placement depth),
-// so equal energies may differ in their last bits.
+// sameEnergy compares two searches' energies. MapBnB prices its result
+// with CommEnergy, summing by flow, and the reference search sums by
+// placement depth, so equal energies may differ in their last bits.
 func sameEnergy(a, b energy.PJ) bool {
 	return math.Abs(float64(a-b)) <= 1e-12*math.Max(math.Abs(float64(a)), math.Abs(float64(b)))
+}
+
+// mapInstance is one mapping problem of the tests below.
+type mapInstance struct {
+	name string
+	m    Mesh
+	g    *Graph
+}
+
+// seededInstances returns MMS at the link capacities where the unseeded
+// search completes, then the random 3x3 instances that
+// TestMapBnBMatchesReference draws.
+func seededInstances() []mapInstance {
+	var cases []mapInstance
+	for _, bw := range []float64{1500, 1000} {
+		m := DefaultMesh()
+		m.LinkBW = bw
+		cases = append(cases, mapInstance{fmt.Sprintf("MMS@%v", bw), m, MMSGraph()})
+	}
+	r := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 150; trial++ {
+		m := DefaultMesh()
+		m.W, m.H, m.LinkBW = 3, 3, float64(30+10*r.Intn(10))
+		n := 3 + r.Intn(7)
+		g := randomGraph(r, n, n-1+r.Intn(n+1))
+		r.Intn(40_000) // the node budget TestMapBnBMatchesReference draws
+		cases = append(cases, mapInstance{fmt.Sprintf("random %d", trial), m, g})
+	}
+	return cases
+}
+
+// TestMapBnBEnergyIsCommEnergy: a mapping reports the same energy bits
+// whichever path found it, the descent or the search: the reported
+// Energy is the mapping's CommEnergy, on the instances of
+// TestSeededMapBnBIsExact and on E10's rows (MMS at link capacities
+// 1500, 1000 and 700).
+func TestMapBnBEnergyIsCommEnergy(t *testing.T) {
+	cases := seededInstances()
+	for _, bw := range []float64{1500, 1000, 700} {
+		m := DefaultMesh()
+		m.LinkBW = bw
+		cases = append(cases, mapInstance{fmt.Sprintf("E10@%v", bw), m, MMSGraph()})
+	}
+	feasible := 0
+	for _, c := range cases {
+		res, err := MapBnB(c.m, c.g, 0)
+		if err != nil {
+			continue
+		}
+		feasible++
+		if res.Capped {
+			t.Fatalf("%s: an uncapped search reports Capped", c.name)
+		}
+		if want := c.m.CommEnergy(c.g, res.Mapping); math.Float64bits(float64(res.Energy)) != math.Float64bits(float64(want)) {
+			t.Fatalf("%s: energy %v, CommEnergy of the mapping %v", c.name, res.Energy, want)
+		}
+	}
+	if feasible < 100 {
+		t.Fatalf("only %d of %d instances were feasible; widen the inputs", feasible, len(cases))
+	}
 }
 
 // TestSeededMapBnBIsExact: the descent changes where the search starts,
@@ -350,26 +413,7 @@ func sameEnergy(a, b energy.PJ) bool {
 // seeded search is the unseeded one, which TestMapBnBMatchesReference
 // already holds to the reference node for node.
 func TestSeededMapBnBIsExact(t *testing.T) {
-	type instance struct {
-		name string
-		m    Mesh
-		g    *Graph
-	}
-	var cases []instance
-	for _, bw := range []float64{1500, 1000} {
-		m := DefaultMesh()
-		m.LinkBW = bw
-		cases = append(cases, instance{fmt.Sprintf("MMS@%v", bw), m, MMSGraph()})
-	}
-	r := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 150; trial++ {
-		m := DefaultMesh()
-		m.W, m.H, m.LinkBW = 3, 3, float64(30+10*r.Intn(10))
-		n := 3 + r.Intn(7)
-		g := randomGraph(r, n, n-1+r.Intn(n+1))
-		r.Intn(40_000) // the node budget TestMapBnBMatchesReference draws
-		cases = append(cases, instance{fmt.Sprintf("random %d", trial), m, g})
-	}
+	cases := seededInstances()
 	seeded := 0
 	for _, c := range cases {
 		start := seedOf(c.m, c.g)

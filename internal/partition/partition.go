@@ -284,7 +284,13 @@ func optimal(spec *Spec, maxBanks int, m energy.MemoryModel, parts []Partition, 
 			}
 			blockMin[b] = bm
 		}
-		for j := 1; j <= n; j++ {
+		// Only column n of the last row is read: its energy and cut end
+		// the reconstruction of the budget that uses every bank.
+		j0 := 1
+		if k == maxBanks {
+			j0 = n
+		}
+		for j := j0; j <= n; j++ {
 			// ub is the exact cost, in this column, of the previous
 			// column's cut: a candidate here too, so row[j] ends at or
 			// below it.

@@ -3,10 +3,11 @@
 # are attributable to one step and local iteration can run just what it
 # needs:
 #
-#   ./scripts/ci.sh                 # all = fmt vet lint build test examples chaos fuzz trace sweep serve
+#   ./scripts/ci.sh                 # all = fmt vet lint build test benchmod examples chaos fuzz trace sweep serve
 #   ./scripts/ci.sh fmt vet         # any subset, in the order given
 #   ./scripts/ci.sh quick           # fmt vet lint(fast six) build + tests WITHOUT -race
 #   ./scripts/ci.sh bench           # lpmembench -check against committed baselines
+#   ./scripts/ci.sh benchmod        # the benchmark/ module's own test
 #   ./scripts/ci.sh examples        # run every program under examples/
 #   ./scripts/ci.sh chaos           # seeded fault-injection sweep of the registry
 #   ./scripts/ci.sh fuzz            # short smoke of every native fuzz target
@@ -20,6 +21,10 @@
 # The race run is the correctness backstop for the concurrent experiment
 # runner (internal/runner) and the lpmemd HTTP service; `quick` trades it
 # (and the chaos/fuzz stages) away for local edit-compile-test speed.
+# `benchmod` runs the nested benchmark/ module's test, which ./... skips:
+# it drives every probe once and checks each against the goldens, among
+# them core.Optimize on E1's composites as concatenated traces, the one
+# check that E1's phase-by-phase profile agrees with the whole trace.
 # `bench` is the regression gate: it re-runs every experiment and compares
 # tables against testdata/golden/ and costs against the committed BENCH
 # file (see scripts/README.md). `examples` runs each program under
@@ -102,6 +107,11 @@ stage_build() {
 stage_test() {
     echo "== go test -race -vet=all"
     go test -race -vet=all ./...
+}
+
+stage_benchmod() {
+    echo "== go test (benchmark module)"
+    (cd benchmark && go test .)
 }
 
 stage_test_norace() {
@@ -309,6 +319,7 @@ run_stage() {
         lint)  stage_lint ;;
         build) stage_build ;;
         test)  stage_test ;;
+        benchmod) stage_benchmod ;;
         examples) stage_examples ;;
         bench) stage_bench ;;
         chaos) stage_chaos ;;
@@ -317,9 +328,9 @@ run_stage() {
         sweep) stage_sweep ;;
         serve) stage_serve ;;
         quick) stage_fmt; stage_vet; stage_lint_quick; stage_build; stage_test_norace ;;
-        all)   stage_fmt; stage_vet; stage_lint; stage_build; stage_test; stage_examples; stage_chaos; stage_fuzz; stage_trace; stage_sweep; stage_serve ;;
+        all)   stage_fmt; stage_vet; stage_lint; stage_build; stage_test; stage_benchmod; stage_examples; stage_chaos; stage_fuzz; stage_trace; stage_sweep; stage_serve ;;
         *)
-            echo "usage: $0 [fmt|vet|lint|build|test|examples|bench|chaos|fuzz|trace|sweep|serve|quick|all] ..." >&2
+            echo "usage: $0 [fmt|vet|lint|build|test|benchmod|examples|bench|chaos|fuzz|trace|sweep|serve|quick|all] ..." >&2
             exit 2
             ;;
     esac
